@@ -1,38 +1,36 @@
-"""Hot inner loops: numba-jitted kernels with pure-numpy/python fallbacks.
+"""Hot inner loops, one source each.
 
-The backend is chosen once at import time. Set ``SEEDCLUST_NO_NUMBA=1`` to
-force the fallback path (or it is selected automatically when numba is not
-importable). Both implementations of every kernel apply floating-point
-updates in the same order, so results agree across backends.
+``diffuse_push`` and ``sweep_cutvol`` are vectorised numpy. ``walk_phase`` is
+a scalar loop; when numba imports it is jitted, otherwise it runs as plain
+Python. ``BACKEND`` reports which of the two the walk uses.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("SEEDCLUST_NO_NUMBA", "").strip().lower() in ("1", "true", "yes", "on")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        HAVE_NUMBA = False
-else:
+try:
+    from numba import njit
+except ImportError:
     HAVE_NUMBA = False
+else:
+    HAVE_NUMBA = True
 
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
-# ---------------------------------------------------------------------------
-# diffusion push: one lazy-walk application restricted to the current support
-# ---------------------------------------------------------------------------
+def gather_rows(indptr, indices, vertices):
+    """Concatenated CSR rows of ``vertices`` (with multiplicity) and their lengths."""
+    starts = indptr[vertices]
+    lens = (indptr[vertices + 1] - starts).astype(np.int64)
+    cum = np.cumsum(lens)
+    pos = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(cum - lens, lens) + np.repeat(starts, lens)
+    return indices[pos], lens
 
-def diffuse_push_numpy(indptr, indices, degrees, support, mass, scratch, marker):
+
+def diffuse_push(indptr, indices, degrees, support, mass, scratch, marker):
     """new[u] = old[u]/2 + sum_{w~u} old[w]/(2 d_w), support-sparse.
 
     ``scratch`` (float64, n) and ``marker`` (bool, n) must be all-zero/False;
@@ -40,13 +38,7 @@ def diffuse_push_numpy(indptr, indices, degrees, support, mass, scratch, marker)
     new_support sorted.
     """
     scratch[support] += 0.5 * mass
-
-    starts = indptr[support]
-    lens = (indptr[support + 1] - starts).astype(np.int64)
-    total = int(lens.sum())
-    cum = np.cumsum(lens)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(cum - lens, lens) + np.repeat(starts, lens)
-    nbrs = indices[pos]
+    nbrs, lens = gather_rows(indptr, indices, support)
     np.add.at(scratch, nbrs, np.repeat(mass / (2.0 * degrees[support]), lens))
 
     marker[support] = True
@@ -58,30 +50,27 @@ def diffuse_push_numpy(indptr, indices, degrees, support, mass, scratch, marker)
     return new_support, new_mass
 
 
-def sweep_cutvol_numpy(indptr, indices, degrees, order, in_set):
-    """Incremental cut size and volume for every prefix of ``order``.
+def sweep_cutvol(indptr, indices, degrees, order):
+    """Cut size and volume of every prefix of ``order`` (distinct vertices).
 
-    ``in_set`` (bool, n) must be all-False; restored before returning.
+    Adding ``order[j]`` raises the cut by its degree minus twice its
+    neighbours ranked before ``j``; ranks are found by binary search over the
+    sorted order, so the work is local to the rows of ``order``.
     """
-    size = order.size
-    cuts = np.empty(size, dtype=np.int64)
-    vols = np.empty(size, dtype=np.int64)
-    cut = 0
-    vol = 0
-    for i in range(size):
-        u = order[i]
-        vol += int(degrees[u])
-        row = indices[indptr[u]:indptr[u + 1]]
-        cut += int(degrees[u]) - 2 * int(np.count_nonzero(in_set[row]))
-        in_set[u] = True
-        cuts[i] = cut
-        vols[i] = vol
-    in_set[order] = False
-    return cuts, vols
+    deg = degrees[order]
+    nbrs, lens = gather_rows(indptr, indices, order)
+    by_vertex = np.argsort(order)
+    sorted_order = order[by_vertex]
+    k = np.searchsorted(sorted_order, nbrs)
+    in_order = sorted_order.take(k, mode="clip") == nbrs
+    owner = np.repeat(np.arange(order.size, dtype=np.int64), lens)
+    earlier = in_order & (by_vertex.take(k, mode="clip") < owner)
+    internal = np.bincount(owner[earlier], minlength=order.size)
+    return np.cumsum(deg - 2 * internal), np.cumsum(deg)
 
 
-def walk_phase_numpy(indptr, indices, log_energy, visit_counts, current, log_f, uniforms):
-    """Run one schedule phase of the energy-biased walk (fallback path).
+def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms):
+    """Run one schedule phase of the energy-biased walk.
 
     Each step moves to a neighbor sampled with probability proportional to
     min(energy[v]/energy[u], 1), then multiplies the departed vertex's energy
@@ -122,112 +111,4 @@ def walk_phase_numpy(indptr, indices, log_energy, visit_counts, current, log_f, 
 
 
 if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _diffuse_push_nb(indptr, indices, degrees, support, mass, scratch, marker):
-        bound = support.size
-        for k in range(support.size):
-            bound += indptr[support[k] + 1] - indptr[support[k]]
-        touched = np.empty(bound, dtype=np.int64)
-        count = 0
-
-        for k in range(support.size):
-            u = support[k]
-            scratch[u] += 0.5 * mass[k]
-            if not marker[u]:
-                marker[u] = True
-                touched[count] = u
-                count += 1
-        for k in range(support.size):
-            w = support[k]
-            share = mass[k] / (2.0 * degrees[w])
-            for j in range(indptr[w], indptr[w + 1]):
-                u = indices[j]
-                scratch[u] += share
-                if not marker[u]:
-                    marker[u] = True
-                    touched[count] = u
-                    count += 1
-
-        new_support = np.sort(touched[:count])
-        new_mass = np.empty(count, dtype=np.float64)
-        for k in range(count):
-            u = new_support[k]
-            new_mass[k] = scratch[u]
-            scratch[u] = 0.0
-            marker[u] = False
-        return new_support, new_mass
-
-    @njit(cache=True)
-    def _sweep_cutvol_nb(indptr, indices, degrees, order, in_set):
-        size = order.size
-        cuts = np.empty(size, dtype=np.int64)
-        vols = np.empty(size, dtype=np.int64)
-        cut = 0
-        vol = 0
-        for i in range(size):
-            u = order[i]
-            vol += degrees[u]
-            internal = 0
-            for j in range(indptr[u], indptr[u + 1]):
-                if in_set[indices[j]]:
-                    internal += 1
-            cut += degrees[u] - 2 * internal
-            in_set[u] = True
-            cuts[i] = cut
-            vols[i] = vol
-        for i in range(size):
-            in_set[order[i]] = False
-        return cuts, vols
-
-    @njit(cache=True)
-    def _walk_phase_nb(indptr, indices, log_energy, visit_counts, current, log_f, uniforms):
-        for t in range(uniforms.size):
-            s = indptr[current]
-            e = indptr[current + 1]
-            lu = log_energy[current]
-            mx = -np.inf
-            for j in range(s, e):
-                lw = log_energy[indices[j]] - lu
-                if lw > 0.0:
-                    lw = 0.0
-                if lw > mx:
-                    mx = lw
-            total = 0.0
-            for j in range(s, e):
-                lw = log_energy[indices[j]] - lu
-                if lw > 0.0:
-                    lw = 0.0
-                total += math.exp(lw - mx)
-            r = uniforms[t] * total
-            acc = 0.0
-            chosen = indices[e - 1]
-            for j in range(s, e):
-                lw = log_energy[indices[j]] - lu
-                if lw > 0.0:
-                    lw = 0.0
-                acc += math.exp(lw - mx)
-                if r < acc:
-                    chosen = indices[j]
-                    break
-            log_energy[current] += log_f
-            visit_counts[chosen] += 1
-            current = chosen
-        return current
-
-    def diffuse_push_numba(indptr, indices, degrees, support, mass, scratch, marker):
-        return _diffuse_push_nb(indptr, indices, degrees, support, mass, scratch, marker)
-
-    def sweep_cutvol_numba(indptr, indices, degrees, order, in_set):
-        return _sweep_cutvol_nb(indptr, indices, degrees, order, in_set)
-
-    def walk_phase_numba(indptr, indices, log_energy, visit_counts, current, log_f, uniforms):
-        return int(_walk_phase_nb(indptr, indices, log_energy, visit_counts, current, log_f, uniforms))
-
-    diffuse_push = diffuse_push_numba
-    sweep_cutvol = sweep_cutvol_numba
-    walk_phase = walk_phase_numba
-else:
-    diffuse_push = diffuse_push_numpy
-    sweep_cutvol = sweep_cutvol_numpy
-    walk_phase = walk_phase_numpy
+    walk_phase = njit(cache=True)(walk_phase)

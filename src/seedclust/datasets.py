@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 
-from .graph import Graph, from_edges, load_edge_list
+from .graph import Graph, csr_from_pairs, from_edges, load_edge_list
 
 
 def karate_club() -> Graph:
@@ -30,37 +30,14 @@ def ring_of_cliques(clique_count: int, clique_size: int) -> Graph:
     if clique_count < 3 or clique_size < 2:
         raise ValueError("need at least 3 cliques of size >= 2")
     q = clique_size
-    us, vs = [], []
-    local_a, local_b = np.triu_indices(q, k=1)
-    for c in range(clique_count):
-        base = c * q
-        us.append(local_a + base)
-        vs.append(local_b + base)
-    # bridge: last vertex of clique c to first vertex of clique c+1
-    bridges_u = np.arange(clique_count, dtype=np.int64) * q + (q - 1)
-    bridges_v = (np.arange(1, clique_count + 1, dtype=np.int64) % clique_count) * q
-    us.append(bridges_u)
-    vs.append(bridges_v)
-    a = np.concatenate(us).astype(np.int64)
-    b = np.concatenate(vs).astype(np.int64)
-
     n = clique_count * q
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.argsort(lo * n + hi, kind="stable")
-    lo, hi = lo[order], hi[order]
-    heads = np.concatenate([lo, hi])
-    tails = np.concatenate([hi, lo])
-    srt = np.argsort(heads * n + tails, kind="stable")
-    heads, tails = heads[srt], tails[srt]
-    degrees = np.bincount(heads, minlength=n).astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return Graph(
-        indptr=indptr,
-        indices=tails,
-        degrees=degrees,
-        labels=tuple(str(i) for i in range(n)),
-    )
+    local_a, local_b = np.triu_indices(q, k=1)
+    firsts = np.arange(clique_count, dtype=np.int64) * q
+    # bridge: last vertex of clique c to first vertex of clique c+1
+    a = np.concatenate([(firsts[:, None] + local_a).ravel(), firsts + (q - 1)])
+    b = np.concatenate([(firsts[:, None] + local_b).ravel(), np.roll(firsts, -1)])
+    indptr, indices, degrees, _ = csr_from_pairs(a, b, n)
+    return Graph(indptr, indices, degrees, tuple(str(i) for i in range(n)))
 
 
 def random_connected_graph(n: int, extra_edges: int, rng_seed: int) -> Graph:

@@ -244,8 +244,7 @@ def sweep_cut(
     undefined). Returns (members, conductance, degenerate); degenerate marks
     the no-eligible-prefix fallback to a singleton.
     """
-    in_set = np.zeros(g.vertex_count, dtype=bool)
-    cuts, vols = _kernels.sweep_cutvol(g.indptr, g.indices, g.degrees, order, in_set)
+    cuts, vols = _kernels.sweep_cutvol(g.indptr, g.indices, g.degrees, order)
     twice_m = g.total_degree
     seed_pos = int(np.flatnonzero(order == seed)[0])
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -89,10 +88,53 @@ class Graph:
         return int(u)
 
 
+def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """CSR arrays of the simple undirected graph on ``n`` vertices with edges ``(a[i], b[i])``.
+
+    Pairs must not be self-loops. Repeated pairs, in either orientation,
+    collapse. Returns (indptr, indices, degrees, duplicates) with every
+    neighbour list sorted.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    lo, hi = np.divmod(keys, n)
+    heads, indices = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+    degrees = np.bincount(heads, minlength=n).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return indptr, indices, degrees, int(a.size - keys.size)
+
+
+def _graph_from_label_pairs(pairs: Iterable[tuple[str, str]]) -> Graph:
+    """Intern labels in first-appearance order, drop self-loops, build the CSR."""
+    index: dict[str, int] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    self_loops = 0
+    for s, t in pairs:
+        u = index.setdefault(s, len(index))
+        v = index.setdefault(t, len(index))
+        if u == v:
+            self_loops += 1
+            continue
+        us.append(u)
+        vs.append(v)
+    if not index:
+        raise EmptyGraphError("edge-list source contains no edges")
+    indptr, indices, degrees, duplicates = csr_from_pairs(us, vs, len(index))
+    return Graph(
+        indptr=indptr,
+        indices=indices,
+        degrees=degrees,
+        labels=tuple(index),
+        load_report=LoadReport(duplicate_edges=duplicates, self_loops=self_loops),
+    )
+
+
 def from_edges(pairs: Iterable[tuple[object, object]], labels: Sequence[str] | None = None) -> Graph:
     """Build a Graph from (u, v) pairs; labels default to str() of first appearance."""
-    text = "\n".join(f"{u} {v}" for u, v in pairs)
-    g = load_edge_list(io.StringIO(text))
+    g = _graph_from_label_pairs((str(u), str(v)) for u, v in pairs)
     if labels is not None:
         if len(labels) != g.vertex_count:
             raise ValueError("label count does not match vertex count")
@@ -116,62 +158,17 @@ def load_edge_list(source) -> Graph:
     else:
         lines = str(source).splitlines()
 
-    label_index: dict[str, int] = {}
-    labels: list[str] = []
-    us: list[int] = []
-    vs: list[int] = []
-    self_loops = 0
+    def token_pairs():
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith(COMMENT_PREFIXES):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(parts)}: {raw!r}")
+            yield parts
 
-    def intern(tok: str) -> int:
-        i = label_index.get(tok)
-        if i is None:
-            i = len(labels)
-            label_index[tok] = i
-            labels.append(tok)
-        return i
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(parts)}: {raw!r}")
-        u, v = intern(parts[0]), intern(parts[1])
-        if u == v:
-            self_loops += 1
-            continue
-        us.append(u)
-        vs.append(v)
-
-    if not labels:
-        raise EmptyGraphError("edge-list source contains no edges")
-
-    n = len(labels)
-    a = np.array(us, dtype=np.int64)
-    b = np.array(vs, dtype=np.int64)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keys = lo * n + hi
-    uniq = np.unique(keys)
-    duplicates = int(keys.size - uniq.size)
-    lo, hi = uniq // n, uniq % n
-
-    heads = np.concatenate([lo, hi])
-    tails = np.concatenate([hi, lo])
-    order = np.argsort(heads * n + tails, kind="stable")
-    heads, tails = heads[order], tails[order]
-
-    degrees = np.bincount(heads, minlength=n).astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-
-    return Graph(
-        indptr=indptr,
-        indices=tails.astype(np.int64),
-        degrees=degrees,
-        labels=tuple(labels),
-        load_report=LoadReport(duplicate_edges=duplicates, self_loops=self_loops),
-    )
+    return _graph_from_label_pairs(token_pairs())
 
 
 def transition_prob(g: Graph, x: int, y: int) -> float:
@@ -207,16 +204,6 @@ class TransitionView:
         probs = np.full(targets.shape, 1.0 / (2.0 * d))
         probs[0] = 0.5
         return targets, probs
-
-
-def gather_neighbors(g: Graph, vertices: np.ndarray) -> np.ndarray:
-    """Concatenated neighbor lists of ``vertices`` (with multiplicity)."""
-    starts = g.indptr[vertices]
-    lens = g.indptr[vertices + 1] - starts
-    total = int(lens.sum())
-    cum = np.cumsum(lens)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(cum - lens, lens) + np.repeat(starts, lens)
-    return g.indices[pos]
 
 
 def component_of(g: Graph, v: int) -> np.ndarray:

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, gather_neighbors
+from ._kernels import gather_rows
+from .graph import Graph
 
 BRUTEFORCE_LIMIT = 20
 
@@ -52,7 +53,7 @@ class Partition:
         if (assignments < 0).any():
             missing = g.label_of(int(np.flatnonzero(assignments < 0)[0]))
             raise ValueError(f"partition CSV misses vertex {missing!r}")
-        # renumber to dense ids preserving first appearance
+        # renumber to dense ids in sorted block-id order
         _, dense = np.unique(assignments, return_inverse=True)
         return cls(dense)
 
@@ -61,7 +62,7 @@ def cut_size(g: Graph, members: np.ndarray) -> int:
     """Number of edges with exactly one endpoint in ``members``."""
     in_set = np.zeros(g.vertex_count, dtype=bool)
     in_set[members] = True
-    nbrs = gather_neighbors(g, np.asarray(members, dtype=np.int64))
+    nbrs, _ = gather_rows(g.indptr, g.indices, np.asarray(members, dtype=np.int64))
     return int(np.count_nonzero(~in_set[nbrs]))
 
 
@@ -135,7 +136,7 @@ def modularity(g: Graph, partition: Partition) -> float:
     for block in partition.blocks():
         in_block = np.zeros(g.vertex_count, dtype=bool)
         in_block[block] = True
-        internal = int(np.count_nonzero(in_block[gather_neighbors(g, block)]))
+        internal = int(np.count_nonzero(in_block[gather_rows(g.indptr, g.indices, block)[0]]))
         m_s = internal / 2.0
         vol = float(g.degrees[block].sum())
         q += m_s / m - (vol / (2.0 * m)) ** 2

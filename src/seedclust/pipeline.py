@@ -75,7 +75,6 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
         next_block += 1
 
     # contested reassignment can empty a block; renumber densely
-    _, dense = np.unique(assign, return_inverse=True)
     first_seen: dict[int, int] = {}
     remap = np.empty_like(assign)
     order = 0

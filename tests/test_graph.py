@@ -134,3 +134,27 @@ def test_labels_roundtrip(path4):
         assert path4.index_of(path4.label_of(u)) == u
     with pytest.raises(KeyError):
         path4.index_of("zz")
+
+
+@pytest.mark.parametrize(
+    "pairs, labels, edges",
+    [
+        ([("%p", "q"), ("q", "r")], ("%p", "q", "r"), 2),
+        ([("#a", "b")], ("#a", "b"), 1),
+        ([("x y", "z")], ("x y", "z"), 1),
+    ],
+)
+def test_from_edges_keeps_labels_the_parser_would_reject(pairs, labels, edges):
+    g = from_edges(pairs)
+    assert g.labels == labels
+    assert g.edge_count == edges
+
+
+def test_from_edges_matches_loader_on_the_same_text():
+    pairs = [(3, 1), ("a", 3), (1, 3), (2, 2), (1, "a")]
+    g = from_edges(pairs)
+    h = load_edge_list(io.StringIO("".join(f"{u} {v}\n" for u, v in pairs)))
+    assert g.labels == h.labels == ("3", "1", "a", "2")
+    assert np.array_equal(g.indptr, h.indptr)
+    assert np.array_equal(g.indices, h.indices)
+    assert g.load_report == h.load_report

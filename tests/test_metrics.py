@@ -133,6 +133,12 @@ def test_partition_csv_roundtrip(karate):
     assert np.array_equal(back.assignments, p.assignments)
 
 
+def test_partition_csv_renumbers_in_sorted_block_order():
+    g = from_edges([("a", "b"), ("b", "c")])
+    p = Partition.from_csv("vertex,block\na,5\nb,2\nc,5\n", g)
+    assert p.assignments.tolist() == [1, 0, 1]
+
+
 def test_partition_csv_missing_vertex(karate):
     with pytest.raises(ValueError):
         Partition.from_csv("vertex,block\n0,0\n", karate)
