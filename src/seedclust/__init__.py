@@ -10,11 +10,9 @@ from .diffusion import (
     ClusterReport,
     DiffusionConfig,
     SparseMass,
-    diffuse_step,
     extract_cluster,
     find_cluster,
     run_diffusion,
-    truncate,
 )
 from .fcm import (
     EmbeddingMatrix,
@@ -79,7 +77,6 @@ __all__ = [
     "build_embedding",
     "component_of",
     "conductance",
-    "diffuse_step",
     "extract_cluster",
     "extract_cluster_from_energy",
     "fcm_fit",
@@ -98,6 +95,5 @@ __all__ = [
     "run_diffusion",
     "run_walk",
     "transition_prob",
-    "truncate",
     "walk_step",
 ]

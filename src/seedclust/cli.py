@@ -54,7 +54,7 @@ def cmd_cluster(args) -> int:
     mass, telemetry = run_diffusion(g, g.index_of(args.seed), cfg)
     report = extract_cluster(g, mass, telemetry)
     doc = report.to_json_dict(g, include_timing=args.include_timing)
-    _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_or_print(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     print(
         f"cluster seed={args.seed} size={report.members.size} "
         f"conductance={report.conductance!r} iterations={report.iterations_used} "
@@ -85,7 +85,7 @@ def cmd_walk(args) -> int:
         }
         for p in telemetry.phases
     ]
-    _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_or_print(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     print(
         f"walk seed={args.seed} size={report.members.size} "
         f"conductance={report.conductance!r} steps={telemetry.total_steps}",
@@ -132,7 +132,7 @@ def cmd_overlap(args) -> int:
     doc["objective"] = result.membership.objective
     if args.memberships_out:
         Path(args.memberships_out).write_text(result.membership.to_csv(g))
-    _write_or_print(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_or_print(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     print(
         f"overlap centers={doc['centers']} k={args.k} objective={result.membership.objective!r}",
         file=sys.stderr,
@@ -163,7 +163,7 @@ def cmd_bench(args) -> int:
         wall_clock=args.wall_clock,
     )
     summary = run_benchmark(g, spec)
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(summary, indent=2, allow_nan=False))
     return 0
 
 

@@ -5,6 +5,12 @@ applies one lazy-walk step, then zeroes every entry below ``alpha`` times the
 seed's mass and returns the removed mass to the seed. The converged
 distribution is turned into a cluster by sweeping prefixes of the
 degree-normalized ordering and keeping the minimum-conductance prefix.
+
+A run keeps its state on a frame: the sorted vertices touched so far, a rank
+map from vertex to frame position, the mass over the frame and a mask of the
+live support. The frame grows only when a step reaches a new vertex, so one
+iteration costs O(support volume + frame size), and nothing scans all n
+vertices.
 """
 
 from __future__ import annotations
@@ -148,46 +154,30 @@ class ClusterReport:
         return doc
 
 
-def _check_support_degrees(g: Graph, mass: SparseMass) -> None:
-    if mass.vertices.size and int(g.degrees[mass.vertices].min()) == 0:
-        raise ValueError("distribution support contains an isolated vertex")
+def truncate(
+    frame: _kernels.Frame, mass: np.ndarray, reached: np.ndarray, seed: int, alpha: float
+) -> float:
+    """Truncate one step's mass over ``frame`` and make it the frame's; return the L1 change.
 
-
-def diffuse_step(g: Graph, mass: SparseMass) -> SparseMass:
-    """Apply one lazy-walk step: new[u] = old[u]/2 + sum over neighbors w of old[w]/(2 d_w)."""
-    _check_support_degrees(g, mass)
-    scratch = np.zeros(g.vertex_count, dtype=np.float64)
-    marker = np.zeros(g.vertex_count, dtype=bool)
-    support, masses = _kernels.diffuse_push(
-        g.indptr, g.indices, g.degrees, mass.vertices, mass.masses, scratch, marker
-    )
-    return SparseMass(vertices=support, masses=masses, seed=mass.seed)
-
-
-def truncate(mass: SparseMass, alpha: float) -> SparseMass:
-    """Zero entries below alpha times the seed's mass; removed mass returns to the seed."""
-    seed_pos = int(np.searchsorted(mass.vertices, mass.seed))
-    if seed_pos >= mass.vertices.size or mass.vertices[seed_pos] != mass.seed or mass.masses[seed_pos] <= 0.0:
+    ``mass`` is zero outside ``reached``. Reached entries below ``alpha``
+    times the seed's mass are zeroed and their sum, taken in frame (vertex)
+    order, is added to the seed. The L1 change from the frame's previous mass
+    is summed over the vertices of either support, in vertex order.
+    """
+    seed_pos = frame.rank[seed]
+    if not reached[seed_pos] or mass[seed_pos] <= 0.0:
         raise ValueError("seed has zero mass; truncation threshold undefined")
-    threshold = alpha * mass.masses[seed_pos]
-    keep = mass.masses >= threshold
+    keep = reached & (mass >= alpha * mass[seed_pos])
     keep[seed_pos] = True
-    if keep.all():
-        return mass
-    removed = float(mass.masses[~keep].sum())
-    vertices = mass.vertices[keep]
-    masses = mass.masses[keep].copy()
-    masses[np.searchsorted(vertices, mass.seed)] += removed
-    return SparseMass(vertices=vertices, masses=masses, seed=mass.seed)
-
-
-def _sparse_l1_diff(a: SparseMass, b: SparseMass) -> float:
-    union = np.union1d(a.vertices, b.vertices)
-    da = np.zeros(union.size)
-    db = np.zeros(union.size)
-    da[np.searchsorted(union, a.vertices)] = a.masses
-    db[np.searchsorted(union, b.vertices)] = b.masses
-    return float(np.abs(da - db).sum())
+    dropped = reached ^ keep
+    if np.count_nonzero(dropped):
+        removed = float(mass[dropped].sum())
+        mass[dropped] = 0.0
+        mass[seed_pos] += removed
+    change = mass - frame.mass
+    l1 = float(np.abs(change[keep | frame.live]).sum())
+    frame.mass, frame.live = mass, keep
+    return l1
 
 
 def run_diffusion(
@@ -195,36 +185,33 @@ def run_diffusion(
 ) -> tuple[SparseMass, DiffusionTelemetry]:
     """Alternate diffuse/truncate until the post-truncation L1 change converges.
 
-    Hitting ``max_iterations`` is not an error; the telemetry's ``converged``
-    flag reports it.
+    The run's state is a ``_kernels.Frame`` over the vertices touched so far,
+    so each iteration costs the support's volume plus the frame size. Hitting
+    ``max_iterations`` is not an error; the telemetry's ``converged`` flag
+    reports it.
     """
     seed = g.check_vertex(seed)
     if g.degree(seed) == 0:
         raise ValueError(f"seed vertex {seed} is isolated; walk undefined")
 
-    mass = SparseMass.from_seed(g, seed)
-    scratch = np.zeros(g.vertex_count, dtype=np.float64)
-    marker = np.zeros(g.vertex_count, dtype=bool)
+    frame = _kernels.Frame(g.vertex_count, seed)
     telemetry = DiffusionTelemetry()
 
     for _ in range(cfg.max_iterations):
         t0 = time.perf_counter()
-        support_size = mass.support_size
-        support_volume = int(g.degrees[mass.vertices].sum())
-        new_support, new_masses = _kernels.diffuse_push(
-            g.indptr, g.indices, g.degrees, mass.vertices, mass.masses, scratch, marker
+        support = frame.vertices[frame.live]
+        support_size = int(support.size)
+        support_volume = int(g.degrees[support].sum())
+        mass, reached = _kernels.diffuse_push(
+            g.indptr, g.indices, g.degrees, support, frame.mass[frame.live], frame
         )
-        new = SparseMass(vertices=new_support, masses=new_masses, seed=seed)
-        new = truncate(new, cfg.alpha)
-        l1 = _sparse_l1_diff(new, mass)
-        ops = support_size + support_volume + new.support_size
-        mass = new
+        l1 = truncate(frame, mass, reached, seed, cfg.alpha)
         telemetry.iterations.append(
             IterationStats(
                 l1_change=l1,
                 support_size=support_size,
                 support_volume=support_volume,
-                ops=ops,
+                ops=support_size + support_volume + int(np.count_nonzero(frame.live)),
                 seconds=time.perf_counter() - t0,
             )
         )
@@ -232,7 +219,7 @@ def run_diffusion(
             telemetry.converged = True
             break
 
-    return mass, telemetry
+    return SparseMass(frame.vertices[frame.live], frame.mass[frame.live], seed), telemetry
 
 
 def sweep_cut(
@@ -241,8 +228,11 @@ def sweep_cut(
     """Minimum-conductance prefix of ``order`` that contains the seed.
 
     Prefixes equal to the whole vertex set are skipped (their conductance is
-    undefined). Returns (members, conductance, degenerate); degenerate marks
-    the no-eligible-prefix fallback to a singleton.
+    undefined). A shorter prefix can still hold every edge of the graph when
+    the rest is isolated vertices: its cut and small side are both 0, and it
+    counts as conductance 0, a whole component, never 0/0. Returns (members,
+    conductance, degenerate); degenerate marks the no-eligible-prefix
+    fallback to a singleton.
     """
     cuts, vols = _kernels.sweep_cutvol(g.indptr, g.indices, g.degrees, order)
     twice_m = g.total_degree
@@ -254,8 +244,7 @@ def sweep_cut(
         return np.array([seed], dtype=np.int64), 1.0, True
 
     small_side = np.minimum(vols, twice_m - vols)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phis = np.where(eligible, cuts / small_side, np.inf)
+    phis = np.where(eligible, cuts / np.maximum(small_side, 1), np.inf)
     best = int(np.argmin(phis))
     members = np.sort(order[: best + 1])
     return members, float(phis[best]), False

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import ClusterReport, DiffusionConfig, extract_cluster, run_diffusion
+from .diffusion import ClusterReport, DiffusionConfig, SparseMass, extract_cluster, run_diffusion
 from .fcm import MembershipMatrix, OverlapReport, build_embedding, fcm_fit, overlap_report
 from .graph import Graph
 from .metrics import Partition, conductance, modularity
@@ -29,6 +29,10 @@ class PartitionResult:
     partition: Partition
     blocks: list[BlockInfo]
     modularity: float
+    # diffusion of each block seed, kept for auto_centers so it runs none twice
+    masses: dict[int, SparseMass] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> PartitionResult:
@@ -39,6 +43,7 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
     assign = np.full(n, -1, dtype=np.int64)
     belong = np.zeros(n, dtype=np.float64)
     blocks: list[BlockInfo] = []
+    masses: dict[int, SparseMass] = {}
     next_block = 0
 
     while True:
@@ -54,6 +59,7 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
             continue
 
         mass, telemetry = run_diffusion(g, seed, cfg)
+        masses[seed] = mass
         report = extract_cluster(g, mass, telemetry)
         if report.members.size == n:
             # cluster swallowed the whole graph: demote the seed to a singleton
@@ -88,9 +94,11 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
     blocks = [blocks[b] for b in kept]
     for info, members in zip(blocks, partition.blocks()):
         info.size = int(members.size)
-    return PartitionResult(
+    result = PartitionResult(
         partition=partition, blocks=blocks, modularity=modularity(g, partition)
     )
+    result.masses = masses
+    return result
 
 
 @dataclass
@@ -113,7 +121,7 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[int]:
         info, members = item
         if info.size <= 1:
             return 0.0
-        mass, _ = run_diffusion(g, info.seed, cfg)
+        mass = result.masses[info.seed]
         seed_mass = mass.seed_mass()
         return float(
             np.mean([mass.mass_of(int(u)) / seed_mass for u in members])
@@ -229,8 +237,11 @@ def run_benchmark(g: Graph, spec: ExperimentSpec) -> dict:
 
     if spec.cluster_out:
         Path(spec.cluster_out).write_text(
-            json.dumps(report.to_json_dict(g, include_timing=spec.wall_clock), indent=2) + "\n"
+            json.dumps(
+                report.to_json_dict(g, include_timing=spec.wall_clock), indent=2, allow_nan=False
+            )
+            + "\n"
         )
     if spec.summary_out:
-        Path(spec.summary_out).write_text(json.dumps(summary, indent=2) + "\n")
+        Path(spec.summary_out).write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return summary

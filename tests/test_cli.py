@@ -128,3 +128,23 @@ def test_malformed_graph_fails_nonzero(tmp_path, capsys):
     bad.write_text("0 1\n0 1 2\n")
     rc = main(["cluster", "--graph", str(bad), "--seed", "0"])
     assert rc == 1
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["cluster", "walk"])
+def test_isolated_vertex_keeps_conductance_finite(tmp_path, command):
+    # "z z" is a self-loop-only label: a vertex of degree 0 beside the component
+    graph = tmp_path / "loop.edges"
+    graph.write_text("a b\nb c\nc a\nc d\nd e\ne c\nz z\n")
+    out = tmp_path / "out.json"
+    rc = main([command, "--graph", str(graph), "--seed", "a", "--out", str(out)])
+    assert rc == 0
+    doc = strict_json(out.read_text())
+    assert 0.0 <= doc["conductance"] <= 1.0
+    assert "z" not in [m["vertex"] for m in doc["members"]]

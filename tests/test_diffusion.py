@@ -3,18 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedclust import (
-    DiffusionConfig,
-    SparseMass,
-    diffuse_step,
-    extract_cluster,
-    find_cluster,
-    run_diffusion,
-    truncate,
-)
-from seedclust.datasets import random_connected_graph
+from seedclust import DiffusionConfig, SparseMass, extract_cluster, find_cluster, run_diffusion
+from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
 
 from conftest import brute_conductance, dense_transition_matrix, random_graphs
+from diffusion_oracle import diffuse_step, run_oracle, truncate
 
 
 def sparse_from_dict(entries, seed):
@@ -23,7 +16,12 @@ def sparse_from_dict(entries, seed):
     return SparseMass(vertices=vertices, masses=masses, seed=seed)
 
 
-# --- diffuse_step -----------------------------------------------------------
+def steps(alpha, count):
+    """Config that runs exactly ``count`` diffuse/truncate iterations."""
+    return DiffusionConfig(alpha=alpha, max_iterations=count, convergence_epsilon=0.0)
+
+
+# --- diffuse_step (the oracle's; run_diffusion must match it) ---------------
 
 def test_star_step_against_dense_oracle(star4):
     mass = SparseMass.from_seed(star4, 0)
@@ -71,14 +69,13 @@ def test_dense_oracle_equivalence_alpha_zero():
         m = dense_transition_matrix(g)
         dense = np.zeros(g.vertex_count)
         dense[0] = 1.0
-        mass = SparseMass.from_seed(g, 0)
         for _ in range(30):
-            mass = diffuse_step(g, mass)
             dense = m @ dense
+        mass, _ = run_diffusion(g, 0, steps(0.0, 30))
         assert np.abs(mass.to_dense(g.vertex_count) - dense).max() < 1e-12
 
 
-# --- truncate ---------------------------------------------------------------
+# --- truncate (the oracle's) ------------------------------------------------
 
 def test_truncate_drops_small_entries_to_seed():
     g_entries = {0: 0.5, 1: 0.3, 2: 0.0001}
@@ -146,20 +143,16 @@ def test_two_vertex_component():
 
 
 def test_mass_conservation_along_run(two_k5):
-    mass = SparseMass.from_seed(two_k5, 0)
-    for _ in range(50):
-        mass = diffuse_step(two_k5, mass)
-        assert abs(mass.total_mass() - 1.0) < 1e-12
-        mass = truncate(mass, 1e-2)
+    for count in range(1, 51):
+        mass, _ = run_diffusion(two_k5, 0, steps(1e-2, count))
         assert abs(mass.total_mass() - 1.0) < 1e-12
 
 
 def test_support_locality():
     g = random_connected_graph(50, 30, rng_seed=9)
-    mass = SparseMass.from_seed(g, 0)
     ball = {0}
-    for _ in range(5):
-        mass = diffuse_step(g, mass)
+    for count in range(1, 6):
+        mass, _ = run_diffusion(g, 0, steps(0.0, count))
         ball |= {int(v) for u in list(ball) for v in g.neighbors(u)}
         assert set(mass.vertices.tolist()) <= ball
 
@@ -196,6 +189,54 @@ def test_bad_seeds_rejected():
     )
     with pytest.raises(ValueError):
         run_diffusion(lonely, 2)
+
+
+# --- run_diffusion against the oracle loop, bit for bit ---------------------
+
+def assert_same_run(g, seed, cfg):
+    mass, telemetry = run_diffusion(g, seed, cfg)
+    want, want_telemetry = run_oracle(g, seed, cfg)
+    assert mass.seed == want.seed
+    assert mass.vertices.dtype == want.vertices.dtype and mass.masses.dtype == want.masses.dtype
+    assert mass.vertices.tobytes() == want.vertices.tobytes()
+    assert mass.masses.tobytes() == want.masses.tobytes()
+    assert telemetry.converged == want_telemetry.converged
+    assert iteration_fields(telemetry) == iteration_fields(want_telemetry)
+    return mass, telemetry
+
+
+def iteration_fields(telemetry):
+    """Every ``IterationStats`` field but the wall-clock ``seconds``."""
+    return [(s.l1_change, s.support_size, s.support_volume, s.ops) for s in telemetry.iterations]
+
+
+EQUIVALENCE_CONFIGS = [
+    pytest.param(DiffusionConfig(alpha=0.0, max_iterations=300), id="alpha0"),
+    pytest.param(DiffusionConfig(alpha=1e-5), id="alpha1e-5"),
+    pytest.param(DiffusionConfig(alpha=1e-2), id="alpha1e-2"),
+    pytest.param(DiffusionConfig(alpha=0.2), id="alpha0.2"),
+    pytest.param(DiffusionConfig(alpha=1e-3, max_iterations=7), id="max-iterations"),
+    pytest.param(steps(1e-3, 150), id="eps0"),
+]
+
+
+@pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS)
+def test_run_diffusion_matches_oracle_loop(cfg):
+    graphs = random_graphs(12) + [karate_club(), ring_of_cliques(12, 5)]
+    for g in graphs:
+        for seed in sorted({0, g.vertex_count // 2, g.vertex_count - 1}):
+            assert_same_run(g, seed, cfg)
+
+
+def test_run_diffusion_matches_oracle_when_support_is_whole_component():
+    from seedclust import from_edges
+
+    for g in [karate_club(), ring_of_cliques(4, 4)] + random_graphs(4, n_max=24):
+        mass, _ = assert_same_run(g, 0, steps(0.0, 120))
+        assert mass.support_size == g.vertex_count
+    g = from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4)])
+    mass, _ = assert_same_run(g, 0, steps(0.0, 60))
+    assert mass.vertices.tolist() == [0, 1, 2, 3]
 
 
 # --- extract_cluster --------------------------------------------------------

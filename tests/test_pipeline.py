@@ -130,3 +130,32 @@ def test_ops_bounded_by_support_volume():
     _, telemetry = run_diffusion(g, 0, DiffusionConfig(alpha=1e-4, max_iterations=300))
     for stats in telemetry.iterations:
         assert stats.ops <= 4 * stats.support_volume
+
+
+@pytest.mark.parametrize(
+    "name, centers", [("karate", (30, 0)), ("ring_of_cliques", (0, 5))]
+)
+def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monkeypatch):
+    import seedclust.fcm as fcm_module
+    import seedclust.pipeline as pipeline_module
+
+    g = karate if name == "karate" else ring_of_cliques(30, 5)
+    calls = []
+    real = pipeline_module.run_diffusion
+
+    def counted(graph, seed, cfg=DiffusionConfig()):
+        calls.append(seed)
+        return real(graph, seed, cfg)
+
+    monkeypatch.setattr(pipeline_module, "run_diffusion", counted)
+    monkeypatch.setattr(fcm_module, "run_diffusion", counted)
+    auto = overlap_clusters(g)
+    monkeypatch.undo()
+
+    # one diffusion per partition block seed, then one per embedding centre
+    partition = partition_graph(g, DiffusionConfig(alpha=0.04))
+    assert len(calls) == len(partition.masses) + 2
+    assert auto.centers == centers  # as chosen when every block diffusion ran again
+    given = overlap_clusters(g, centers=list(centers))
+    assert auto.membership.memberships.tobytes() == given.membership.memberships.tobytes()
+    assert auto.belongingness.tobytes() == given.belongingness.tobytes()
