@@ -27,11 +27,9 @@ from .graph import (
     EdgeListParseError,
     EmptyGraphError,
     Graph,
-    TransitionView,
     component_of,
     from_edges,
     load_edge_list,
-    transition_prob,
 )
 from .metrics import Partition, conductance, min_conductance_bruteforce, modularity
 from .pipeline import (
@@ -45,12 +43,10 @@ from .pipeline import (
 from .walk import (
     EnergyTable,
     WalkConfig,
-    acceptance_probability,
     extract_cluster_from_energy,
     find_cluster_walk,
     init_energies,
     run_walk,
-    walk_step,
 )
 
 __version__ = "0.1.0"
@@ -71,9 +67,7 @@ __all__ = [
     "Partition",
     "PartitionResult",
     "SparseMass",
-    "TransitionView",
     "WalkConfig",
-    "acceptance_probability",
     "build_embedding",
     "component_of",
     "conductance",
@@ -94,6 +88,4 @@ __all__ = [
     "run_benchmark",
     "run_diffusion",
     "run_walk",
-    "transition_prob",
-    "walk_step",
 ]

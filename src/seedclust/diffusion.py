@@ -55,15 +55,6 @@ class SparseMass:
     masses: np.ndarray
     seed: int
 
-    @classmethod
-    def from_seed(cls, g: Graph, seed: int) -> "SparseMass":
-        seed = g.check_vertex(seed)
-        return cls(
-            vertices=np.array([seed], dtype=np.int64),
-            masses=np.array([1.0], dtype=np.float64),
-            seed=seed,
-        )
-
     @property
     def support_size(self) -> int:
         return int(self.vertices.size)
@@ -122,9 +113,6 @@ class ClusterReport:
     converged: bool = True
     degenerate: bool = False
     telemetry: DiffusionTelemetry | None = None
-
-    def member_set(self) -> set[int]:
-        return set(int(u) for u in self.members)
 
     def to_json_dict(self, g: Graph, include_timing: bool = False) -> dict:
         doc = {

@@ -9,10 +9,11 @@ vertex sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, run_diffusion
+from .diffusion import DiffusionConfig, SparseMass, run_diffusion
 from .graph import Graph
 
 
@@ -22,10 +23,6 @@ class EmbeddingMatrix:
 
     matrix: np.ndarray
     centers: tuple[int, ...]
-
-    @property
-    def dimensions(self) -> int:
-        return int(self.matrix.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,31 +48,25 @@ class MembershipMatrix:
         return "\n".join(lines) + "\n"
 
 
-def build_embedding(
-    g: Graph,
-    centers,
-    cfg: DiffusionConfig = DiffusionConfig(),
-    degree_normalize: bool = False,
-) -> EmbeddingMatrix:
-    """Run one diffusion per center and stack the densified distributions.
+def diffuse_centers(
+    g: Graph, centers, cfg: DiffusionConfig = DiffusionConfig()
+) -> list[SparseMass]:
+    """One converged diffusion per center, in the given order."""
+    return [run_diffusion(g, g.check_vertex(c), cfg)[0] for c in centers]
 
-    ``degree_normalize`` divides each row by the vertex degree, turning raw
-    mass into the same closeness score the sweep cut orders by; the overlap
-    pipeline uses that form so that high-degree vertices do not dominate the
-    l2 metric.
+
+def build_embedding(g: Graph, masses: Sequence[SparseMass]) -> EmbeddingMatrix:
+    """Stack the densified diffusion distributions, one column per center.
+
+    ``masses`` are converged diffusions, one per center, each seeded at its
+    center; the embedding needs at least two of them, with distinct seeds.
     """
-    centers = [g.check_vertex(c) for c in centers]
+    centers = [g.check_vertex(mass.seed) for mass in masses]
     if len(centers) < 2:
         raise ValueError("need at least 2 centers for an embedding")
     if len(set(centers)) != len(centers):
         raise ValueError("centers must be distinct")
-    cols = []
-    for c in centers:
-        mass, _ = run_diffusion(g, c, cfg)
-        cols.append(mass.to_dense(g.vertex_count))
-    matrix = np.stack(cols, axis=1)
-    if degree_normalize:
-        matrix = matrix / g.degrees[:, None]
+    matrix = np.stack([mass.to_dense(g.vertex_count) for mass in masses], axis=1)
     return EmbeddingMatrix(matrix=matrix, centers=tuple(centers))
 
 

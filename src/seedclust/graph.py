@@ -1,4 +1,4 @@
-"""Immutable undirected graphs in CSR form with lazy-walk transition probabilities."""
+"""Immutable undirected graphs in CSR form, built from edge lists or label pairs."""
 
 from __future__ import annotations
 
@@ -67,11 +67,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return int(self.degrees[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        k = np.searchsorted(row, v)
-        return bool(k < row.size and row[k] == v)
 
     def index_of(self, label: str) -> int:
         try:
@@ -169,41 +164,6 @@ def load_edge_list(source) -> Graph:
             yield parts
 
     return _graph_from_label_pairs(token_pairs())
-
-
-def transition_prob(g: Graph, x: int, y: int) -> float:
-    """Lazy-walk transition probability: 1/2 on the self-loop, 1/(2d_x) per neighbor."""
-    x, y = g.check_vertex(x), g.check_vertex(y)
-    d = g.degree(x)
-    if d == 0:
-        raise ValueError(f"vertex {x} is isolated; lazy walk undefined")
-    if x == y:
-        return 0.5
-    if g.has_edge(x, y):
-        return 1.0 / (2.0 * d)
-    return 0.0
-
-
-@dataclass(frozen=True)
-class TransitionView:
-    """Lazy transition rule over a Graph, row by row."""
-
-    graph: Graph
-
-    def prob(self, x: int, y: int) -> float:
-        return transition_prob(self.graph, x, y)
-
-    def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero transition targets and probabilities from x (self-loop first)."""
-        x = self.graph.check_vertex(x)
-        d = self.graph.degree(x)
-        if d == 0:
-            raise ValueError(f"vertex {x} is isolated; lazy walk undefined")
-        nbrs = self.graph.neighbors(x)
-        targets = np.concatenate([[x], nbrs])
-        probs = np.full(targets.shape, 1.0 / (2.0 * d))
-        probs[0] = 0.5
-        return targets, probs
 
 
 def component_of(g: Graph, v: int) -> np.ndarray:

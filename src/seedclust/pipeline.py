@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import ClusterReport, DiffusionConfig, SparseMass, extract_cluster, run_diffusion
-from .fcm import MembershipMatrix, OverlapReport, build_embedding, fcm_fit, overlap_report
+from .fcm import (
+    MembershipMatrix,
+    OverlapReport,
+    build_embedding,
+    diffuse_centers,
+    fcm_fit,
+    overlap_report,
+)
 from .graph import Graph
 from .metrics import Partition, conductance, modularity
 
@@ -22,6 +29,8 @@ class BlockInfo:
     seed: int
     conductance: float
     size: int
+    # the seed's diffusion (None for an isolated seed), reused by auto_centers
+    mass: SparseMass | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -29,10 +38,16 @@ class PartitionResult:
     partition: Partition
     blocks: list[BlockInfo]
     modularity: float
-    # diffusion of each block seed, kept for auto_centers so it runs none twice
-    masses: dict[int, SparseMass] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+
+
+def renumber_by_first_vertex(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense block ids 0..k-1 numbered in order of each block's first vertex,
+    and the old id of each new block."""
+    ids, first, inverse = np.unique(assign, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    dense = np.empty(ids.size, dtype=np.int64)
+    dense[by_first] = np.arange(ids.size)
+    return dense[inverse], ids[by_first]
 
 
 def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> PartitionResult:
@@ -43,7 +58,6 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
     assign = np.full(n, -1, dtype=np.int64)
     belong = np.zeros(n, dtype=np.float64)
     blocks: list[BlockInfo] = []
-    masses: dict[int, SparseMass] = {}
     next_block = 0
 
     while True:
@@ -59,13 +73,12 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
             continue
 
         mass, telemetry = run_diffusion(g, seed, cfg)
-        masses[seed] = mass
         report = extract_cluster(g, mass, telemetry)
         if report.members.size == n:
             # cluster swallowed the whole graph: demote the seed to a singleton
             assign[seed] = next_block
             belong[seed] = 1.0
-            blocks.append(BlockInfo(seed=seed, conductance=1.0, size=1))
+            blocks.append(BlockInfo(seed=seed, conductance=1.0, size=1, mass=mass))
             next_block += 1
             continue
 
@@ -76,29 +89,19 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
                 assign[u] = next_block
                 belong[u] = b
         blocks.append(
-            BlockInfo(seed=seed, conductance=report.conductance, size=int(report.members.size))
+            BlockInfo(
+                seed=seed, conductance=report.conductance, size=int(report.members.size), mass=mass
+            )
         )
         next_block += 1
 
     # contested reassignment can empty a block; renumber densely
-    first_seen: dict[int, int] = {}
-    remap = np.empty_like(assign)
-    order = 0
-    for i, b in enumerate(assign.tolist()):
-        if b not in first_seen:
-            first_seen[b] = order
-            order += 1
-        remap[i] = first_seen[b]
-    partition = Partition(remap)
-    kept = sorted(first_seen, key=first_seen.get)
+    dense, kept = renumber_by_first_vertex(assign)
+    partition = Partition(dense)
     blocks = [blocks[b] for b in kept]
     for info, members in zip(blocks, partition.blocks()):
         info.size = int(members.size)
-    result = PartitionResult(
-        partition=partition, blocks=blocks, modularity=modularity(g, partition)
-    )
-    result.masses = masses
-    return result
+    return PartitionResult(partition=partition, blocks=blocks, modularity=modularity(g, partition))
 
 
 @dataclass
@@ -109,30 +112,31 @@ class OverlapResult:
     belongingness: np.ndarray  # n x D, column j relative to centers[j]
 
 
-def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[int]:
-    """Seeds of the ``count`` highest mean-belongingness partition blocks,
-    topped up with highest-degree vertices if the partition is too coarse."""
+def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]:
+    """Diffusions of ``count`` centers: the seeds of the highest
+    mean-belongingness partition blocks of more than one vertex, topped up
+    with the highest-degree non-isolated vertices if the partition is too
+    coarse. Block seeds keep the diffusion ``partition_graph`` ran; only a
+    top-up center that seeded no block is diffused here."""
     result = partition_graph(g, cfg)
-    scored = []
-    for info, members in zip(result.blocks, result.partition.blocks()):
-        scored.append((info, members))
+    seeded = {info.seed: info.mass for info in result.blocks if info.mass is not None}
+    scored = [
+        (info, members)
+        for info, members in zip(result.blocks, result.partition.blocks())
+        if info.size > 1
+    ]
 
     def mean_belong(item):
         info, members = item
-        if info.size <= 1:
-            return 0.0
-        mass = result.masses[info.seed]
-        seed_mass = mass.seed_mass()
-        return float(
-            np.mean([mass.mass_of(int(u)) / seed_mass for u in members])
-        )
+        seed_mass = info.mass.seed_mass()
+        return float(np.mean([info.mass.mass_of(int(u)) / seed_mass for u in members]))
 
     scored.sort(key=lambda item: (-mean_belong(item), item[0].seed))
     centers = [info.seed for info, _ in scored[:count]]
     if len(centers) < count:
-        extra = [u for u in np.argsort(-g.degrees) if int(u) not in centers]
+        extra = [u for u in np.argsort(-g.degrees) if g.degrees[u] > 0 and int(u) not in centers]
         centers += [int(u) for u in extra[: count - len(centers)]]
-    return centers
+    return [seeded[c] if c in seeded else run_diffusion(g, c, cfg)[0] for c in centers]
 
 
 def overlap_clusters(
@@ -149,25 +153,29 @@ def overlap_clusters(
 ) -> OverlapResult:
     """Embed via per-center diffusion (degree-normalized) and fuzzy-cluster.
 
-    The default ``alpha`` is much larger than the single-cluster default: the
-    embedding must stay localized around each center to carry any boundary
-    signal, and small thresholds mix to stationarity on small graphs.
+    Each center is diffused once: auto centers reuse the block diffusions of
+    ``partition_graph``, given ones are diffused by ``diffuse_centers``. An
+    isolated vertex never receives mass and embeds as a zero row. The default
+    ``alpha`` is much larger than the single-cluster default: the embedding
+    must stay localized around each center to carry any boundary signal, and
+    small thresholds mix to stationarity on small graphs.
     """
     cfg = DiffusionConfig(
         alpha=alpha, max_iterations=max_iterations, convergence_epsilon=convergence_epsilon
     )
     if centers is None:
-        centers = auto_centers(g, auto_count, cfg)
-    centers = [g.check_vertex(c) for c in centers]
+        masses = auto_centers(g, auto_count, cfg)
+    else:
+        masses = diffuse_centers(g, centers, cfg)
 
-    raw = build_embedding(g, centers, cfg, degree_normalize=False)
-    seed_masses = np.array([raw.matrix[c, j] for j, c in enumerate(centers)])
+    raw = build_embedding(g, masses)
+    seed_masses = np.array([raw.matrix[c, j] for j, c in enumerate(raw.centers)])
     belongingness = raw.matrix / seed_masses[None, :]
 
-    embedded = raw.matrix / g.degrees[:, None]
+    embedded = raw.matrix / np.maximum(g.degrees, 1)[:, None]
     msm = fcm_fit(embedded, k=k, m=fuzzifier, rng_seed=rng_seed)
     return OverlapResult(
-        centers=tuple(centers),
+        centers=raw.centers,
         membership=msm,
         report=overlap_report(msm, threshold),
         belongingness=belongingness,

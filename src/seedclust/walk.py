@@ -39,9 +39,7 @@ class WalkConfig:
     ``alpha`` scales the background energy (alpha / degree), ``beta`` the
     seed's initial energy (beta / seed degree). ``f_schedule`` is a sequence
     of (factor, steps) phases; when omitted it is built from ``expected_size``
-    (a rough guess of the cluster size). ``literal_init`` switches the
-    background to alpha / seed-degree for every vertex instead of each
-    vertex's own degree.
+    (a rough guess of the cluster size).
     """
 
     alpha: float = 1.0
@@ -49,7 +47,6 @@ class WalkConfig:
     f_schedule: tuple[tuple[float, int], ...] | None = None
     expected_size: int = 5
     rng_seed: int = 0
-    literal_init: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -78,14 +75,6 @@ class EnergyTable:
     visit_counts: np.ndarray
     current_vertex: int
     seed: int
-    f: float = 1.0
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.exp(self.log_energies)
-
-    def energy_of(self, u: int) -> float:
-        return float(math.exp(self.log_energies[u]))
 
 
 @dataclass
@@ -111,50 +100,13 @@ def init_energies(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> Energy
     if g.degree(seed) == 0:
         raise ValueError(f"seed vertex {seed} is isolated; walk undefined")
     with np.errstate(divide="ignore"):
-        if cfg.literal_init:
-            log_e = np.full(g.vertex_count, math.log(cfg.alpha / g.degree(seed)))
-        else:
-            log_e = np.log(cfg.alpha / g.degrees.astype(np.float64))
+        log_e = np.log(cfg.alpha / g.degrees.astype(np.float64))
     log_e[seed] = math.log(cfg.beta / g.degree(seed))
     visits = np.zeros(g.vertex_count, dtype=np.int64)
     visits[seed] = 1
     return EnergyTable(
         log_energies=log_e, visit_counts=visits, current_vertex=seed, seed=seed
     )
-
-
-def acceptance_probability(state: EnergyTable, u: int, v: int) -> float:
-    """min(energy[v]/energy[u], 1): the unnormalized weight of a u->v move."""
-    return math.exp(min(0.0, state.log_energies[v] - state.log_energies[u]))
-
-
-def transition_weights(g: Graph, state: EnergyTable, u: int) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbors of u and their normalized move probabilities."""
-    nbrs = g.neighbors(u)
-    if nbrs.size == 0:
-        raise ValueError(f"vertex {u} has no neighbors")
-    rel = np.minimum(state.log_energies[nbrs] - state.log_energies[u], 0.0)
-    w = np.exp(rel - rel.max())
-    return nbrs, w / w.sum()
-
-
-def walk_step(g: Graph, state: EnergyTable, rng: np.random.Generator) -> EnergyTable:
-    """One move of the walk, in place: sample a neighbor by energy weight,
-    multiply the departed vertex's energy by f, count the arrival."""
-    u = state.current_vertex
-    if g.degree(u) == 0:
-        raise ValueError(f"vertex {u} has no neighbors")
-    uniforms = rng.random(1)
-    state.current_vertex = _kernels.walk_phase(
-        g.indptr,
-        g.indices,
-        state.log_energies,
-        state.visit_counts,
-        u,
-        math.log(state.f),
-        uniforms,
-    )
-    return state
 
 
 def run_walk(
@@ -167,7 +119,6 @@ def run_walk(
 
     for f, steps in cfg.phases():
         t0 = time.perf_counter()
-        state.f = float(f)
         state.current_vertex = state.seed
         before = state.visit_counts.copy()
         if steps > 0:

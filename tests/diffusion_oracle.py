@@ -12,6 +12,16 @@ from seedclust import DiffusionConfig, SparseMass
 from seedclust.diffusion import DiffusionTelemetry, IterationStats
 
 
+def from_seed(g, seed: int) -> SparseMass:
+    """Point mass 1 on ``seed``: the distribution every diffusion starts from."""
+    seed = g.check_vertex(seed)
+    return SparseMass(
+        vertices=np.array([seed], dtype=np.int64),
+        masses=np.array([1.0], dtype=np.float64),
+        seed=seed,
+    )
+
+
 def diffuse_step(g, mass: SparseMass) -> SparseMass:
     """One lazy-walk step: new[u] = old[u]/2 + sum over neighbours w of old[w]/(2 d_w)."""
     if mass.vertices.size and int(g.degrees[mass.vertices].min()) == 0:
@@ -59,7 +69,7 @@ def l1_diff(a: SparseMass, b: SparseMass) -> float:
 
 def run_oracle(g, seed: int, cfg: DiffusionConfig = DiffusionConfig()):
     """The diffuse/truncate/L1 loop of ``run_diffusion``; ``seconds`` are 0."""
-    mass = SparseMass.from_seed(g, seed)
+    mass = from_seed(g, seed)
     telemetry = DiffusionTelemetry()
     for _ in range(cfg.max_iterations):
         support_size = mass.support_size

@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from seedclust.cli import main
@@ -148,3 +149,30 @@ def test_isolated_vertex_keeps_conductance_finite(tmp_path, command):
     doc = strict_json(out.read_text())
     assert 0.0 <= doc["conductance"] <= 1.0
     assert "z" not in [m["vertex"] for m in doc["members"]]
+
+
+@pytest.mark.parametrize(
+    "edges, centers",
+    [
+        ("a b\nb c\nc a\nc d\nd e\ne c\nz z\n", "a,d"),
+        ("a b\nb c\nc a\nc d\nd e\ne c\nz z\n", "auto:2"),
+        ("a b\nb c\nz z\ny y\n", "auto:2"),
+    ],
+    ids=["triangles-explicit", "triangles-auto", "path-auto"],
+)
+def test_overlap_with_isolated_vertex_stays_finite(tmp_path, edges, centers):
+    graph = tmp_path / "loop.edges"
+    graph.write_text(edges)
+    memberships = tmp_path / "memberships.csv"
+    rc = main(
+        ["overlap", "--graph", str(graph), "--centers", centers,
+         "--out", str(tmp_path / "o.json"), "--memberships-out", str(memberships)]
+    )
+    assert rc == 0
+    doc = strict_json((tmp_path / "o.json").read_text())
+    assert "z" not in doc["centers"] and "y" not in doc["centers"]
+    rows = [line.split(",")[1:] for line in memberships.read_text().splitlines()[1:]]
+    u = np.array(rows, dtype=np.float64)
+    assert u.shape[0] == len(set(edges.split()))  # one row per vertex, isolated ones too
+    assert np.isfinite(u).all()
+    assert np.allclose(u.sum(axis=1), 1.0)

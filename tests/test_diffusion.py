@@ -7,7 +7,7 @@ from seedclust import DiffusionConfig, SparseMass, extract_cluster, find_cluster
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
 
 from conftest import brute_conductance, dense_transition_matrix, random_graphs
-from diffusion_oracle import diffuse_step, run_oracle, truncate
+from diffusion_oracle import diffuse_step, from_seed, run_oracle, truncate
 
 
 def sparse_from_dict(entries, seed):
@@ -24,7 +24,7 @@ def steps(alpha, count):
 # --- diffuse_step (the oracle's; run_diffusion must match it) ---------------
 
 def test_star_step_against_dense_oracle(star4):
-    mass = SparseMass.from_seed(star4, 0)
+    mass = from_seed(star4, 0)
     out = diffuse_step(star4, mass)
     expect = dense_transition_matrix(star4) @ mass.to_dense(4)
     assert np.allclose(out.to_dense(4), expect, atol=1e-15)
@@ -42,7 +42,7 @@ def test_single_edge_splits_mass():
     from seedclust import from_edges
 
     g = from_edges([("a", "b")])
-    out = diffuse_step(g, SparseMass.from_seed(g, 0))
+    out = diffuse_step(g, from_seed(g, 0))
     assert out.as_dict() == {0: 0.5, 1: 0.5}
 
 

@@ -11,6 +11,7 @@ from seedclust import (
     fcm_objective,
     overlap_report,
 )
+from seedclust.fcm import diffuse_centers
 
 
 def brute_objective(x, u, centers, m):
@@ -34,21 +35,23 @@ def blob_data(rng_seed=0):
 # --- embedding --------------------------------------------------------------
 
 def test_embedding_respects_components(two_triangles):
-    emb = build_embedding(two_triangles, [0, 4], DiffusionConfig(alpha=1e-3))
+    cfg = DiffusionConfig(alpha=1e-3)
+    emb = build_embedding(two_triangles, diffuse_centers(two_triangles, [0, 4], cfg))
     assert emb.matrix.shape == (6, 2)
+    assert emb.centers == (0, 4)
     assert np.all(emb.matrix[3:, 0] == 0.0)
     assert np.all(emb.matrix[:3, 1] == 0.0)
 
 
 def test_embedding_needs_two_distinct_centers(karate):
     with pytest.raises(ValueError):
-        build_embedding(karate, [0])
+        build_embedding(karate, diffuse_centers(karate, [0]))
     with pytest.raises(ValueError):
-        build_embedding(karate, [0, 0])
+        build_embedding(karate, diffuse_centers(karate, [0, 0]))
 
 
 def test_karate_embedding_columns_sum_to_one(karate):
-    emb = build_embedding(karate, [0, 33], DiffusionConfig(alpha=1e-3))
+    emb = build_embedding(karate, diffuse_centers(karate, [0, 33], DiffusionConfig(alpha=1e-3)))
     assert emb.matrix.shape == (34, 2)
     assert np.allclose(emb.matrix.sum(axis=0), 1.0, atol=1e-12)
 

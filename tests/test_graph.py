@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from seedclust import (
+    DiffusionConfig,
     EdgeListParseError,
     EmptyGraphError,
-    TransitionView,
     component_of,
     from_edges,
     load_edge_list,
-    transition_prob,
+    run_diffusion,
 )
 
-from conftest import random_graphs
+from conftest import dense_transition_matrix, random_graphs
+
+ONE_STEP = DiffusionConfig(alpha=0.0, max_iterations=1, convergence_epsilon=0.0)
+
+
+def one_step(g, x) -> np.ndarray:
+    """Column x of the lazy transition rule, as one untruncated ``run_diffusion`` step from x."""
+    mass, _ = run_diffusion(g, x, ONE_STEP)
+    return mass.to_dense(g.vertex_count)
 
 
 def test_load_path_of_three():
@@ -65,7 +73,7 @@ def test_load_is_deterministic(karate):
 def test_adjacency_symmetry(karate):
     for u in range(karate.vertex_count):
         for v in karate.neighbors(u):
-            assert karate.has_edge(int(v), u)
+            assert u in karate.neighbors(int(v))
 
 
 def test_degree_sum_is_twice_edges(karate):
@@ -74,15 +82,15 @@ def test_degree_sum_is_twice_edges(karate):
 
 def test_transition_prob_values():
     g = from_edges([(0, 1), (0, 2)])  # vertex 0 has degree 2
-    assert transition_prob(g, 0, 0) == 0.5
-    assert transition_prob(g, 0, 1) == 0.25
-    assert transition_prob(g, 1, 2) == 0.0
+    # stay 1/2, each neighbour 1/(2 d), non-neighbours 0
+    assert one_step(g, 0).tolist() == [0.5, 0.25, 0.25]
+    assert one_step(g, 1).tolist() == [0.5, 0.5, 0.0]
 
 
 def test_transition_prob_errors():
     g = load_edge_list(io.StringIO("0 1\n2 3\n"))
     with pytest.raises(IndexError):
-        transition_prob(g, 99, 0)
+        run_diffusion(g, 99)
     from seedclust.graph import Graph
 
     isolated = Graph(
@@ -92,15 +100,16 @@ def test_transition_prob_errors():
         labels=("x",),
     )
     with pytest.raises(ValueError):
-        transition_prob(isolated, 0, 0)
+        run_diffusion(isolated, 0)
 
 
 def test_transition_rows_sum_to_one():
     for g in random_graphs(6, n_max=40):
-        view = TransitionView(g)
+        dense = dense_transition_matrix(g)
         for u in range(g.vertex_count):
-            _, probs = view.row(u)
-            assert abs(probs.sum() - 1.0) < 1e-12
+            column = one_step(g, u)
+            assert abs(column.sum() - 1.0) < 1e-12
+            assert np.array_equal(column, dense[:, u])
 
 
 def test_component_of_connected(karate):

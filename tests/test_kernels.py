@@ -9,7 +9,7 @@ from seedclust import SparseMass
 from seedclust.datasets import ring_of_cliques
 
 from conftest import random_graphs
-from diffusion_oracle import diffuse_step
+from diffusion_oracle import diffuse_step, from_seed
 
 
 def edge_scan_cutvol(g, order):
@@ -66,7 +66,7 @@ def test_diffuse_push_matches_oracle_step_bit_for_bit():
 def test_diffuse_push_frame_stays_local():
     g = ring_of_cliques(12500, 8)  # 100k vertices
     frame = kernels.Frame(g.vertex_count, 0)
-    mass = SparseMass.from_seed(g, 0)
+    mass = from_seed(g, 0)
     ball = {0}
     for _ in range(6):
         mass = push(g, frame, mass)

@@ -12,6 +12,7 @@ from seedclust import (
     run_benchmark,
 )
 from seedclust.datasets import ring_of_cliques
+from seedclust.pipeline import renumber_by_first_vertex
 
 
 def test_partition_two_triangles(two_triangles):
@@ -59,6 +60,27 @@ def test_partition_isolated_vertices_become_singletons():
     result = partition_graph(g, DiffusionConfig(alpha=1e-3))
     blocks = [sorted(b.tolist()) for b in result.partition.blocks()]
     assert sorted(blocks) == [[0, 1], [2]]
+
+
+def first_seen_loop(assign):
+    """Reference renumbering: block ids in order of first appearance, one vertex at a time."""
+    first_seen = {}
+    dense = np.empty_like(assign)
+    for i, b in enumerate(assign.tolist()):
+        dense[i] = first_seen.setdefault(b, len(first_seen))
+    return dense, list(first_seen)
+
+
+def test_renumber_by_first_vertex_matches_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        assign = rng.integers(0, int(rng.integers(1, n + 1)), n).astype(np.int64)
+        dense, kept = renumber_by_first_vertex(assign)
+        want_dense, want_kept = first_seen_loop(assign)
+        assert dense.dtype == np.int64
+        assert dense.tolist() == want_dense.tolist()
+        assert kept.tolist() == want_kept
 
 
 def test_overlap_pipeline_karate(karate):
@@ -141,20 +163,22 @@ def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monk
 
     g = karate if name == "karate" else ring_of_cliques(30, 5)
     calls = []
-    real = pipeline_module.run_diffusion
 
-    def counted(graph, seed, cfg=DiffusionConfig()):
-        calls.append(seed)
-        return real(graph, seed, cfg)
+    for module in (pipeline_module, fcm_module):  # the modules that call run_diffusion
+        def counted(graph, seed, cfg=DiffusionConfig(), real=module.run_diffusion):
+            calls.append((int(seed), repr(cfg)))
+            return real(graph, seed, cfg)
 
-    monkeypatch.setattr(pipeline_module, "run_diffusion", counted)
-    monkeypatch.setattr(fcm_module, "run_diffusion", counted)
+        monkeypatch.setattr(module, "run_diffusion", counted)
+    partition_graph(g, DiffusionConfig(alpha=0.04))
+    block_diffusions = list(calls)
+    calls.clear()
     auto = overlap_clusters(g)
     monkeypatch.undo()
 
-    # one diffusion per partition block seed, then one per embedding centre
-    partition = partition_graph(g, DiffusionConfig(alpha=0.04))
-    assert len(calls) == len(partition.masses) + 2
+    # the overlap flow diffuses exactly the partition's block seeds, each once
+    assert len(calls) == len(set(calls))
+    assert calls == block_diffusions
     assert auto.centers == centers  # as chosen when every block diffusion ran again
     given = overlap_clusters(g, centers=list(centers))
     assert auto.membership.memberships.tobytes() == given.membership.memberships.tobytes()

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import seedclust._kernels as kernels
 from seedclust import (
     WalkConfig,
-    acceptance_probability,
     extract_cluster_from_energy,
     find_cluster_walk,
     from_edges,
     init_energies,
     run_walk,
-    walk_step,
 )
-from seedclust.walk import default_schedule, transition_weights
+from seedclust.walk import default_schedule
 
 from conftest import brute_conductance
 
@@ -24,59 +23,90 @@ def deg4_graph():
     return from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 1)])
 
 
+def step(g, state, log_f, uniforms) -> int:
+    """Run ``walk_phase`` from the state's current vertex; return the vertex it ends on."""
+    state.current_vertex = kernels.walk_phase(
+        g.indptr,
+        g.indices,
+        state.log_energies,
+        state.visit_counts,
+        state.current_vertex,
+        log_f,
+        np.asarray(uniforms, dtype=np.float64),
+    )
+    return state.current_vertex
+
+
 def test_init_energy_values(deg4_graph):
     state = init_energies(deg4_graph, 0, WalkConfig(alpha=1.0, beta=100.0))
-    assert state.energy_of(0) == pytest.approx(25.0)
-    assert state.energy_of(5) == pytest.approx(0.5)
+    assert math.exp(state.log_energies[0]) == pytest.approx(25.0)
+    assert math.exp(state.log_energies[5]) == pytest.approx(0.5)
     assert state.current_vertex == 0
     assert state.visit_counts[0] == 1
-
-
-def test_init_literal_background(deg4_graph):
-    state = init_energies(deg4_graph, 0, WalkConfig(literal_init=True))
-    # literal reading: every background vertex gets alpha / seed degree
-    assert state.energy_of(1) == pytest.approx(1.0 / 4.0)
-    assert state.energy_of(5) == pytest.approx(1.0 / 4.0)
-    assert state.energy_of(0) == pytest.approx(25.0)
 
 
 def test_equal_parameters_on_regular_graph():
     ring = from_edges([(i, (i + 1) % 6) for i in range(6)])
     state = init_energies(ring, 0, WalkConfig(alpha=1.0, beta=1.0))
-    assert np.allclose(state.energies, state.energy_of(1))
+    assert np.allclose(np.exp(state.log_energies), math.exp(state.log_energies[1]))
 
 
 def test_acceptance_probability_formula(deg4_graph):
-    state = init_energies(deg4_graph, 0)
-    state.log_energies[1] = math.log(0.5)
-    state.log_energies[2] = math.log(1.0)
-    assert acceptance_probability(state, 2, 1) == pytest.approx(0.5)
-    assert acceptance_probability(state, 1, 2) == 1.0
+    """``walk_phase`` moves from u to neighbour v with weight min(e_v/e_u, 1).
+
+    One uniform at the midpoint of each neighbour's cumulative interval must
+    pick that neighbour, raise the departed vertex's log-energy by exactly
+    log f and count one visit to the arrival.
+    """
+    energies = {0: 2.0, 1: 8.0, 2: 0.5, 3: 1.0, 4: 0.5, 5: 1.0}
+    log_f = math.log(1.3)
+    nbrs = deg4_graph.neighbors(0).tolist()
+    assert nbrs == [1, 2, 3, 4]
+    weights = np.array([min(energies[v] / energies[0], 1.0) for v in nbrs])  # 1, 1/4, 1/2, 1/4
+    upper = np.cumsum(weights)
+    midpoints = (upper - weights / 2) / upper[-1]
+    for v, uniform in zip(nbrs, midpoints):
+        state = init_energies(deg4_graph, 0)
+        state.log_energies[:] = np.log([energies[u] for u in range(6)])
+        before = state.log_energies.copy()
+        visits = state.visit_counts.copy()
+        assert step(deg4_graph, state, log_f, [uniform]) == v
+        assert state.log_energies[0] == before[0] + log_f
+        assert np.array_equal(state.log_energies[1:], before[1:])
+        visits[v] += 1
+        assert np.array_equal(state.visit_counts, visits)
 
 
 def test_acceptance_vanishes_for_large_beta(deg4_graph):
     cfg = WalkConfig(alpha=1.0, beta=1e12)
     state = init_energies(deg4_graph, 0, cfg)
-    # energy[v] * d_seed / beta for the strongest neighbor
-    assert acceptance_probability(state, 0, 1) < 1e-9
+    # weight min(energy[v] / energy[seed], 1) of every move away from the seed
+    rel = state.log_energies[deg4_graph.neighbors(0)] - state.log_energies[0]
+    away = np.exp(np.minimum(rel, 0.0))
+    assert (away < 1e-9).all()
 
 
 def test_walk_step_multiplies_departed_energy(deg4_graph):
     state = init_energies(deg4_graph, 0, WalkConfig(alpha=1.0, beta=2.0))
-    state.f = 1.3
-    before = state.energy_of(0)
-    walk_step(deg4_graph, state, np.random.default_rng(0))
-    assert state.energy_of(0) == pytest.approx(before * 1.3)
+    before = math.exp(state.log_energies[0])
+    step(deg4_graph, state, math.log(1.3), np.random.default_rng(0).random(1))
+    assert math.exp(state.log_energies[0]) == pytest.approx(before * 1.3)
     assert state.current_vertex != 0  # moves every step
     assert state.visit_counts.sum() == 2  # init visit + one arrival
 
 
 def test_transition_weights_normalized(deg4_graph):
     state = init_energies(deg4_graph, 0)
-    nbrs, probs = transition_weights(deg4_graph, state, 0)
-    assert probs.sum() == pytest.approx(1.0)
-    assert (probs > 0).all()
-    assert set(nbrs.tolist()) == {1, 2, 3, 4}
+    nbrs = deg4_graph.neighbors(0)
+    weights = np.exp(np.minimum(state.log_energies[nbrs] - state.log_energies[0], 0.0))
+    grid = (np.arange(1000) + 0.5) / 1000
+    for uniform in grid:  # f = 1 leaves the energies as they are
+        state.current_vertex = 0
+        step(deg4_graph, state, 0.0, [uniform])
+    share = state.visit_counts[nbrs] / grid.size
+    assert share.sum() == 1.0  # every uniform in [0, 1) picks a neighbour
+    assert (share > 0).all()
+    assert np.abs(share - weights / weights.sum()).max() <= 1 / grid.size
 
 
 def test_energies_positive_and_nondecreasing(two_k5):
@@ -84,11 +114,10 @@ def test_energies_positive_and_nondecreasing(two_k5):
     state = init_energies(two_k5, 0, cfg)
     prev = state.log_energies.copy()
     rng = np.random.default_rng(11)
-    state.f = 1.3
     for _ in range(200):
         u = state.current_vertex
-        walk_step(two_k5, state, rng)
-        p = acceptance_probability(state, u, state.current_vertex)
+        v = step(two_k5, state, math.log(1.3), rng.random(1))
+        p = math.exp(min(0.0, state.log_energies[v] - state.log_energies[u]))
         assert 0.0 < p <= 1.0
         assert (state.log_energies >= prev - 1e-15).all()
         prev = state.log_energies.copy()
