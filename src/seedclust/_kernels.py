@@ -3,8 +3,9 @@
 ``diffuse_push`` and ``sweep_cutvol`` are vectorised numpy and touch only the
 rows they are given: one diffusion step works over the query's frame of
 touched vertices, so it costs O(support volume), not O(n). ``walk_phase`` is a
-scalar loop; when numba imports it is jitted, otherwise it runs as plain
-Python. ``BACKEND`` reports which of the two the walk uses.
+scalar loop that reads each step's row once and records the path it walks, so
+a phase costs O(steps x degree); when numba imports it is jitted, otherwise
+it runs as plain Python. ``BACKEND`` reports which of the two the walk uses.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ class Frame:
     """State of one diffusion query over the vertices it has touched.
 
     ``vertices`` is the sorted array of every vertex touched so far, ``rank``
-    (int64, n, allocated zeroed once) maps each of them to its position,
+    (int64, n, allocated once and never zero-filled) maps each of them to its
+    position; ``rank`` of a vertex outside the frame is garbage, so a reader
+    checks ``vertices[rank[v]] == v`` before trusting it,
     ``mass`` is the distribution over the frame and ``live`` the mask of its
     support. ``plan`` keeps the last push's gathered rows with the support
     they belong to, so a step whose support repeats does not gather again.
@@ -44,7 +47,8 @@ class Frame:
 
     def __init__(self, n: int, seed: int):
         self.vertices = np.array([seed], dtype=np.int64)
-        self.rank = np.zeros(n, dtype=np.int64)
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[seed] = 0
         self.mass = np.ones(1, dtype=np.float64)
         self.live = np.ones(1, dtype=bool)
         self.plan = None
@@ -67,7 +71,7 @@ def _push_plan(indptr, indices, degrees, support, frame):
     """Everything of a push that depends on the support and not on its mass."""
     nbrs, lens = gather_rows(indptr, indices, support)
     pos = frame.rank[nbrs]
-    fresh = frame.vertices[pos] != nbrs
+    fresh = frame.vertices.take(pos, mode="clip") != nbrs
     if np.count_nonzero(fresh):
         frame.extend(nbrs[fresh])
         pos = frame.rank[nbrs]
@@ -119,16 +123,23 @@ def sweep_cutvol(indptr, indices, degrees, order):
     return np.cumsum(deg - 2 * internal), np.cumsum(deg)
 
 
-def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms):
+def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, path):
     """Run one schedule phase of the energy-biased walk.
 
     Each step moves to a neighbor sampled with probability proportional to
     min(energy[v]/energy[u], 1), then multiplies the departed vertex's energy
-    by f. Consumes one uniform per step. Returns the final current vertex.
+    by f. Consumes one uniform per step and writes the vertex each step moves
+    to into ``path`` (length ``uniforms.size``). A step reads the row of the
+    current vertex once: its capped log-ratios go to a scratch buffer that
+    grows to the largest degree met, each is exponentiated once, and the same
+    weights give the total and the draw. Returns the final current vertex.
     """
+    weights = np.empty(16)
     for t in range(uniforms.size):
         s = int(indptr[current])
         e = int(indptr[current + 1])
+        if e - s > weights.size:
+            weights = np.empty(max(e - s, 2 * weights.size))
         lu = log_energy[current]
         mx = -np.inf
         for j in range(s, e):
@@ -137,25 +148,23 @@ def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, unifor
                 lw = 0.0
             if lw > mx:
                 mx = lw
+            weights[j - s] = lw
         total = 0.0
-        for j in range(s, e):
-            lw = log_energy[indices[j]] - lu
-            if lw > 0.0:
-                lw = 0.0
-            total += math.exp(lw - mx)
+        for k in range(e - s):
+            w = math.exp(weights[k] - mx)
+            weights[k] = w
+            total += w
         r = uniforms[t] * total
         acc = 0.0
         chosen = int(indices[e - 1])
-        for j in range(s, e):
-            lw = log_energy[indices[j]] - lu
-            if lw > 0.0:
-                lw = 0.0
-            acc += math.exp(lw - mx)
+        for k in range(e - s):
+            acc += weights[k]
             if r < acc:
-                chosen = int(indices[j])
+                chosen = int(indices[s + k])
                 break
         log_energy[current] += log_f
         visit_counts[chosen] += 1
+        path[t] = chosen
         current = chosen
     return current
 

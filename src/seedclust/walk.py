@@ -5,6 +5,11 @@ with probability proportional to min(energy[v]/energy[u], 1), and the departed
 vertex's energy is multiplied by the current factor f >= 1. Vertices the walk
 keeps revisiting accumulate energy, which makes leaving their neighborhood
 ever less likely. Energies are kept in log space so long runs cannot overflow.
+
+A query costs O(steps x degree) after one allocation of its two n-length
+arrays: each phase's bookkeeping comes from the path it walked, and the
+cluster is the best sweep prefix over the vertices the walk visited, never
+over the rest of the graph.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .diffusion import ClusterReport, sweep_cut
-from .graph import Graph, component_of
+from .graph import Graph, component_of  # noqa: F401 -- perfbench/tracer.py times walk.component_of
 
 DEFAULT_F_LADDER = (1.1, 1.3, 2.0)
 DEFAULT_RESTARTS_PER_F = 10
@@ -69,12 +74,18 @@ class WalkConfig:
 
 @dataclass(eq=False)
 class EnergyTable:
-    """Walk state: per-vertex log energies, visit counts, current position."""
+    """Walk state: per-vertex log energies, visit counts, current position.
+
+    ``visited`` lists the vertices with a positive visit count, the seed and
+    every vertex a phase of ``run_walk`` moved to, in the order the walk
+    first reached them.
+    """
 
     log_energies: np.ndarray
     visit_counts: np.ndarray
     current_vertex: int
     seed: int
+    visited: np.ndarray
 
 
 @dataclass
@@ -105,14 +116,22 @@ def init_energies(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> Energy
     visits = np.zeros(g.vertex_count, dtype=np.int64)
     visits[seed] = 1
     return EnergyTable(
-        log_energies=log_e, visit_counts=visits, current_vertex=seed, seed=seed
+        log_energies=log_e,
+        visit_counts=visits,
+        current_vertex=seed,
+        seed=seed,
+        visited=np.array([seed], dtype=np.int64),
     )
 
 
 def run_walk(
     g: Graph, seed: int, cfg: WalkConfig = WalkConfig()
 ) -> tuple[EnergyTable, WalkTelemetry]:
-    """Execute the f-schedule, resetting the walker to the seed at each phase."""
+    """Execute the f-schedule, resetting the walker to the seed at each phase.
+
+    A phase's visits are counted from its own path, so no phase reads an
+    n-length array.
+    """
     state = init_energies(g, seed, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
@@ -120,7 +139,7 @@ def run_walk(
     for f, steps in cfg.phases():
         t0 = time.perf_counter()
         state.current_vertex = state.seed
-        before = state.visit_counts.copy()
+        path = np.empty(steps, dtype=np.int64)
         if steps > 0:
             uniforms = rng.random(steps)
             state.current_vertex = _kernels.walk_phase(
@@ -131,14 +150,17 @@ def run_walk(
                 state.current_vertex,
                 math.log(f),
                 uniforms,
+                path,
             )
-        delta = state.visit_counts - before
-        visited = np.flatnonzero(delta)
+        arrivals, counts = np.unique(path, return_counts=True)
+        # a vertex counted only in this phase was reached for the first time
+        first = arrivals[state.visit_counts[arrivals] == counts]
+        state.visited = np.concatenate((state.visited, first))
         telemetry.phases.append(
             PhaseStats(
                 f=float(f),
                 steps=int(steps),
-                visits={int(u): int(delta[u]) for u in visited},
+                visits=dict(zip(arrivals.tolist(), counts.tolist())),
                 seconds=time.perf_counter() - t0,
             )
         )
@@ -148,7 +170,12 @@ def run_walk(
 def extract_cluster_from_energy(
     g: Graph, state: EnergyTable, telemetry: WalkTelemetry | None = None
 ) -> ClusterReport:
-    """Sweep the seed's component ordered by final energy (descending)."""
+    """Sweep the visited vertices ordered by final energy (descending, then by index).
+
+    Only vertices the walk reached are ranked: an untouched vertex keeps its
+    background energy alpha/degree, which says nothing about the seed's
+    cluster, so the sweep costs the visited set's volume, not the component's.
+    """
     total_steps = telemetry.total_steps if telemetry else int(state.visit_counts.sum() - 1)
     if total_steps <= 0:
         return ClusterReport(
@@ -160,9 +187,8 @@ def extract_cluster_from_energy(
             degenerate=True,
         )
 
-    comp = component_of(g, state.seed)
-    log_e = state.log_energies[comp]
-    order = comp[np.lexsort((comp, -log_e))]
+    visited = state.visited
+    order = visited[np.lexsort((visited, -state.log_energies[visited]))]
     members, phi, fallback = sweep_cut(g, order, state.seed)
     seed_log = state.log_energies[state.seed]
     belong = {int(u): math.exp(state.log_energies[u] - seed_log) for u in members}

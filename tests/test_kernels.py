@@ -53,6 +53,8 @@ def test_diffuse_push_matches_oracle_step_bit_for_bit():
     rng = np.random.default_rng(17)
     for g in random_graphs(20):
         frame = kernels.Frame(g.vertex_count, 0)
+        # the rank map is never zero-filled: ranks outside the frame are junk
+        frame.rank[1:] = rng.integers(-(2**62), 2**62, g.vertex_count - 1)
         for size in (1, 3, g.vertex_count // 2, g.vertex_count):
             vertices = np.sort(rng.choice(g.vertex_count, size, replace=False)).astype(np.int64)
             masses = rng.random(size)
@@ -84,9 +86,11 @@ def test_jitted_walk_phase_matches_python_loop():
     for fn in (kernels.walk_phase, kernels.walk_phase.py_func):
         log_e = np.log(1.0 / g.degrees.astype(np.float64))
         visits = np.zeros(g.vertex_count, dtype=np.int64)
-        cur = fn(g.indptr, g.indices, log_e, visits, 0, np.log(1.3), uniforms)
-        results.append((cur, log_e, visits))
-    (c1, e1, v1), (c2, e2, v2) = results
+        path = np.empty(uniforms.size, dtype=np.int64)
+        cur = fn(g.indptr, g.indices, log_e, visits, 0, np.log(1.3), uniforms, path)
+        results.append((cur, log_e, visits, path))
+    (c1, e1, v1, p1), (c2, e2, v2, p2) = results
     assert c1 == c2
     assert np.array_equal(e1, e2)
     assert np.array_equal(v1, v2)
+    assert np.array_equal(p1, p2)

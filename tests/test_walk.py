@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import seedclust._kernels as kernels
+import seedclust.graph
+import seedclust.walk
 from seedclust import (
     WalkConfig,
     extract_cluster_from_energy,
@@ -12,9 +14,11 @@ from seedclust import (
     init_energies,
     run_walk,
 )
+from seedclust.datasets import karate_club, ring_of_cliques
 from seedclust.walk import default_schedule
 
-from conftest import brute_conductance
+import walk_oracle
+from conftest import brute_conductance, random_graphs
 
 
 @pytest.fixture
@@ -25,6 +29,8 @@ def deg4_graph():
 
 def step(g, state, log_f, uniforms) -> int:
     """Run ``walk_phase`` from the state's current vertex; return the vertex it ends on."""
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    path = np.full(uniforms.size, -1, dtype=np.int64)
     state.current_vertex = kernels.walk_phase(
         g.indptr,
         g.indices,
@@ -32,8 +38,10 @@ def step(g, state, log_f, uniforms) -> int:
         state.visit_counts,
         state.current_vertex,
         log_f,
-        np.asarray(uniforms, dtype=np.float64),
+        uniforms,
+        path,
     )
+    assert (path >= 0).all() and path[-1] == state.current_vertex
     return state.current_vertex
 
 
@@ -188,13 +196,12 @@ def test_k4_sweep_matches_exhaustive_prefix_minimum():
     k4 = from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
     state, telemetry = run_walk(k4, 0, WalkConfig(rng_seed=1, expected_size=2))
     report = extract_cluster_from_energy(k4, state, telemetry)
-    comp = np.arange(4)
-    log_e = state.log_energies
-    order = comp[np.lexsort((comp, -log_e))]
+    visited = np.flatnonzero(state.visit_counts)
+    order = visited[np.lexsort((visited, -state.log_energies[visited]))]
     seed_pos = int(np.flatnonzero(order == 0)[0])
     best = min(
         brute_conductance(k4, order[: i + 1])
-        for i in range(seed_pos, 3)
+        for i in range(seed_pos, min(order.size, 3))
     )
     assert report.conductance == pytest.approx(best, abs=1e-15)
 
@@ -208,3 +215,96 @@ def test_config_validation():
         WalkConfig(f_schedule=((0.9, 10),))
     with pytest.raises(ValueError):
         WalkConfig(expected_size=0)
+
+
+def oracle_cases():
+    """(graph, seed, config) triples for the walk against the reference loop:
+    random graphs, karate, a ring of cliques, f = 1 and zero-step phases, and
+    a regular graph with alpha = beta, where every weight ties at first."""
+    schedules = [
+        None,
+        ((1.0, 40), (1.3, 0), (2.0, 25), (1.0, 0), (1.1, 15)),
+        ((3.0, 0),),
+    ]
+    graphs = [(g, 0) for g in random_graphs(12)]
+    graphs += [(karate_club(), 33), (ring_of_cliques(12, 5), 7)]
+    regular = from_edges([(i, (i + d) % 7) for i in range(7) for d in (1, 2)])
+    for rng_seed in (0, 1, 2):
+        for g, seed in graphs:
+            for schedule in schedules:
+                yield g, seed, WalkConfig(f_schedule=schedule, expected_size=6, rng_seed=rng_seed)
+        yield regular, 3, WalkConfig(alpha=1.0, beta=1.0, expected_size=6, rng_seed=rng_seed)
+
+
+def test_run_walk_matches_oracle_loop():
+    cases = 0
+    for g, seed, cfg in oracle_cases():
+        state, telemetry = run_walk(g, seed, cfg)
+        want, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
+        assert state.log_energies.tobytes() == want.log_energies.tobytes()
+        assert state.visit_counts.tobytes() == want.visit_counts.tobytes()
+        assert state.current_vertex == want.current_vertex
+        assert sorted(state.visited.tolist()) == np.flatnonzero(want.visit_counts).tolist()
+        got = [(p.f, p.steps, list(p.visits.items())) for p in telemetry.phases]
+        assert got == [(p.f, p.steps, list(p.visits.items())) for p in want_telemetry.phases]
+        cases += 1
+    assert cases == 3 * (14 * 3 + 1)
+
+
+def test_walk_phase_matches_oracle_step_bit_for_bit():
+    """Arbitrary energies, heavy ties and degrees above the scratch buffer's
+    first size: same energies, visits, final vertex, and the path is the
+    sequence of arrivals."""
+    rng = np.random.default_rng(23)
+    hub = from_edges([(0, v) for v in range(1, 40)] + [(v, v + 1) for v in range(1, 39)])
+    for g in random_graphs(12) + [karate_club(), hub]:
+        for tied in (False, True):
+            log_e = np.zeros(g.vertex_count) if tied else rng.normal(size=g.vertex_count)
+            uniforms = rng.random(300)
+            got_e, got_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
+            want_e, want_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
+            path = np.empty(uniforms.size, dtype=np.int64)
+            cur = kernels.walk_phase(g.indptr, g.indices, got_e, got_v, 0, 0.2, uniforms, path)
+            want = walk_oracle.walk_phase(g.indptr, g.indices, want_e, want_v, 0, 0.2, uniforms)
+            assert cur == want
+            assert got_e.tobytes() == want_e.tobytes()
+            assert got_v.tobytes() == want_v.tobytes()
+            assert np.bincount(path, minlength=g.vertex_count).tolist() == want_v.tolist()
+            assert path[-1] == cur
+            moves = np.concatenate(([0], path))
+            assert all(v in g.neighbors(int(u)) for u, v in zip(moves[:-1], moves[1:]))
+
+
+def test_walk_sweep_stays_local(monkeypatch):
+    """The same walk on a 1k- and a 100k-vertex ring of cliques sweeps the
+    same visited vertices, at most one per step plus the seed, and never
+    searches the seed's component."""
+
+    def no_component(*args, **kwargs):
+        raise AssertionError("component_of called")
+
+    monkeypatch.setattr(seedclust.walk, "component_of", no_component)
+    monkeypatch.setattr(seedclust.graph, "component_of", no_component)
+    swept = []
+    sweep_cutvol = kernels.sweep_cutvol
+
+    def counting_sweep(indptr, indices, degrees, order):
+        swept.append(int(order.size))
+        return sweep_cutvol(indptr, indices, degrees, order)
+
+    monkeypatch.setattr(kernels, "sweep_cutvol", counting_sweep)
+    cfg = WalkConfig(rng_seed=7, expected_size=40)
+    results = []
+    for clique_count in (200, 20000):
+        g = ring_of_cliques(clique_count, 5)
+        swept.clear()
+        state, telemetry = run_walk(g, 0, cfg)
+        report = extract_cluster_from_energy(g, state, telemetry)
+        assert swept == [state.visited.size]
+        assert swept[0] <= telemetry.total_steps + 1
+        # the ring wraps round: vertices past the middle sit behind the seed
+        n = g.vertex_count
+        members = np.where(report.members < n // 2, report.members, report.members - n)
+        results.append((swept[0], sorted(members.tolist()), report.conductance))
+    assert ring_of_cliques(20000, 5).vertex_count == 100000
+    assert results[0] == results[1]
