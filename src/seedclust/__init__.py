@@ -20,7 +20,6 @@ from .fcm import (
     OverlapReport,
     build_embedding,
     fcm_fit,
-    fcm_objective,
     overlap_report,
 )
 from .graph import (
@@ -31,7 +30,7 @@ from .graph import (
     from_edges,
     load_edge_list,
 )
-from .metrics import Partition, conductance, min_conductance_bruteforce, modularity
+from .metrics import Partition, conductance, modularity
 from .pipeline import (
     ExperimentSpec,
     OverlapResult,
@@ -74,13 +73,11 @@ __all__ = [
     "extract_cluster",
     "extract_cluster_from_energy",
     "fcm_fit",
-    "fcm_objective",
     "find_cluster",
     "find_cluster_walk",
     "from_edges",
     "init_energies",
     "load_edge_list",
-    "min_conductance_bruteforce",
     "modularity",
     "overlap_clusters",
     "overlap_report",

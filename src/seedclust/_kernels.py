@@ -33,6 +33,17 @@ def gather_rows(indptr, indices, vertices):
     return indices[pos], lens
 
 
+def sorted_unique(values):
+    """Sorted distinct elements of ``values``: ``np.unique`` by a sort and a
+    neighbour comparison. From numpy 2.3 on, ``np.unique`` without
+    ``return_*`` flags hashes, which is several times slower than sorting
+    from a thousand integers up."""
+    values = np.sort(values)
+    fresh = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values[fresh]
+
+
 class Frame:
     """State of one diffusion query over the vertices it has touched.
 
@@ -56,7 +67,7 @@ class Frame:
     def extend(self, fresh):
         """Add ``fresh`` vertices, re-rank the frame and move mass and support along."""
         old = self.vertices
-        self.vertices = np.union1d(old, fresh)
+        self.vertices = sorted_unique(np.concatenate((old, fresh)))
         self.rank[self.vertices] = np.arange(self.vertices.size)
         moved = self.rank[old]
         mass = np.zeros(self.vertices.size, dtype=np.float64)

@@ -59,9 +59,6 @@ class SparseMass:
     def support_size(self) -> int:
         return int(self.vertices.size)
 
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
     def mass_of(self, u: int) -> float:
         k = np.searchsorted(self.vertices, u)
         if k < self.vertices.size and self.vertices[k] == u:
@@ -70,9 +67,6 @@ class SparseMass:
 
     def seed_mass(self) -> float:
         return self.mass_of(self.seed)
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(u): float(x) for u, x in zip(self.vertices, self.masses)}
 
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros(n, dtype=np.float64)

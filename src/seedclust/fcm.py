@@ -76,13 +76,6 @@ def _as_matrix(embedding) -> np.ndarray:
     return np.asarray(embedding, dtype=np.float64)
 
 
-def fcm_objective(embedding, msm: MembershipMatrix) -> float:
-    """F_m = sum_ij u_ij^m ||x_i - c_j||^2."""
-    x = _as_matrix(embedding)
-    d2 = ((x[:, None, :] - msm.centers[None, :, :]) ** 2).sum(axis=2)
-    return float(((msm.memberships ** msm.fuzzifier) * d2).sum())
-
-
 def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
     n, k = d2.shape
     u = np.empty((n, k), dtype=np.float64)

@@ -7,8 +7,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from ._kernels import sorted_unique
 
 COMMENT_PREFIXES = ("#", "%")
+LINES_PER_CHUNK = 1 << 16
 
 
 class EdgeListParseError(ValueError):
@@ -89,47 +93,147 @@ def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     Pairs must not be self-loops. Repeated pairs, in either orientation,
     collapse. Returns (indptr, indices, degrees, duplicates) with every
     neighbour list sorted.
+
+    Repeated pairs are dropped with ``sorted_unique``, a sort and a
+    neighbour comparison, not with ``np.unique``: from numpy 2.3 on,
+    ``np.unique`` without ``return_*`` flags hashes, which on a million
+    int64 keys is about 30 times slower than the sort.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = sorted_unique(np.minimum(a, b) * n + np.maximum(a, b))
     lo, hi = np.divmod(keys, n)
-    heads, indices = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
-    degrees = np.bincount(heads, minlength=n).astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
+    arcs = np.sort(np.concatenate([keys, hi * n + lo]))
+    del lo, hi
+    indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
+    degrees = np.diff(indptr)
+    indices = np.remainder(arcs, n, out=arcs)
     return indptr, indices, degrees, int(a.size - keys.size)
 
 
-def _graph_from_label_pairs(pairs: Iterable[tuple[str, str]]) -> Graph:
-    """Intern labels in first-appearance order, drop self-loops, build the CSR."""
-    index: dict[str, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    self_loops = 0
-    for s, t in pairs:
-        u = index.setdefault(s, len(index))
-        v = index.setdefault(t, len(index))
-        if u == v:
-            self_loops += 1
-            continue
-        us.append(u)
-        vs.append(v)
-    if not index:
+def _code_points(text: str) -> np.ndarray:
+    """One element per character of ``text`` (bytes when it is ASCII, else
+    UTF-32 units), then 8 bytes of zeros, so that whole uint64 words read
+    from any character on stay inside the array."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii") + bytes(8), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass") + bytes(8), dtype=np.uint32)
+
+
+def _char_classes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitespace and line-break tables indexed by code point.
+
+    Each character that can occur in ``codes`` is classified by ``str.isspace``
+    (the separators of ``str.split``) and by ``str.splitlines``, so tokens and
+    line numbers found with these tables are the ones those methods give.
+    """
+    points = np.arange(128)
+    if codes.dtype != np.uint8:
+        points = np.concatenate((points, np.unique(codes[codes >= 128])))
+    chars = list(map(chr, points.tolist()))
+    space = np.zeros(int(points[-1]) + 1, dtype=bool)
+    space[points] = list(map(str.isspace, chars))
+    newline = np.zeros_like(space)
+    newline[points] = [len(f"x{c}x".splitlines()) == 2 for c in chars]
+    return space, newline
+
+
+def _edge_tokens(text: str, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every token on the edge lines of ``text``, searched
+    ``LINES_PER_CHUNK`` lines at a time so that the search's per-character
+    temporaries stay small."""
+    space, newline = _char_classes(codes)
+    breaks = np.flatnonzero(newline[codes[: len(text)]])
+    # a CR LF pair is one line break, at its CR
+    breaks = breaks[(codes[breaks] != 10) | (codes[np.maximum(breaks - 1, 0)] != 13)]
+    bounds = [0, *breaks[LINES_PER_CHUNK::LINES_PER_CHUNK].tolist(), len(text)]
+    chunks = [_chunk_tokens(text, codes, lo, hi, space, breaks) for lo, hi in zip(bounds, bounds[1:])]
+    return tuple(map(np.concatenate, zip(*chunks)))
+
+
+def _chunk_tokens(text, codes, lo: int, hi: int, space, breaks) -> tuple[np.ndarray, np.ndarray]:
+    """``_edge_tokens`` of ``codes[lo:hi]``, a run of whole lines: blank and
+    comment lines are skipped, and the first line with other than two tokens
+    raises ``EdgeListParseError``."""
+    solid = np.zeros(hi - lo + 2, dtype=bool)
+    solid[1:-1] = ~space[codes[lo:hi]]
+    starts = np.flatnonzero(solid[1:] > solid[:-1]) + lo
+    lens = np.flatnonzero(solid[:-1] > solid[1:]) + lo - starts
+    line = np.searchsorted(breaks, starts)
+    heads = np.flatnonzero(np.diff(line, prepend=-1))
+    comment = np.isin(codes[starts[heads]], [ord(p) for p in COMMENT_PREFIXES])
+    counts = np.diff(heads, append=starts.size)
+    bad = np.flatnonzero(~comment & (counts != 2))
+    if bad.size:
+        k = int(bad[0])
+        line_no = int(line[heads[k]]) + 1
+        raw = text.splitlines()[line_no - 1]
+        raise EdgeListParseError(line_no, f"expected 2 tokens, got {int(counts[k])}: {raw!r}")
+    edge = np.repeat(~comment, counts)
+    return starts[edge], lens[edge]
+
+
+def _intern(
+    text: str, codes: np.ndarray, starts: np.ndarray, lens: np.ndarray
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Vertex id of every token ``text[starts[i]:starts[i] + lens[i]]``, ids
+    numbered in order of first appearance, and the label of each id.
+
+    Tokens of one length are compared as fixed-width rows of their code
+    points viewed as uint64 words, so equal tokens are found by sorting
+    integers. Tokens of different lengths are never compared, so zero padding
+    cannot make ``"a"`` and ``"a\\x00"`` equal.
+    """
+    by_len = np.argsort(lens)
+    per_word = 8 // codes.itemsize
+    group = np.empty(starts.size, dtype=np.int64)
+    firsts = []
+    found = 0
+    for members in np.split(by_len, np.flatnonzero(np.diff(lens[by_len])) + 1):
+        size = int(lens[members[0]])
+        rows = sliding_window_view(codes, max(1, -(-size // per_word)) * per_word)[starts[members]]
+        rows[:, size:] = 0
+        keys = rows.view(np.uint64)
+        order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T)
+        members, keys = members[order], keys[order]
+        fresh = np.ones(members.size, dtype=bool)
+        np.any(keys[1:] != keys[:-1], axis=1, out=fresh[1:])
+        group[members] = np.cumsum(fresh) + (found - 1)
+        firsts.append(np.minimum.reduceat(members, np.flatnonzero(fresh)))
+        found += firsts[-1].size
+    first = np.concatenate(firsts)
+    by_first = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[by_first] = np.arange(first.size)
+    at = starts[first[by_first]]
+    ends = at + lens[first[by_first]]
+    labels = tuple(map(text.__getitem__, map(slice, at.tolist(), ends.tolist())))
+    return np.take(rank, group, out=group), labels
+
+
+def _graph_from_tokens(text: str, codes: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> Graph:
+    """Graph whose edges are consecutive token pairs: intern, drop self-loops, build the CSR."""
+    if starts.size == 0:
         raise EmptyGraphError("edge-list source contains no edges")
-    indptr, indices, degrees, duplicates = csr_from_pairs(us, vs, len(index))
+    ids, labels = _intern(text, codes, starts, lens)
+    u, v = ids[0::2], ids[1::2]
+    edge = u != v
+    indptr, indices, degrees, duplicates = csr_from_pairs(u[edge], v[edge], len(labels))
     return Graph(
         indptr=indptr,
         indices=indices,
         degrees=degrees,
-        labels=tuple(index),
-        load_report=LoadReport(duplicate_edges=duplicates, self_loops=self_loops),
+        labels=labels,
+        load_report=LoadReport(duplicate_edges=duplicates, self_loops=int(u.size - edge.sum())),
     )
 
 
 def from_edges(pairs: Iterable[tuple[object, object]], labels: Sequence[str] | None = None) -> Graph:
     """Build a Graph from (u, v) pairs; labels default to str() of first appearance."""
-    g = _graph_from_label_pairs((str(u), str(v)) for u, v in pairs)
+    tokens = [str(x) for u, v in pairs for x in (u, v)]
+    text = "".join(tokens)
+    lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    g = _graph_from_tokens(text, _code_points(text), np.cumsum(lens) - lens, lens)
     if labels is not None:
         if len(labels) != g.vertex_count:
             raise ValueError("label count does not match vertex count")
@@ -145,25 +249,20 @@ def load_edge_list(source) -> Graph:
     labels per edge; '#'/'%' comment lines and blank lines are skipped.
     Duplicate edges collapse, self-loops are dropped (reported in
     ``load_report``); labels are interned in first-appearance order.
+
+    Lines and tokens are those of ``str.splitlines`` and ``str.split``, found
+    by array operations over the text's code points, with no Python loop per
+    line or token.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
+        text = source.read()
     elif isinstance(source, (str, Path)) and "\n" not in str(source):
-        lines = Path(source).read_text().splitlines()
+        text = Path(source).read_text()
     else:
-        lines = str(source).splitlines()
-
-    def token_pairs():
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith(COMMENT_PREFIXES):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(parts)}: {raw!r}")
-            yield parts
-
-    return _graph_from_label_pairs(token_pairs())
+        text = str(source)
+    codes = _code_points(text)
+    starts, lens = _edge_tokens(text, codes)
+    return _graph_from_tokens(text, codes, starts, lens)
 
 
 def component_of(g: Graph, v: int) -> np.ndarray:

@@ -9,8 +9,6 @@ import numpy as np
 from ._kernels import gather_rows
 from .graph import Graph
 
-BRUTEFORCE_LIMIT = 20
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -34,7 +32,9 @@ class Partition:
         return int(self.assignments.max()) + 1
 
     def blocks(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.assignments == b) for b in range(self.block_count)]
+        """Sorted vertices of every block, in block order, from one stable sort."""
+        by_block = np.argsort(self.assignments, kind="stable")
+        return np.split(by_block, np.cumsum(np.bincount(self.assignments))[:-1])
 
     def to_csv(self, g: Graph) -> str:
         lines = ["vertex,block"]
@@ -80,51 +80,6 @@ def conductance(g: Graph, members) -> float:
     return cut_size(g, members) / min(vol, other)
 
 
-def min_conductance_bruteforce(g: Graph) -> tuple[np.ndarray, float]:
-    """Exhaustive minimum-conductance subset (test oracle, n <= 20).
-
-    Returns the smaller-volume side. Deterministic: the first minimizing
-    bitmask in ascending order wins.
-    """
-    n = g.vertex_count
-    if n > BRUTEFORCE_LIMIT:
-        raise ValueError(f"refusing exhaustive scan for n={n} > {BRUTEFORCE_LIMIT}")
-    if n < 2:
-        raise ValueError("graph has no proper bipartition")
-
-    eu = np.repeat(np.arange(n), np.diff(g.indptr))
-    ev = g.indices
-    upper = eu < ev
-    eu, ev = eu[upper], ev[upper]
-    degrees = g.degrees.astype(np.int64)
-    twice_m = g.total_degree
-
-    best_phi = np.inf
-    best_mask = 0
-    chunk = 1 << 14
-    for start in range(1, (1 << n) - 1, chunk):
-        masks = np.arange(start, min(start + chunk, (1 << n) - 1), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
-        vols = bits @ degrees
-        split = ((masks[:, None] >> eu[None, :]) & 1) != ((masks[:, None] >> ev[None, :]) & 1)
-        cuts = split.sum(axis=1)
-        small = np.minimum(vols, twice_m - vols)
-        valid = small > 0
-        phis = np.where(valid, cuts / np.where(valid, small, 1), np.inf)
-        k = int(np.argmin(phis))
-        if phis[k] < best_phi:
-            best_phi = float(phis[k])
-            best_mask = int(masks[k])
-
-    members = np.flatnonzero([(best_mask >> i) & 1 for i in range(n)]).astype(np.int64)
-    vol = int(g.degrees[members].sum())
-    if vol > twice_m - vol:
-        in_set = np.zeros(n, dtype=bool)
-        in_set[members] = True
-        members = np.flatnonzero(~in_set).astype(np.int64)
-    return members, best_phi
-
-
 def modularity(g: Graph, partition: Partition) -> float:
     """Q = sum over blocks of [m_S/m - (vol(S)/2m)^2] (degree-sequence null model)."""
     if partition.assignments.size != g.vertex_count:
@@ -132,12 +87,13 @@ def modularity(g: Graph, partition: Partition) -> float:
     m = g.edge_count
     if m == 0:
         return 0.0
+    block = partition.assignments
+    k = partition.block_count
+    tails = np.repeat(block, g.degrees)
+    internals = np.bincount(tails[tails == block[g.indices]], minlength=k)
+    vols = np.bincount(block, weights=g.degrees, minlength=k)
     q = 0.0
-    for block in partition.blocks():
-        in_block = np.zeros(g.vertex_count, dtype=bool)
-        in_block[block] = True
-        internal = int(np.count_nonzero(in_block[gather_rows(g.indptr, g.indices, block)[0]]))
+    for internal, vol in zip(internals.tolist(), vols.tolist()):
         m_s = internal / 2.0
-        vol = float(g.degrees[block].sum())
         q += m_s / m - (vol / (2.0 * m)) ** 2
     return q

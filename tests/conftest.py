@@ -67,3 +67,51 @@ def brute_conductance(g: Graph, members) -> float:
                 cut += 1
     vol = sum(g.degree(u) for u in s)
     return cut / min(vol, g.total_degree - vol)
+
+
+BRUTEFORCE_LIMIT = 20
+
+
+def min_conductance_bruteforce(g: Graph) -> tuple[np.ndarray, float]:
+    """Exhaustive minimum-conductance subset (test oracle, n <= 20).
+
+    Returns the smaller-volume side. Deterministic: the first minimizing
+    bitmask in ascending order wins.
+    """
+    n = g.vertex_count
+    if n > BRUTEFORCE_LIMIT:
+        raise ValueError(f"refusing exhaustive scan for n={n} > {BRUTEFORCE_LIMIT}")
+    if n < 2:
+        raise ValueError("graph has no proper bipartition")
+
+    eu = np.repeat(np.arange(n), np.diff(g.indptr))
+    ev = g.indices
+    upper = eu < ev
+    eu, ev = eu[upper], ev[upper]
+    degrees = g.degrees.astype(np.int64)
+    twice_m = g.total_degree
+
+    best_phi = np.inf
+    best_mask = 0
+    chunk = 1 << 14
+    for start in range(1, (1 << n) - 1, chunk):
+        masks = np.arange(start, min(start + chunk, (1 << n) - 1), dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
+        vols = bits @ degrees
+        split = ((masks[:, None] >> eu[None, :]) & 1) != ((masks[:, None] >> ev[None, :]) & 1)
+        cuts = split.sum(axis=1)
+        small = np.minimum(vols, twice_m - vols)
+        valid = small > 0
+        phis = np.where(valid, cuts / np.where(valid, small, 1), np.inf)
+        k = int(np.argmin(phis))
+        if phis[k] < best_phi:
+            best_phi = float(phis[k])
+            best_mask = int(masks[k])
+
+    members = np.flatnonzero([(best_mask >> i) & 1 for i in range(n)]).astype(np.int64)
+    vol = int(g.degrees[members].sum())
+    if vol > twice_m - vol:
+        in_set = np.zeros(n, dtype=bool)
+        in_set[members] = True
+        members = np.flatnonzero(~in_set).astype(np.int64)
+    return members, best_phi

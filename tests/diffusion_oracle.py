@@ -12,6 +12,14 @@ from seedclust import DiffusionConfig, SparseMass
 from seedclust.diffusion import DiffusionTelemetry, IterationStats
 
 
+def total_mass(mass: SparseMass) -> float:
+    return float(mass.masses.sum())
+
+
+def as_dict(mass: SparseMass) -> dict[int, float]:
+    return {int(u): float(x) for u, x in zip(mass.vertices, mass.masses)}
+
+
 def from_seed(g, seed: int) -> SparseMass:
     """Point mass 1 on ``seed``: the distribution every diffusion starts from."""
     seed = g.check_vertex(seed)

@@ -15,10 +15,8 @@ from seedclust import (
     WalkConfig,
     extract_cluster,
     fcm_fit,
-    fcm_objective,
     find_cluster,
     find_cluster_walk,
-    min_conductance_bruteforce,
     overlap_clusters,
     partition_graph,
     run_diffusion,
@@ -31,7 +29,8 @@ from seedclust.datasets import (
     two_clique_bridge,
 )
 
-from conftest import brute_conductance, dense_transition_matrix
+from conftest import brute_conductance, dense_transition_matrix, min_conductance_bruteforce
+from diffusion_oracle import total_mass
 from test_fcm import brute_objective
 
 
@@ -82,7 +81,7 @@ def test_criterion_2_mass_conservation():
             for count in range(1, 26):
                 cfg = DiffusionConfig(alpha=alpha, max_iterations=count, convergence_epsilon=0.0)
                 mass, _ = run_diffusion(g, seed, cfg)
-                worst = max(worst, abs(mass.total_mass() - 1.0))
+                worst = max(worst, abs(total_mass(mass) - 1.0))
                 checks += 1
     report(2, worst < 1e-12, f"{checks} diffuse+truncate prefixes, worst drift {worst:.2e}")
 
@@ -193,7 +192,7 @@ def test_criterion_9_fcm_suite():
         hist = msm.objective_history
         ok &= all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
         ok &= bool(np.allclose(msm.memberships.sum(axis=1), 1.0, atol=1e-9))
-        ok &= abs(fcm_objective(x, msm) - brute_objective(x, msm.memberships, msm.centers, 2.0)) < 1e-12
+        ok &= abs(msm.objective - brute_objective(x, msm.memberships, msm.centers, 2.0)) < 1e-12
 
     x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])

@@ -8,7 +8,6 @@ from seedclust import (
     MembershipMatrix,
     build_embedding,
     fcm_fit,
-    fcm_objective,
     overlap_report,
 )
 from seedclust.fcm import diffuse_centers
@@ -23,6 +22,12 @@ def brute_objective(x, u, centers, m):
                 d2 += (x[i, t] - centers[j, t]) ** 2
             total += (u[i, j] ** m) * d2
     return total
+
+
+def fcm_objective(x, msm: MembershipMatrix) -> float:
+    """F_m = sum_ij u_ij^m ||x_i - c_j||^2 over the n x k x D difference tensor."""
+    d2 = ((x[:, None, :] - msm.centers[None, :, :]) ** 2).sum(axis=2)
+    return float(((msm.memberships ** msm.fuzzifier) * d2).sum())
 
 
 def blob_data(rng_seed=0):

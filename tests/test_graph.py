@@ -1,7 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import loader_oracle
 
 from seedclust import (
     DiffusionConfig,
@@ -12,6 +17,7 @@ from seedclust import (
     load_edge_list,
     run_diffusion,
 )
+from seedclust import graph
 
 from conftest import dense_transition_matrix, random_graphs
 
@@ -167,3 +173,72 @@ def test_from_edges_matches_loader_on_the_same_text():
     assert np.array_equal(g.indptr, h.indptr)
     assert np.array_equal(g.indices, h.indices)
     assert g.load_report == h.load_report
+
+
+# Characters of labels: none is whitespace; "#"/"%" and NUL occur inside labels.
+LABEL_CHARS = "ab01#%\x00\u00e9\u00df\u4e2d\U0001f600"
+# str.split separators that do not end a line, and every str.splitlines break
+GAPS = [" ", "\t", "  ", "\xa0", "\x1f", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    pool = draw(st.lists(st.text(LABEL_CHARS, min_size=1, max_size=10), min_size=1, max_size=6))
+    # twins differing only by a trailing NUL, which fixed-width numpy strings drop
+    pool += [label + "\x00" for label in pool[:2]]
+    label = st.sampled_from(pool)
+    gap = st.sampled_from(GAPS)
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("eeeeslbcx"), max_size=12)):
+        lead = draw(st.sampled_from(["", "", " ", "\t\xa0"]))
+        if kind == "e":  # edge
+            line = draw(label) + draw(gap) + draw(label)
+        elif kind == "s":  # self-loop
+            x = draw(label)
+            line = x + draw(gap) + x
+        elif kind == "l":  # blank
+            line = draw(st.sampled_from(["", " ", "\t\xa0"]))
+        elif kind == "c":  # comment, possibly indented
+            line = draw(st.sampled_from("#%")) + draw(st.text(LABEL_CHARS + " ", max_size=6))
+        elif kind == "b":  # one or three tokens
+            line = draw(gap).join(draw(label) for _ in range(draw(st.sampled_from([1, 3]))))
+        else:  # trailing whitespace after an edge
+            line = draw(label) + draw(gap) + draw(label) + draw(gap)
+        lines.append(lead + line)
+    text = "".join(line + draw(st.sampled_from(BREAKS)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("".join(BREAKS))
+
+
+def load_outcome(load, source):
+    """Everything a load yields: arrays with dtypes, labels and report, or the error."""
+    try:
+        g = load(source)
+    except EdgeListParseError as err:
+        return ("parse error", err.line_no, str(err))
+    except EmptyGraphError as err:
+        return ("empty", str(err))
+    arrays = [(a.dtype.str, a.tolist()) for a in (g.indptr, g.indices, g.degrees)]
+    return arrays, g.labels, g.load_report
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edge_list_texts(), chunk=st.sampled_from([1, 2, 3, graph.LINES_PER_CHUNK]))
+@example(text="# only\n  % comments\n\n", chunk=graph.LINES_PER_CHUNK)
+@example(text="a a\r\nb b\n", chunk=1)
+@example(text="a b\na\x00 b\x00\n", chunk=graph.LINES_PER_CHUNK)
+@example(text="x y\n\u2028p q r\n", chunk=1)
+def test_loader_matches_per_line_oracle(text, chunk):
+    with mock.patch.object(graph, "LINES_PER_CHUNK", chunk):
+        got = load_outcome(load_edge_list, io.StringIO(text))
+    assert got == load_outcome(loader_oracle.load_edge_list, text)
+
+
+END = st.text(LABEL_CHARS + " \n", max_size=10) | st.integers(-3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(END, END)))
+@example(pairs=[("a", "a\x00"), ("a\x00\x00", "")])
+def test_from_edges_matches_per_pair_oracle(pairs):
+    assert load_outcome(from_edges, pairs) == load_outcome(loader_oracle.from_edges, pairs)

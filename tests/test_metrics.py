@@ -5,12 +5,11 @@ from seedclust import (
     Partition,
     conductance,
     from_edges,
-    min_conductance_bruteforce,
     modularity,
 )
 from seedclust.datasets import random_connected_graph, two_clique_bridge
 
-from conftest import brute_conductance
+from conftest import brute_conductance, min_conductance_bruteforce
 
 
 def two_triangles_bridge():
