@@ -1,11 +1,12 @@
 """Hot inner loops, one source each.
 
 ``diffuse_push`` and ``sweep_cutvol`` are vectorised numpy and touch only the
-rows they are given: one diffusion step works over the query's frame of
-touched vertices, so it costs O(support volume), not O(n). ``walk_phase`` is a
-scalar loop that reads each step's row once and records the path it walks, so
-a phase costs O(steps x degree); when numba imports it is jitted, otherwise
-it runs as plain Python. ``BACKEND`` reports which of the two the walk uses.
+rows they are given: one diffusion step works over the vertices its support
+reaches in one step, so it costs O(support volume), not O(n). ``walk_phase``
+is a scalar loop that reads each step's row once and records the path it
+walks, so a phase costs O(steps x degree); when numba imports it is jitted,
+otherwise it runs as plain Python. ``BACKEND`` reports which of the two the
+walk uses.
 """
 
 from __future__ import annotations
@@ -44,75 +45,49 @@ def sorted_unique(values):
     return values[fresh]
 
 
-class Frame:
-    """State of one diffusion query over the vertices it has touched.
+def sorted_unique_inverse(values):
+    """Sorted distinct elements of ``values`` and each element's position
+    among them, by one ``argsort``, a neighbour comparison and a ``cumsum``
+    (``np.unique`` with ``return_inverse`` costs tens of microseconds more
+    per call at a few hundred elements)."""
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    fresh = np.ones(values.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    inverse = np.empty(values.size, dtype=np.int64)
+    inverse[by_value] = np.cumsum(fresh) - 1
+    return ordered[fresh], inverse
 
-    ``vertices`` is the sorted array of every vertex touched so far, ``rank``
-    (int64, n, allocated once and never zero-filled) maps each of them to its
-    position; ``rank`` of a vertex outside the frame is garbage, so a reader
-    checks ``vertices[rank[v]] == v`` before trusting it,
-    ``mass`` is the distribution over the frame and ``live`` the mask of its
-    support. ``plan`` keeps the last push's gathered rows with the support
-    they belong to, so a step whose support repeats does not gather again.
+
+def push_plan(indptr, indices, degrees, support):
+    """Everything of a push from ``support`` (sorted) that does not depend on its mass.
+
+    Returns (reached, at, sources, divisors, targets): ``reached`` is the
+    sorted support and its neighbours, ``at`` the support's positions in it,
+    and term j of a push moves ``mass[sources[j]] / divisors[j]`` to
+    position ``targets[j]``: every support vertex's half-mass first, then
+    its neighbours' shares in row order.
     """
-
-    def __init__(self, n: int, seed: int):
-        self.vertices = np.array([seed], dtype=np.int64)
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[seed] = 0
-        self.mass = np.ones(1, dtype=np.float64)
-        self.live = np.ones(1, dtype=bool)
-        self.plan = None
-
-    def extend(self, fresh):
-        """Add ``fresh`` vertices, re-rank the frame and move mass and support along."""
-        old = self.vertices
-        self.vertices = sorted_unique(np.concatenate((old, fresh)))
-        self.rank[self.vertices] = np.arange(self.vertices.size)
-        moved = self.rank[old]
-        mass = np.zeros(self.vertices.size, dtype=np.float64)
-        mass[moved] = self.mass
-        live = np.zeros(self.vertices.size, dtype=bool)
-        live[moved] = self.live
-        self.mass, self.live = mass, live
-        self.plan = None
-
-
-def _push_plan(indptr, indices, degrees, support, frame):
-    """Everything of a push that depends on the support and not on its mass."""
     nbrs, lens = gather_rows(indptr, indices, support)
-    pos = frame.rank[nbrs]
-    fresh = frame.vertices.take(pos, mode="clip") != nbrs
-    if np.count_nonzero(fresh):
-        frame.extend(nbrs[fresh])
-        pos = frame.rank[nbrs]
-    rows = np.arange(support.size)
-    # term j moves mass[sources[j]] / divisors[j] to frame position targets[j]
-    sources = np.concatenate((rows, np.repeat(rows, lens)))
+    reached, targets = sorted_unique_inverse(np.concatenate((support, nbrs)))
+    at = targets[: support.size]
+    sources = np.concatenate((at, np.repeat(at, lens)))
     divisors = np.concatenate((np.full(support.size, 2.0), np.repeat(2.0 * degrees[support], lens)))
-    targets = np.concatenate((frame.rank[support], pos))
-    reached = np.zeros(frame.vertices.size, dtype=bool)
-    reached[targets] = True
-    return support, sources, divisors, targets, reached
+    return reached, at, sources, divisors, targets
 
 
-def diffuse_push(indptr, indices, degrees, support, mass, frame):
-    """new[u] = old[u]/2 + sum_{w~u} old[w]/(2 d_w), over the query's ``Frame``.
+def diffuse_push(indptr, indices, degrees, support, mass, plan):
+    """new[u] = old[u]/2 + sum_{w~u} old[w]/(2 d_w), over the vertices ``support`` reaches.
 
-    ``support`` (sorted) and ``mass`` are the frame's live entries. Neighbours
-    outside the frame extend it. The step is one ``bincount`` over frame
-    positions that adds each vertex's half-mass first and then its
+    ``plan`` is ``push_plan`` of the same graph and ``support``, and ``mass``
+    lies over its ``reached`` vertices, zero off the support. The step is one
+    ``bincount`` that adds each vertex's half-mass first and then its
     neighbours' shares in row order, so it costs the support's volume plus
-    the frame size, never n. Returns (new_mass over the frame, reached), where
-    ``reached`` masks the support and its neighbours; callers must not
-    modify ``reached``, which is reused while the support repeats.
+    its one-step reach, never n. Only ``mass`` and ``plan`` are read; the
+    graph and ``support`` name the work the step stands for.
     """
-    plan = frame.plan
-    if plan is None or plan[0].size != support.size or np.count_nonzero(plan[0] != support):
-        plan = frame.plan = _push_plan(indptr, indices, degrees, support, frame)
-    _, sources, divisors, targets, reached = plan
-    shares = mass.take(sources) / divisors
-    return np.bincount(targets, weights=shares, minlength=frame.vertices.size), reached
+    reached, _, sources, divisors, targets = plan
+    return np.bincount(targets, weights=mass.take(sources) / divisors, minlength=reached.size)
 
 
 def sweep_cutvol(indptr, indices, degrees, order):

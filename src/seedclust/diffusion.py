@@ -6,11 +6,11 @@ seed's mass and returns the removed mass to the seed. The converged
 distribution is turned into a cluster by sweeping prefixes of the
 degree-normalized ordering and keeping the minimum-conductance prefix.
 
-A run keeps its state on a frame: the sorted vertices touched so far, a rank
-map from vertex to frame position, the mass over the frame and a mask of the
-live support. The frame grows only when a step reaches a new vertex, so one
-iteration costs O(support volume + frame size), and nothing scans all n
-vertices.
+A run keeps its state on the vertices the current support reaches in one step
+(the support and its neighbours): the mass over them, zero off the support,
+and a mask of the support. That state and the step's plan change only when
+the support does, so one iteration costs O(support volume), and nothing
+scans all n vertices.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ class SparseMass:
 
     def seed_mass(self) -> float:
         return self.mass_of(self.seed)
+
+    def relative_masses(self, vertices: np.ndarray) -> np.ndarray:
+        """Mass of each of ``vertices`` over the seed's, by one binary search."""
+        k = np.searchsorted(self.vertices, vertices)
+        found = self.vertices.take(k, mode="clip") == vertices
+        return np.where(found, self.masses.take(k, mode="clip"), 0.0) / self.seed_mass()
 
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros(n, dtype=np.float64)
@@ -137,29 +143,26 @@ class ClusterReport:
 
 
 def truncate(
-    frame: _kernels.Frame, mass: np.ndarray, reached: np.ndarray, seed: int, alpha: float
-) -> float:
-    """Truncate one step's mass over ``frame`` and make it the frame's; return the L1 change.
+    mass: np.ndarray, prev: np.ndarray, live: np.ndarray, seed_pos: int, alpha: float
+) -> tuple[np.ndarray, float]:
+    """Truncate one step's ``mass`` in place; return (kept mask, L1 change from ``prev``).
 
-    ``mass`` is zero outside ``reached``. Reached entries below ``alpha``
-    times the seed's mass are zeroed and their sum, taken in frame (vertex)
-    order, is added to the seed. The L1 change from the frame's previous mass
-    is summed over the vertices of either support, in vertex order.
+    Entries below ``alpha`` times the seed's mass (at ``seed_pos``) are
+    zeroed and their sum, taken in vertex order, is added to the seed. The
+    L1 change from ``prev``, whose support is ``live``, is summed over the
+    vertices of either support, in vertex order.
     """
-    seed_pos = frame.rank[seed]
-    if not reached[seed_pos] or mass[seed_pos] <= 0.0:
+    if mass[seed_pos] <= 0.0:
         raise ValueError("seed has zero mass; truncation threshold undefined")
-    keep = reached & (mass >= alpha * mass[seed_pos])
+    keep = mass >= alpha * mass[seed_pos]
     keep[seed_pos] = True
-    dropped = reached ^ keep
+    dropped = ~keep
     if np.count_nonzero(dropped):
         removed = float(mass[dropped].sum())
         mass[dropped] = 0.0
         mass[seed_pos] += removed
-    change = mass - frame.mass
-    l1 = float(np.abs(change[keep | frame.live]).sum())
-    frame.mass, frame.live = mass, keep
-    return l1
+    l1 = float(np.abs((mass - prev)[keep | live]).sum())
+    return keep, l1
 
 
 def run_diffusion(
@@ -167,33 +170,45 @@ def run_diffusion(
 ) -> tuple[SparseMass, DiffusionTelemetry]:
     """Alternate diffuse/truncate until the post-truncation L1 change converges.
 
-    The run's state is a ``_kernels.Frame`` over the vertices touched so far,
-    so each iteration costs the support's volume plus the frame size. Hitting
-    ``max_iterations`` is not an error; the telemetry's ``converged`` flag
-    reports it.
+    The state lies over the vertices the support reaches in one step, and
+    the push plan is rebuilt only when truncation changes the support, so
+    each iteration costs the support's volume. Hitting ``max_iterations`` is
+    not an error; the telemetry's ``converged`` flag reports it.
     """
     seed = g.check_vertex(seed)
     if g.degree(seed) == 0:
         raise ValueError(f"seed vertex {seed} is isolated; walk undefined")
 
-    frame = _kernels.Frame(g.vertex_count, seed)
+    reached = np.array([seed], dtype=np.int64)
+    mass = np.ones(1, dtype=np.float64)
+    live = np.ones(1, dtype=bool)
+    plan = None
     telemetry = DiffusionTelemetry()
 
     for _ in range(cfg.max_iterations):
         t0 = time.perf_counter()
-        support = frame.vertices[frame.live]
-        support_size = int(support.size)
-        support_volume = int(g.degrees[support].sum())
-        mass, reached = _kernels.diffuse_push(
-            g.indptr, g.indices, g.degrees, support, frame.mass[frame.live], frame
-        )
-        l1 = truncate(frame, mass, reached, seed, cfg.alpha)
+        if plan is None:
+            support = reached[live]
+            plan = _kernels.push_plan(g.indptr, g.indices, g.degrees, support)
+            reached, at = plan[0], plan[1]
+            moved = np.zeros(reached.size, dtype=np.float64)
+            moved[at] = mass[live]
+            mass, live = moved, np.zeros(reached.size, dtype=bool)
+            live[at] = True
+            seed_pos = int(np.searchsorted(reached, seed))
+            support_size = int(support.size)
+            support_volume = int(g.degrees[support].sum())
+        new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, mass, plan)
+        keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
+        if not np.array_equal(keep, live):
+            plan = None
+        mass, live = new, keep
         telemetry.iterations.append(
             IterationStats(
                 l1_change=l1,
                 support_size=support_size,
                 support_volume=support_volume,
-                ops=support_size + support_volume + int(np.count_nonzero(frame.live)),
+                ops=support_size + support_volume + int(np.count_nonzero(keep)),
                 seconds=time.perf_counter() - t0,
             )
         )
@@ -201,7 +216,7 @@ def run_diffusion(
             telemetry.converged = True
             break
 
-    return SparseMass(frame.vertices[frame.live], frame.mass[frame.live], seed), telemetry
+    return SparseMass(reached[live], mass[live], seed), telemetry
 
 
 def sweep_cut(
@@ -243,8 +258,7 @@ def extract_cluster(
     order = mass.vertices[np.lexsort((mass.vertices, not_seed, -scores))]
 
     members, phi, fallback = sweep_cut(g, order, mass.seed)
-    seed_mass = mass.seed_mass()
-    belong = {int(u): mass.mass_of(int(u)) / seed_mass for u in members}
+    belong = dict(zip(members.tolist(), mass.relative_masses(members).tolist()))
     return ClusterReport(
         seed=mass.seed,
         members=members,

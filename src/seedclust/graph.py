@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,8 +64,9 @@ class Graph:
         """Volume of the whole graph, 2m."""
         return int(self.indices.size)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_label_index", {s: i for i, s in enumerate(self.labels)})
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.labels)}
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]

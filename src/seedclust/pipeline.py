@@ -82,12 +82,11 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
             next_block += 1
             continue
 
-        for u in report.members:
-            u = int(u)
-            b = report.belongingness[u]
-            if assign[u] < 0 or b > belong[u]:
-                assign[u] = next_block
-                belong[u] = b
+        m = report.members
+        b = mass.relative_masses(m)
+        claimed = (assign[m] < 0) | (b > belong[m])
+        assign[m[claimed]] = next_block
+        belong[m[claimed]] = b[claimed]
         blocks.append(
             BlockInfo(
                 seed=seed, conductance=report.conductance, size=int(report.members.size), mass=mass
@@ -128,8 +127,7 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]
 
     def mean_belong(item):
         info, members = item
-        seed_mass = info.mass.seed_mass()
-        return float(np.mean([info.mass.mass_of(int(u)) / seed_mass for u in members]))
+        return float(np.mean(info.mass.relative_masses(members)))
 
     scored.sort(key=lambda item: (-mean_belong(item), item[0].seed))
     centers = [info.seed for info, _ in scored[:count]]

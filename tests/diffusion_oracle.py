@@ -3,7 +3,7 @@
 One step scatters into an n-length array with ``np.add.at``, adding each
 vertex's half-mass first and then its neighbours' shares in row order, and
 truncation and the L1 change work on sorted vertex arrays. These are the sums
-``run_diffusion`` must reproduce bit for bit, in a form with no frame.
+``run_diffusion`` must reproduce bit for bit, with no state kept between steps.
 """
 
 import numpy as np

@@ -157,6 +157,39 @@ def test_support_locality():
         assert set(mass.vertices.tolist()) <= ball
 
 
+def test_run_diffusion_state_stays_on_the_supports_reach(monkeypatch):
+    """On a 100k-vertex graph a run allocates far less than one n-length
+    array, and every push covers exactly its support's closed neighbourhood."""
+    import tracemalloc
+
+    import seedclust._kernels as kernels
+
+    g = ring_of_cliques(12500, 8)
+    pushes = []
+    diffuse_push = kernels.diffuse_push
+
+    def recording_push(indptr, indices, degrees, support, mass, plan):
+        out = diffuse_push(indptr, indices, degrees, support, mass, plan)
+        pushes.append((support, out.size))
+        return out
+
+    cfg = steps(1e-3, 40)  # the telemetry grows by one record per step
+    run_diffusion(g, 0, cfg)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        mass, _ = run_diffusion(g, 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024 < 8 * g.vertex_count
+    monkeypatch.setattr(kernels, "diffuse_push", recording_push)
+    assert run_diffusion(g, 0, cfg)[0].masses.tobytes() == mass.masses.tobytes()
+    assert len(pushes) == 40
+    for support, size in pushes:
+        closed = np.union1d(support, np.concatenate([g.neighbors(int(u)) for u in support]))
+        assert size == closed.size
+
+
 def test_support_size_non_increasing_in_alpha():
     for seed in range(5):
         g = random_connected_graph(40, 40, rng_seed=seed)
@@ -253,6 +286,14 @@ def test_extract_belongingness_normalized(two_k5):
     report = find_cluster(two_k5, 1, DiffusionConfig(alpha=1e-2))
     assert report.belongingness[1] == 1.0
     assert all(b > 0 for b in report.belongingness.values())
+
+
+def test_relative_masses_match_per_vertex_lookup(two_triangles):
+    mass, _ = run_diffusion(two_triangles, 0, DiffusionConfig(alpha=1e-2))
+    every = np.arange(two_triangles.vertex_count)
+    want = [mass.mass_of(int(u)) / mass.seed_mass() for u in every]
+    assert mass.relative_masses(every).tolist() == want
+    assert 0.0 in want  # vertices off the support read 0
 
 
 def test_karate_hub_cluster_beats_singleton(karate):

@@ -147,8 +147,17 @@ def test_labels_interned_in_first_appearance_order():
 def test_labels_roundtrip(path4):
     for u in range(path4.vertex_count):
         assert path4.index_of(path4.label_of(u)) == u
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown vertex label 'zz'"):
         path4.index_of("zz")
+
+
+def test_label_index_is_built_on_first_lookup():
+    g = from_edges([("x", "y"), ("y", "z")], labels=("p", "q", "r"))
+    assert "_label_index" not in vars(g)
+    assert g.index_of("r") == 2
+    assert g._label_index == {"p": 0, "q": 1, "r": 2}
+    with pytest.raises(KeyError, match="unknown vertex label 'x'"):
+        g.index_of("x")
 
 
 @pytest.mark.parametrize(

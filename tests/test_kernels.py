@@ -34,48 +34,42 @@ def test_sweep_cutvol_matches_edge_scan(share):
         assert (cuts.tolist(), vols.tolist()) == edge_scan_cutvol(g, order)
 
 
-def push(g, frame, mass: SparseMass) -> SparseMass:
-    """One ``diffuse_push`` from an arbitrary distribution placed on ``frame``."""
-    frame.extend(mass.vertices)
-    frame.mass = np.zeros(frame.vertices.size)
-    frame.mass[frame.rank[mass.vertices]] = mass.masses
-    frame.live = np.zeros(frame.vertices.size, dtype=bool)
-    frame.live[frame.rank[mass.vertices]] = True
-    out, reached = kernels.diffuse_push(
-        g.indptr, g.indices, g.degrees, mass.vertices, mass.masses, frame
-    )
-    assert out.size == reached.size == frame.vertices.size
-    assert not out[~reached].any()
-    return SparseMass(frame.vertices[reached], out[reached], mass.seed)
+def push(g, mass: SparseMass, plan=None) -> SparseMass:
+    """One ``diffuse_push`` from an arbitrary distribution, spread over its plan's reach."""
+    if plan is None:
+        plan = kernels.push_plan(g.indptr, g.indices, g.degrees, mass.vertices)
+    reached, at = plan[0], plan[1]
+    spread = np.zeros(reached.size)
+    spread[at] = mass.masses
+    out = kernels.diffuse_push(g.indptr, g.indices, g.degrees, mass.vertices, spread, plan)
+    assert out.size == reached.size
+    return SparseMass(reached, out, mass.seed)
 
 
 def test_diffuse_push_matches_oracle_step_bit_for_bit():
     rng = np.random.default_rng(17)
     for g in random_graphs(20):
-        frame = kernels.Frame(g.vertex_count, 0)
-        # the rank map is never zero-filled: ranks outside the frame are junk
-        frame.rank[1:] = rng.integers(-(2**62), 2**62, g.vertex_count - 1)
         for size in (1, 3, g.vertex_count // 2, g.vertex_count):
             vertices = np.sort(rng.choice(g.vertex_count, size, replace=False)).astype(np.int64)
             masses = rng.random(size)
             mass = SparseMass(vertices, masses / masses.sum(), int(vertices[0]))
-            for _ in range(2):  # the second push reuses the gathered rows
-                got, want = push(g, frame, mass), diffuse_step(g, mass)
+            plan = kernels.push_plan(g.indptr, g.indices, g.degrees, vertices)
+            for _ in range(2):  # a push leaves its plan as it found it
+                got, want = push(g, mass, plan), diffuse_step(g, mass)
                 assert got.vertices.tobytes() == want.vertices.tobytes()
                 assert got.masses.tobytes() == want.masses.tobytes()
 
 
 def test_diffuse_push_frame_stays_local():
     g = ring_of_cliques(12500, 8)  # 100k vertices
-    frame = kernels.Frame(g.vertex_count, 0)
     mass = from_seed(g, 0)
     ball = {0}
     for _ in range(6):
-        mass = push(g, frame, mass)
+        mass = push(g, mass)
         ball |= {int(v) for u in list(ball) for v in g.neighbors(u)}
-        # the frame is the ball the steps reached, whatever n is
-        assert frame.vertices.tolist() == sorted(ball) == mass.vertices.tolist()
-        assert frame.mass.size == frame.live.size == len(ball) < 100
+        # the reach is the ball the steps reached, whatever n is
+        assert mass.vertices.tolist() == sorted(ball)
+        assert mass.masses.size == len(ball) < 100
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba is not installed")
