@@ -176,9 +176,6 @@ def run_diffusion(
     not an error; the telemetry's ``converged`` flag reports it.
     """
     seed = g.check_vertex(seed)
-    if g.degree(seed) == 0:
-        raise ValueError(f"seed vertex {seed} is isolated; walk undefined")
-
     reached = np.array([seed], dtype=np.int64)
     mass = np.ones(1, dtype=np.float64)
     live = np.ones(1, dtype=bool)
@@ -224,12 +221,12 @@ def sweep_cut(
 ) -> tuple[np.ndarray, float, bool]:
     """Minimum-conductance prefix of ``order`` that contains the seed.
 
-    Prefixes equal to the whole vertex set are skipped (their conductance is
-    undefined). A shorter prefix can still hold every edge of the graph when
-    the rest is isolated vertices: its cut and small side are both 0, and it
-    counts as conductance 0, a whole component, never 0/0. Returns (members,
-    conductance, degenerate); degenerate marks the no-eligible-prefix
-    fallback to a singleton.
+    Prefixes equal to the whole vertex set are skipped: their conductance is
+    undefined. Every vertex has an edge, so every other prefix has a positive
+    small side; the whole set's is 0, and it is divided by 1 instead so that
+    the ineligible prefix never evaluates 0/0. Returns (members, conductance,
+    degenerate); degenerate marks the no-eligible-prefix fallback to a
+    singleton.
     """
     cuts, vols = _kernels.sweep_cutvol(g.indptr, g.indices, g.degrees, order)
     twice_m = g.total_degree

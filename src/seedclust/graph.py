@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,7 +26,7 @@ class EdgeListParseError(ValueError):
 
 
 class EmptyGraphError(ValueError):
-    """Raised when an edge-list source contains no edges at all."""
+    """Raised when an edge-list source has no edge between two distinct labels."""
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class LoadReport:
 
     duplicate_edges: int = 0
     self_loops: int = 0
+    # labels that only ever occur in self-loops, dropped with them
+    isolated_labels: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +44,9 @@ class Graph:
     """Undirected simple graph: CSR adjacency, degree array, label table.
 
     Vertices are dense integer indices; ``labels[i]`` is the external label of
-    vertex ``i``. Neighbor lists are sorted. The graph is immutable and safe to
-    share across threads.
+    vertex ``i``. Neighbor lists are sorted. Every vertex has at least one
+    edge, so degrees, volumes and conductances never divide by zero. The graph
+    is immutable and safe to share across threads.
     """
 
     indptr: np.ndarray
@@ -50,6 +54,11 @@ class Graph:
     degrees: np.ndarray
     labels: tuple[str, ...]
     load_report: LoadReport = field(default=LoadReport(), compare=False)
+
+    def __post_init__(self):
+        if not self.degrees.all():
+            u = int(np.flatnonzero(self.degrees == 0)[0])
+            raise ValueError(f"vertex {u} ({self.labels[u]!r}) has no edge")
 
     @property
     def vertex_count(self) -> int:
@@ -214,33 +223,45 @@ def _intern(
 
 
 def _graph_from_tokens(text: str, codes: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> Graph:
-    """Graph whose edges are consecutive token pairs: intern, drop self-loops, build the CSR."""
+    """Graph whose edges are consecutive token pairs: intern, drop self-loops,
+    build the CSR, then drop the labels left without an edge."""
     if starts.size == 0:
         raise EmptyGraphError("edge-list source contains no edges")
     ids, labels = _intern(text, codes, starts, lens)
     u, v = ids[0::2], ids[1::2]
     edge = u != v
     indptr, indices, degrees, duplicates = csr_from_pairs(u[edge], v[edge], len(labels))
+    isolated = 0
+    if not degrees.all():
+        linked = degrees > 0
+        if not linked.any():
+            raise EmptyGraphError("edge-list source contains no edges")
+        # renumbering by rank among the linked labels keeps every row sorted
+        indices = np.take(np.cumsum(linked) - 1, indices)
+        degrees = degrees[linked]
+        indptr = np.concatenate(([0], np.cumsum(degrees)))
+        isolated = len(labels) - degrees.size
+        labels = tuple(compress(labels, linked.tolist()))
     return Graph(
         indptr=indptr,
         indices=indices,
         degrees=degrees,
         labels=labels,
-        load_report=LoadReport(duplicate_edges=duplicates, self_loops=int(u.size - edge.sum())),
+        load_report=LoadReport(
+            duplicate_edges=duplicates,
+            self_loops=int(u.size - edge.sum()),
+            isolated_labels=isolated,
+        ),
     )
 
 
-def from_edges(pairs: Iterable[tuple[object, object]], labels: Sequence[str] | None = None) -> Graph:
-    """Build a Graph from (u, v) pairs; labels default to str() of first appearance."""
+def from_edges(pairs: Iterable[tuple[object, object]]) -> Graph:
+    """Build a Graph from (u, v) pairs, as ``load_edge_list`` would from their
+    lines; labels are str() of each end, in order of first appearance."""
     tokens = [str(x) for u, v in pairs for x in (u, v)]
     text = "".join(tokens)
     lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    g = _graph_from_tokens(text, _code_points(text), np.cumsum(lens) - lens, lens)
-    if labels is not None:
-        if len(labels) != g.vertex_count:
-            raise ValueError("label count does not match vertex count")
-        g = Graph(g.indptr, g.indices, g.degrees, tuple(labels), g.load_report)
-    return g
+    return _graph_from_tokens(text, _code_points(text), np.cumsum(lens) - lens, lens)
 
 
 def load_edge_list(source) -> Graph:
@@ -249,8 +270,10 @@ def load_edge_list(source) -> Graph:
     ``source`` may be a path, a text stream, or a string of edge-list content
     only when it contains a newline (paths never do). One edge per line, two
     labels per edge; '#'/'%' comment lines and blank lines are skipped.
-    Duplicate edges collapse, self-loops are dropped (reported in
-    ``load_report``); labels are interned in first-appearance order.
+    Duplicate edges collapse, self-loops are dropped, and so are labels that
+    occur only in self-loops (all three counted in ``load_report``); labels
+    are interned in first-appearance order. A source with no edge between
+    distinct labels raises ``EmptyGraphError``.
 
     Lines and tokens are those of ``str.splitlines`` and ``str.split``, found
     by array operations over the text's code points, with no Python loop per

@@ -75,8 +75,6 @@ def conductance(g: Graph, members) -> float:
         raise IndexError("vertex index out of range")
     vol = int(g.degrees[members].sum())
     other = g.total_degree - vol
-    if min(vol, other) == 0:
-        raise ValueError("conductance undefined: one side has zero volume")
     return cut_size(g, members) / min(vol, other)
 
 
@@ -85,8 +83,6 @@ def modularity(g: Graph, partition: Partition) -> float:
     if partition.assignments.size != g.vertex_count:
         raise ValueError("partition size does not match graph")
     m = g.edge_count
-    if m == 0:
-        return 0.0
     block = partition.assignments
     k = partition.block_count
     tails = np.repeat(block, g.degrees)

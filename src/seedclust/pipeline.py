@@ -29,8 +29,8 @@ class BlockInfo:
     seed: int
     conductance: float
     size: int
-    # the seed's diffusion (None for an isolated seed), reused by auto_centers
-    mass: SparseMass | None = field(default=None, repr=False, compare=False)
+    # the seed's diffusion, reused by auto_centers
+    mass: SparseMass = field(repr=False, compare=False)
 
 
 @dataclass
@@ -51,48 +51,28 @@ def renumber_by_first_vertex(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> PartitionResult:
-    """Cover the graph with diffusion clusters seeded at the highest-degree
-    uncovered vertex; vertices claimed twice stay where their belongingness
-    is higher. Leftover isolated vertices become singleton blocks."""
+    """Cover the graph with diffusion clusters, each seeded at the
+    highest-degree uncovered vertex (lowest index on ties); vertices claimed
+    twice stay where their belongingness is higher."""
     n = g.vertex_count
     assign = np.full(n, -1, dtype=np.int64)
     belong = np.zeros(n, dtype=np.float64)
     blocks: list[BlockInfo] = []
-    next_block = 0
 
-    while True:
-        uncovered = np.flatnonzero(assign < 0)
-        if uncovered.size == 0:
-            break
-        seed = int(uncovered[np.argmax(g.degrees[uncovered])])
-        if g.degree(seed) == 0:
-            assign[seed] = next_block
-            belong[seed] = 1.0
-            blocks.append(BlockInfo(seed=seed, conductance=1.0, size=1))
-            next_block += 1
+    # a covered vertex is never uncovered, so one order serves every block
+    for seed in np.argsort(-g.degrees, kind="stable").tolist():
+        if assign[seed] >= 0:
             continue
-
         mass, telemetry = run_diffusion(g, seed, cfg)
         report = extract_cluster(g, mass, telemetry)
-        if report.members.size == n:
-            # cluster swallowed the whole graph: demote the seed to a singleton
-            assign[seed] = next_block
-            belong[seed] = 1.0
-            blocks.append(BlockInfo(seed=seed, conductance=1.0, size=1, mass=mass))
-            next_block += 1
-            continue
-
         m = report.members
         b = mass.relative_masses(m)
         claimed = (assign[m] < 0) | (b > belong[m])
-        assign[m[claimed]] = next_block
+        assign[m[claimed]] = len(blocks)
         belong[m[claimed]] = b[claimed]
         blocks.append(
-            BlockInfo(
-                seed=seed, conductance=report.conductance, size=int(report.members.size), mass=mass
-            )
+            BlockInfo(seed=seed, conductance=report.conductance, size=int(m.size), mass=mass)
         )
-        next_block += 1
 
     # contested reassignment can empty a block; renumber densely
     dense, kept = renumber_by_first_vertex(assign)
@@ -114,11 +94,11 @@ class OverlapResult:
 def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]:
     """Diffusions of ``count`` centers: the seeds of the highest
     mean-belongingness partition blocks of more than one vertex, topped up
-    with the highest-degree non-isolated vertices if the partition is too
-    coarse. Block seeds keep the diffusion ``partition_graph`` ran; only a
-    top-up center that seeded no block is diffused here."""
+    with the highest-degree vertices if the partition is too coarse. Block
+    seeds keep the diffusion ``partition_graph`` ran; only a top-up center
+    that seeded no block is diffused here."""
     result = partition_graph(g, cfg)
-    seeded = {info.seed: info.mass for info in result.blocks if info.mass is not None}
+    seeded = {info.seed: info.mass for info in result.blocks}
     scored = [
         (info, members)
         for info, members in zip(result.blocks, result.partition.blocks())
@@ -132,7 +112,7 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]
     scored.sort(key=lambda item: (-mean_belong(item), item[0].seed))
     centers = [info.seed for info, _ in scored[:count]]
     if len(centers) < count:
-        extra = [u for u in np.argsort(-g.degrees) if g.degrees[u] > 0 and int(u) not in centers]
+        extra = [u for u in np.argsort(-g.degrees) if int(u) not in centers]
         centers += [int(u) for u in extra[: count - len(centers)]]
     return [seeded[c] if c in seeded else run_diffusion(g, c, cfg)[0] for c in centers]
 
@@ -146,21 +126,17 @@ def overlap_clusters(
     alpha: float = OVERLAP_EMBED_ALPHA,
     threshold: float = 0.3,
     rng_seed: int = 0,
-    max_iterations: int = 1000,
-    convergence_epsilon: float = 1e-9,
 ) -> OverlapResult:
     """Embed via per-center diffusion (degree-normalized) and fuzzy-cluster.
 
     Each center is diffused once: auto centers reuse the block diffusions of
-    ``partition_graph``, given ones are diffused by ``diffuse_centers``. An
-    isolated vertex never receives mass and embeds as a zero row. The default
-    ``alpha`` is much larger than the single-cluster default: the embedding
-    must stay localized around each center to carry any boundary signal, and
-    small thresholds mix to stationarity on small graphs.
+    ``partition_graph``, given ones are diffused by ``diffuse_centers``. Every
+    vertex has an edge, so the degree normalization never divides by zero.
+    The default ``alpha`` is much larger than the single-cluster default: the
+    embedding must stay localized around each center to carry any boundary
+    signal, and small thresholds mix to stationarity on small graphs.
     """
-    cfg = DiffusionConfig(
-        alpha=alpha, max_iterations=max_iterations, convergence_epsilon=convergence_epsilon
-    )
+    cfg = DiffusionConfig(alpha=alpha)
     if centers is None:
         masses = auto_centers(g, auto_count, cfg)
     else:
@@ -170,7 +146,7 @@ def overlap_clusters(
     seed_masses = np.array([raw.matrix[c, j] for j, c in enumerate(raw.centers)])
     belongingness = raw.matrix / seed_masses[None, :]
 
-    embedded = raw.matrix / np.maximum(g.degrees, 1)[:, None]
+    embedded = raw.matrix / g.degrees[:, None]
     msm = fcm_fit(embedded, k=k, m=fuzzifier, rng_seed=rng_seed)
     return OverlapResult(
         centers=raw.centers,

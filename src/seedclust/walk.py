@@ -108,10 +108,7 @@ class WalkTelemetry:
 def init_energies(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> EnergyTable:
     """Background energy alpha/d_w everywhere, beta/d_seed at the seed."""
     seed = g.check_vertex(seed)
-    if g.degree(seed) == 0:
-        raise ValueError(f"seed vertex {seed} is isolated; walk undefined")
-    with np.errstate(divide="ignore"):
-        log_e = np.log(cfg.alpha / g.degrees.astype(np.float64))
+    log_e = np.log(cfg.alpha / g.degrees.astype(np.float64))
     log_e[seed] = math.log(cfg.beta / g.degree(seed))
     visits = np.zeros(g.vertex_count, dtype=np.int64)
     visits[seed] = 1

@@ -1,9 +1,10 @@
 """Reference edge-list loader: one Python loop over lines and one dict of labels.
 
 Each line is stripped and split with ``str`` methods, labels are interned
-with ``dict.setdefault`` in first-appearance order, and repeated edges are
-dropped with ``np.unique``. ``load_edge_list`` must give the same graph
-arrays, labels, ``LoadReport`` and parse errors, with no loop per line.
+with ``dict.setdefault`` in first-appearance order, labels that no edge links
+are dropped afterwards, and repeated edges are dropped with ``np.unique``.
+``load_edge_list`` must give the same graph arrays, labels, ``LoadReport`` and
+errors, with no loop per line.
 """
 
 import numpy as np
@@ -42,15 +43,25 @@ def graph_from_label_pairs(pairs) -> Graph:
             continue
         us.append(u)
         vs.append(v)
-    if not index:
+    linked = set(us) | set(vs)
+    if not linked:
         raise EmptyGraphError("edge-list source contains no edges")
-    indptr, indices, degrees, duplicates = csr_from_pairs(us, vs, len(index))
+    kept = [i for i in range(len(index)) if i in linked]
+    new_id = {i: k for k, i in enumerate(kept)}
+    labels = tuple(index)
+    indptr, indices, degrees, duplicates = csr_from_pairs(
+        [new_id[u] for u in us], [new_id[v] for v in vs], len(kept)
+    )
     return Graph(
         indptr=indptr,
         indices=indices,
         degrees=degrees,
-        labels=tuple(index),
-        load_report=LoadReport(duplicate_edges=duplicates, self_loops=self_loops),
+        labels=tuple(labels[i] for i in kept),
+        load_report=LoadReport(
+            duplicate_edges=duplicates,
+            self_loops=self_loops,
+            isolated_labels=len(index) - len(kept),
+        ),
     )
 
 

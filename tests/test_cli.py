@@ -151,6 +151,17 @@ def test_isolated_vertex_keeps_conductance_finite(tmp_path, command):
     assert "z" not in [m["vertex"] for m in doc["members"]]
 
 
+def test_self_loop_only_label_leaves_the_cluster_local(tmp_path):
+    # "z z" is dropped at load, so it cannot make the whole component a 0/0 cut
+    graph = tmp_path / "loop.edges"
+    graph.write_text("a b\nb c\nc a\nc d\nd e\ne c\nz z\n")
+    out = tmp_path / "out.json"
+    assert main(["cluster", "--graph", str(graph), "--seed", "a", "--out", str(out)]) == 0
+    doc = strict_json(out.read_text())
+    assert [m["vertex"] for m in doc["members"]] == ["a", "b"]
+    assert doc["conductance"] == 0.5
+
+
 @pytest.mark.parametrize(
     "edges, centers",
     [
@@ -173,6 +184,7 @@ def test_overlap_with_isolated_vertex_stays_finite(tmp_path, edges, centers):
     assert "z" not in doc["centers"] and "y" not in doc["centers"]
     rows = [line.split(",")[1:] for line in memberships.read_text().splitlines()[1:]]
     u = np.array(rows, dtype=np.float64)
-    assert u.shape[0] == len(set(edges.split()))  # one row per vertex, isolated ones too
+    linked = {t for line in edges.splitlines() for t in line.split() if len(set(line.split())) == 2}
+    assert u.shape[0] == len(linked)  # one row per linked label; "z z" and "y y" are dropped
     assert np.isfinite(u).all()
     assert np.allclose(u.sum(axis=1), 1.0)

@@ -46,24 +46,6 @@ def test_single_edge_splits_mass():
     assert as_dict(out) == {0: 0.5, 1: 0.5}
 
 
-def test_diffuse_step_rejects_isolated_support():
-    from seedclust.graph import Graph
-
-    g = Graph(
-        indptr=np.array([0, 1, 2, 2], dtype=np.int64),
-        indices=np.array([1, 0], dtype=np.int64),
-        degrees=np.array([1, 1, 0], dtype=np.int64),
-        labels=("a", "b", "c"),
-    )
-    bad = SparseMass(
-        vertices=np.array([0, 2], dtype=np.int64),
-        masses=np.array([0.5, 0.5]),
-        seed=0,
-    )
-    with pytest.raises(ValueError):
-        diffuse_step(g, bad)
-
-
 def test_dense_oracle_equivalence_alpha_zero():
     for g in random_graphs(5, n_max=48):
         m = dense_transition_matrix(g)
@@ -214,14 +196,14 @@ def test_bad_seeds_rejected():
     g = from_edges([(0, 1)])
     with pytest.raises(IndexError):
         run_diffusion(g, 7)
-    lonely = Graph(
-        indptr=np.array([0, 1, 2, 2], dtype=np.int64),
-        indices=np.array([1, 0], dtype=np.int64),
-        degrees=np.array([1, 1, 0], dtype=np.int64),
-        labels=("a", "b", "c"),
-    )
-    with pytest.raises(ValueError):
-        run_diffusion(lonely, 2)
+    # no isolated seed can be given: a Graph with an isolated vertex is never built
+    with pytest.raises(ValueError, match="vertex 2 \\('c'\\) has no edge"):
+        Graph(
+            indptr=np.array([0, 1, 2, 2], dtype=np.int64),
+            indices=np.array([1, 0], dtype=np.int64),
+            degrees=np.array([1, 1, 0], dtype=np.int64),
+            labels=("a", "b", "c"),
+        )
 
 
 # --- run_diffusion against the oracle loop, bit for bit ---------------------

@@ -99,14 +99,13 @@ def test_transition_prob_errors():
         run_diffusion(g, 99)
     from seedclust.graph import Graph
 
-    isolated = Graph(
-        indptr=np.array([0, 0], dtype=np.int64),
-        indices=np.array([], dtype=np.int64),
-        degrees=np.array([0], dtype=np.int64),
-        labels=("x",),
-    )
-    with pytest.raises(ValueError):
-        run_diffusion(isolated, 0)
+    with pytest.raises(ValueError, match="vertex 0 \\('x'\\) has no edge"):
+        Graph(
+            indptr=np.array([0, 0], dtype=np.int64),
+            indices=np.array([], dtype=np.int64),
+            degrees=np.array([0], dtype=np.int64),
+            labels=("x",),
+        )
 
 
 def test_transition_rows_sum_to_one():
@@ -127,18 +126,6 @@ def test_component_of_disjoint_triangles(two_triangles):
     assert component_of(two_triangles, 4).tolist() == [3, 4, 5]
 
 
-def test_component_of_isolated_vertex():
-    from seedclust.graph import Graph
-
-    g = Graph(
-        indptr=np.array([0, 1, 2, 2], dtype=np.int64),
-        indices=np.array([1, 0], dtype=np.int64),
-        degrees=np.array([1, 1, 0], dtype=np.int64),
-        labels=("a", "b", "c"),
-    )
-    assert component_of(g, 2).tolist() == [2]
-
-
 def test_labels_interned_in_first_appearance_order():
     g = load_edge_list(io.StringIO("b a\nc a\n"))
     assert g.labels == ("b", "a", "c")
@@ -152,7 +139,7 @@ def test_labels_roundtrip(path4):
 
 
 def test_label_index_is_built_on_first_lookup():
-    g = from_edges([("x", "y"), ("y", "z")], labels=("p", "q", "r"))
+    g = from_edges([("p", "q"), ("q", "r")])
     assert "_label_index" not in vars(g)
     assert g.index_of("r") == 2
     assert g._label_index == {"p": 0, "q": 1, "r": 2}
@@ -178,10 +165,11 @@ def test_from_edges_matches_loader_on_the_same_text():
     pairs = [(3, 1), ("a", 3), (1, 3), (2, 2), (1, "a")]
     g = from_edges(pairs)
     h = load_edge_list(io.StringIO("".join(f"{u} {v}\n" for u, v in pairs)))
-    assert g.labels == h.labels == ("3", "1", "a", "2")
+    assert g.labels == h.labels == ("3", "1", "a")  # "2" only loops on itself
     assert np.array_equal(g.indptr, h.indptr)
     assert np.array_equal(g.indices, h.indices)
     assert g.load_report == h.load_report
+    assert g.load_report.isolated_labels == 1
 
 
 # Characters of labels: none is whitespace; "#"/"%" and NUL occur inside labels.

@@ -1,10 +1,10 @@
 """Every subcommand on hostile edge lists: strict JSON or one clean error line.
 
 The lists mix duplicate edges in both orientations, self-loop-only labels
-(isolated vertices), many small components and graphs of two or three
+(dropped at load), many small components and graphs of two or three
 vertices. Each subcommand runs in-process twice; a run either exits 0 with
 valid output or exits 1 with a single ``error:`` line, and reruns are
-byte-identical.
+byte-identical. A self-loop-only label changes no output.
 """
 
 import contextlib
@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seedclust.cli import main
@@ -39,6 +39,18 @@ def strict_json(text):
         raise ValueError(f"{name} is not JSON")
 
     return json.loads(text, parse_constant=reject)
+
+
+def linked_labels(text) -> set:
+    """Labels that occur in an edge between two distinct labels."""
+    pairs = [line.split() for line in text.splitlines()]
+    return {t for pair in pairs if pair[0] != pair[1] for t in pair}
+
+
+def write_graph(text) -> str:
+    with tempfile.NamedTemporaryFile("w", suffix=".edges", delete=False) as f:
+        f.write(text)
+    return f.name
 
 
 def run(argv):
@@ -66,45 +78,66 @@ def check(argv):
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=hostile_edge_lists())
+@example(text="v1 v1\nz0 z0\n")
 def test_subcommands_survive_hostile_edge_lists(text):
-    with tempfile.NamedTemporaryFile("w", suffix=".edges", delete=False) as f:
-        f.write(text)
-    graph = f.name
+    graph = write_graph(text)
     try:
-        labels = set(text.split())
-        pairs = [line.split() for line in text.splitlines()]
-        linked = {t for pair in pairs if pair[0] != pair[1] for t in pair}
+        linked = linked_labels(text)
         seed = text.split()[0]
 
         for command in ("cluster", "walk"):
             rc, out, _, _ = check([command, "--graph", graph, "--seed", seed])
-            assert (rc == 0) == (seed in linked)  # only an isolated seed is an error
+            assert (rc == 0) == (seed in linked)  # a self-loop-only seed is unknown
             if rc == 0:
                 doc = strict_json(out)
                 assert 0.0 <= doc["conductance"] <= 1.0
                 assert seed in [m["vertex"] for m in doc["members"]]
 
         rc, out, err, _ = check(["partition", "--graph", graph])
-        assert rc == 0
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert sorted(label for label, _ in rows) == sorted(labels)
-        q = float(err.split("modularity=")[1])
-        assert -0.5 <= q <= 1.0
+        assert (rc == 0) == bool(linked)  # an all-self-loop list has no edge
+        if rc == 0:
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert sorted(label for label, _ in rows) == sorted(linked)
+            q = float(err.split("modularity=")[1])
+            assert -0.5 <= q <= 1.0
 
         rc, out, _, files = check(
             ["overlap", "--graph", graph, "--centers", "auto:2",
              "--memberships-out", "{tmp}/u.csv"]
         )
-        # two non-isolated centres and k = 3 data points suffice
-        assert (rc == 0) == (len(linked) >= 2 and len(labels) >= 3)
+        # two centres and k = 3 data points suffice
+        assert (rc == 0) == (len(linked) >= 3)
         if rc == 0:
             doc = strict_json(out)
             covered = {v for c in doc["clusters"] for v in c["members"]}
-            assert covered == labels
+            assert covered == linked
             rows = [line.split(",")[1:] for line in files["u.csv"].decode().splitlines()[1:]]
             u = np.array(rows, dtype=np.float64)
-            assert u.shape[0] == len(labels)
+            assert u.shape[0] == len(linked)
             assert np.isfinite(u).all()
             assert np.allclose(u.sum(axis=1), 1.0)
     finally:
         Path(graph).unlink()
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=hostile_edge_lists())
+@example(text="v0 v1\nv1 v2\nv2 v0\nv2 v3\nv3 v4\nv4 v2\nz0 z0\n")
+@example(text="v0 v0\n")
+def test_self_loop_only_labels_change_no_output(text):
+    linked = linked_labels(text)
+    stripped = "".join(line + "\n" for line in text.splitlines() if line.split()[0] in linked)
+    graphs = write_graph(text), write_graph(stripped)
+    try:
+        seed = text.split()[0]
+        for argv in (
+            ["cluster", "--seed", seed],
+            ["walk", "--seed", seed],
+            ["partition"],
+            ["overlap", "--centers", "auto:2"],
+        ):
+            runs = [run([argv[0], "--graph", graph, *argv[1:]])[:3] for graph in graphs]
+            assert runs[0] == runs[1], argv
+    finally:
+        for graph in graphs:
+            Path(graph).unlink()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from seedclust import (
     DiffusionConfig,
     ExperimentSpec,
+    load_edge_list,
     modularity,
     overlap_clusters,
     partition_graph,
@@ -48,18 +50,14 @@ def test_partition_karate_quality(karate):
     assert abs(best - 0.42) <= 0.05
 
 
-def test_partition_isolated_vertices_become_singletons():
-    from seedclust.graph import Graph
-
-    g = Graph(
-        indptr=np.array([0, 1, 2, 2], dtype=np.int64),
-        indices=np.array([1, 0], dtype=np.int64),
-        degrees=np.array([1, 1, 0], dtype=np.int64),
-        labels=("a", "b", "c"),
-    )
-    result = partition_graph(g, DiffusionConfig(alpha=1e-3))
-    blocks = [sorted(b.tolist()) for b in result.partition.blocks()]
-    assert sorted(blocks) == [[0, 1], [2]]
+def test_partition_ignores_self_loop_only_labels():
+    text = "a b\nb c\nc a\nc d\nd e\ne c\n"
+    cfg = DiffusionConfig(alpha=1e-3)
+    with_loop = partition_graph(load_edge_list(io.StringIO(text + "z z\n")), cfg)
+    without = partition_graph(load_edge_list(io.StringIO(text)), cfg)
+    assert with_loop.partition.assignments.tolist() == without.partition.assignments.tolist()
+    assert with_loop.blocks == without.blocks
+    assert with_loop.modularity == without.modularity
 
 
 def first_seen_loop(assign):
