@@ -30,14 +30,12 @@ from .graph import (
     from_edges,
     load_edge_list,
 )
-from .metrics import Partition, conductance, modularity
+from .metrics import Partition, modularity
 from .pipeline import (
-    ExperimentSpec,
     OverlapResult,
     PartitionResult,
     overlap_clusters,
     partition_graph,
-    run_benchmark,
 )
 from .walk import (
     EnergyTable,
@@ -58,7 +56,6 @@ __all__ = [
     "EmbeddingMatrix",
     "EmptyGraphError",
     "EnergyTable",
-    "ExperimentSpec",
     "Graph",
     "MembershipMatrix",
     "OverlapReport",
@@ -69,7 +66,6 @@ __all__ = [
     "WalkConfig",
     "build_embedding",
     "component_of",
-    "conductance",
     "extract_cluster",
     "extract_cluster_from_energy",
     "fcm_fit",
@@ -82,7 +78,6 @@ __all__ = [
     "overlap_clusters",
     "overlap_report",
     "partition_graph",
-    "run_benchmark",
     "run_diffusion",
     "run_walk",
 ]

@@ -17,18 +17,22 @@ import numpy as np
 from .diffusion import DiffusionConfig, extract_cluster, run_diffusion
 from .graph import Graph, load_edge_list
 from .metrics import Partition, modularity
-from .pipeline import (
-    OVERLAP_EMBED_ALPHA,
-    ExperimentSpec,
-    overlap_clusters,
-    partition_graph,
-    run_benchmark,
-)
+from .pipeline import OVERLAP_EMBED_ALPHA, overlap_clusters, partition_graph
 from .walk import WalkConfig, extract_cluster_from_energy, run_walk
 
 
 def _load_graph(path: str) -> Graph:
     return load_edge_list(Path(path))
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _diffusion_config(args) -> DiffusionConfig:
+    return DiffusionConfig(
+        alpha=args.alpha, max_iterations=args.max_iters, convergence_epsilon=args.eps
+    )
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -48,13 +52,10 @@ def _parse_schedule(text: str) -> tuple[tuple[float, int], ...]:
 
 def cmd_cluster(args) -> int:
     g = _load_graph(args.graph)
-    cfg = DiffusionConfig(
-        alpha=args.alpha, max_iterations=args.max_iters, convergence_epsilon=args.eps
-    )
-    mass, telemetry = run_diffusion(g, g.index_of(args.seed), cfg)
+    mass, telemetry = run_diffusion(g, g.index_of(args.seed), _diffusion_config(args))
     report = extract_cluster(g, mass, telemetry)
     doc = report.to_json_dict(g, include_timing=args.include_timing)
-    _write_or_print(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
+    _write_or_print(_json_text(doc), args.out)
     print(
         f"cluster seed={args.seed} size={report.members.size} "
         f"conductance={report.conductance!r} iterations={report.iterations_used} "
@@ -85,7 +86,7 @@ def cmd_walk(args) -> int:
         }
         for p in telemetry.phases
     ]
-    _write_or_print(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
+    _write_or_print(_json_text(doc), args.out)
     print(
         f"walk seed={args.seed} size={report.members.size} "
         f"conductance={report.conductance!r} steps={telemetry.total_steps}",
@@ -96,10 +97,7 @@ def cmd_walk(args) -> int:
 
 def cmd_partition(args) -> int:
     g = _load_graph(args.graph)
-    cfg = DiffusionConfig(
-        alpha=args.alpha, max_iterations=args.max_iters, convergence_epsilon=args.eps
-    )
-    result = partition_graph(g, cfg)
+    result = partition_graph(g, _diffusion_config(args))
     _write_or_print(result.partition.to_csv(g), args.out)
     print(
         f"partition blocks={result.partition.block_count} modularity={result.modularity!r}",
@@ -132,7 +130,7 @@ def cmd_overlap(args) -> int:
     doc["objective"] = result.membership.objective
     if args.memberships_out:
         Path(args.memberships_out).write_text(result.membership.to_csv(g))
-    _write_or_print(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
+    _write_or_print(_json_text(doc), args.out)
     print(
         f"overlap centers={doc['centers']} k={args.k} objective={result.membership.objective!r}",
         file=sys.stderr,
@@ -149,22 +147,47 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """One diffusion, written as a telemetry CSV and a summary JSON."""
     g = _load_graph(args.graph)
-    spec = ExperimentSpec(
-        graph_path=args.graph,
-        telemetry_out=args.telemetry_out,
-        seed_label=args.seed,
-        alpha=args.alpha,
-        max_iterations=args.max_iters,
-        convergence_epsilon=args.eps,
-        cluster_out=args.cluster_out,
-        summary_out=args.summary_out,
-        include_partition=args.partition,
-        wall_clock=args.wall_clock,
-    )
-    summary = run_benchmark(g, spec)
-    print(json.dumps(summary, indent=2, allow_nan=False))
+    seed = g.index_of(args.seed) if args.seed is not None else int(np.argmax(g.degrees))
+    cfg = _diffusion_config(args)
+    mass, telemetry = run_diffusion(g, seed, cfg)
+    report = extract_cluster(g, mass, telemetry)
+
+    # a run takes at least one step, so rows[0] names the columns
+    rows = telemetry.rows(include_timing=args.wall_clock)
+    lines = [",".join(rows[0])] + [",".join(repr(v) for v in row.values()) for row in rows]
+    Path(args.telemetry_out).write_text("\n".join(lines) + "\n")
+
+    summary = {
+        "schema": "seedclust/bench-summary/v1",
+        "graph": args.graph,
+        "seed": g.label_of(seed),
+        "alpha": args.alpha,
+        "iterations": report.iterations_used,
+        "converged": report.converged,
+        "cluster_size": int(report.members.size),
+        "conductance": report.conductance,
+    }
+    if args.partition:
+        result = partition_graph(g, cfg)
+        summary["blocks"] = result.partition.block_count
+        summary["modularity"] = result.modularity
+
+    if args.cluster_out:
+        doc = report.to_json_dict(g, include_timing=args.wall_clock)
+        Path(args.cluster_out).write_text(_json_text(doc))
+    if args.summary_out:
+        Path(args.summary_out).write_text(_json_text(summary))
+    sys.stdout.write(_json_text(summary))
     return 0
+
+
+def _add_diffusion_flags(p: argparse.ArgumentParser) -> None:
+    defaults = DiffusionConfig()
+    p.add_argument("--alpha", type=float, default=defaults.alpha)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iterations)
+    p.add_argument("--eps", type=float, default=defaults.convergence_epsilon)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="diffusion cluster around one seed")
     p.add_argument("--graph", required=True)
     p.add_argument("--seed", required=True, help="seed vertex label")
-    p.add_argument("--alpha", type=float, default=1e-5)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=1e-9)
+    _add_diffusion_flags(p)
     p.add_argument("--out", default=None, help="cluster report JSON path (default stdout)")
     p.add_argument("--include-timing", action="store_true")
     p.set_defaults(func=cmd_cluster)
@@ -196,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="cover the graph with diffusion clusters")
     p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=float, default=1e-5)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=1e-9)
+    _add_diffusion_flags(p)
     p.add_argument("--out", default=None, help="partition CSV path (default stdout)")
     p.set_defaults(func=cmd_partition)
 
@@ -223,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--telemetry-out", required=True)
     p.add_argument("--seed", default=None, help="seed label (default: max-degree vertex)")
-    p.add_argument("--alpha", type=float, default=1e-5)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=1e-9)
+    _add_diffusion_flags(p)
     p.add_argument("--cluster-out", default=None)
     p.add_argument("--summary-out", default=None)
     p.add_argument("--partition", action="store_true", help="also build a partition and report Q")

@@ -16,7 +16,7 @@ scans all n vertices.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,6 +100,15 @@ class DiffusionTelemetry:
     def iterations_used(self) -> int:
         return len(self.iterations)
 
+    def rows(self, include_timing: bool = False) -> list[dict]:
+        """One dict per iteration: ``iteration`` from 1, then the record's
+        fields in order, ``seconds`` only when ``include_timing``."""
+        names = [f.name for f in fields(IterationStats) if include_timing or f.name != "seconds"]
+        return [
+            {"iteration": i, **{name: getattr(s, name) for name in names}}
+            for i, s in enumerate(self.iterations, 1)
+        ]
+
 
 @dataclass(eq=False)
 class ClusterReport:
@@ -128,17 +137,7 @@ class ClusterReport:
             "degenerate": self.degenerate,
         }
         if self.telemetry is not None:
-            doc["telemetry"] = [
-                {
-                    "iteration": i + 1,
-                    "l1_change": s.l1_change,
-                    "support_size": s.support_size,
-                    "support_volume": s.support_volume,
-                    "ops": s.ops,
-                    **({"seconds": s.seconds} if include_timing else {}),
-                }
-                for i, s in enumerate(self.telemetry.iterations)
-            ]
+            doc["telemetry"] = self.telemetry.rows(include_timing)
         return doc
 
 

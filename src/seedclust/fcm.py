@@ -127,8 +127,9 @@ def fcm_fit(
     obj = np.inf
     iterations = 0
     history: list[float] = []
+    # each iteration's post-update distances are the next iteration's input
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     for iterations in range(1, max_iters + 1):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         u = _memberships_from_distances(d2, m)
         um = u ** m
         denom = um.sum(axis=0)

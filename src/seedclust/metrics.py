@@ -1,4 +1,4 @@
-"""Cluster and partition quality: conductance and null-model modularity."""
+"""Partition quality: block assignments and null-model modularity."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import gather_rows
 from .graph import Graph
 
 
@@ -56,26 +55,6 @@ class Partition:
         # renumber to dense ids in sorted block-id order
         _, dense = np.unique(assignments, return_inverse=True)
         return cls(dense)
-
-
-def cut_size(g: Graph, members: np.ndarray) -> int:
-    """Number of edges with exactly one endpoint in ``members``."""
-    in_set = np.zeros(g.vertex_count, dtype=bool)
-    in_set[members] = True
-    nbrs, _ = gather_rows(g.indptr, g.indices, np.asarray(members, dtype=np.int64))
-    return int(np.count_nonzero(~in_set[nbrs]))
-
-
-def conductance(g: Graph, members) -> float:
-    """cut(S, V-S) / min(vol(S), vol(V-S)); undefined for empty or full S."""
-    members = np.unique(np.asarray(list(members), dtype=np.int64))
-    if members.size == 0 or members.size == g.vertex_count:
-        raise ValueError("conductance undefined for empty set or the whole vertex set")
-    if members.min() < 0 or members.max() >= g.vertex_count:
-        raise IndexError("vertex index out of range")
-    vol = int(g.degrees[members].sum())
-    other = g.total_degree - vol
-    return cut_size(g, members) / min(vol, other)
 
 
 def modularity(g: Graph, partition: Partition) -> float:

@@ -1,15 +1,13 @@
-"""Whole-graph experiment flows built from the per-seed primitives:
-partition assembly, the overlap pipeline, and the telemetry benchmark."""
+"""Whole-graph flows built from the per-seed primitives: partition assembly
+and the overlap pipeline."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .diffusion import ClusterReport, DiffusionConfig, SparseMass, extract_cluster, run_diffusion
+from .diffusion import DiffusionConfig, SparseMass, extract_cluster, run_diffusion
 from .fcm import (
     MembershipMatrix,
     OverlapReport,
@@ -19,7 +17,7 @@ from .fcm import (
     overlap_report,
 )
 from .graph import Graph
-from .metrics import Partition, conductance, modularity
+from .metrics import Partition, modularity
 
 OVERLAP_EMBED_ALPHA = 0.04
 
@@ -155,75 +153,3 @@ def overlap_clusters(
         belongingness=belongingness,
     )
 
-
-@dataclass
-class ExperimentSpec:
-    """One benchmark invocation: dataset, seed choice, diffusion parameters, outputs."""
-
-    graph_path: str
-    telemetry_out: str
-    seed_label: str | None = None
-    alpha: float = 1e-5
-    max_iterations: int = 1000
-    convergence_epsilon: float = 1e-9
-    cluster_out: str | None = None
-    summary_out: str | None = None
-    include_partition: bool = False
-    wall_clock: bool = False
-
-
-def telemetry_csv(report: ClusterReport, wall_clock: bool = False) -> str:
-    header = "iteration,l1_change,support_size,support_volume,ops"
-    if wall_clock:
-        header += ",seconds"
-    lines = [header]
-    for i, s in enumerate(report.telemetry.iterations):
-        row = f"{i + 1},{float(s.l1_change)!r},{s.support_size},{s.support_volume},{s.ops}"
-        if wall_clock:
-            row += f",{float(s.seconds)!r}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
-
-
-def run_benchmark(g: Graph, spec: ExperimentSpec) -> dict:
-    """Run one seeded diffusion, write telemetry CSV (and optional cluster
-    JSON / summary JSON), and return the summary dict."""
-    if spec.seed_label is not None:
-        seed = g.index_of(spec.seed_label)
-    else:
-        seed = int(np.argmax(g.degrees))
-    cfg = DiffusionConfig(
-        alpha=spec.alpha,
-        max_iterations=spec.max_iterations,
-        convergence_epsilon=spec.convergence_epsilon,
-    )
-    mass, telemetry = run_diffusion(g, seed, cfg)
-    report = extract_cluster(g, mass, telemetry)
-
-    Path(spec.telemetry_out).write_text(telemetry_csv(report, wall_clock=spec.wall_clock))
-
-    summary = {
-        "schema": "seedclust/bench-summary/v1",
-        "graph": spec.graph_path,
-        "seed": g.label_of(seed),
-        "alpha": spec.alpha,
-        "iterations": report.iterations_used,
-        "converged": report.converged,
-        "cluster_size": int(report.members.size),
-        "conductance": report.conductance,
-    }
-    if spec.include_partition:
-        result = partition_graph(g, cfg)
-        summary["blocks"] = result.partition.block_count
-        summary["modularity"] = result.modularity
-
-    if spec.cluster_out:
-        Path(spec.cluster_out).write_text(
-            json.dumps(
-                report.to_json_dict(g, include_timing=spec.wall_clock), indent=2, allow_nan=False
-            )
-            + "\n"
-        )
-    if spec.summary_out:
-        Path(spec.summary_out).write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
-    return summary

@@ -15,7 +15,6 @@ over the rest of the graph.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +92,6 @@ class PhaseStats:
     f: float
     steps: int
     visits: dict[int, int]
-    seconds: float
 
 
 @dataclass
@@ -134,7 +132,6 @@ def run_walk(
     telemetry = WalkTelemetry()
 
     for f, steps in cfg.phases():
-        t0 = time.perf_counter()
         state.current_vertex = state.seed
         path = np.empty(steps, dtype=np.int64)
         if steps > 0:
@@ -158,7 +155,6 @@ def run_walk(
                 f=float(f),
                 steps=int(steps),
                 visits=dict(zip(arrivals.tolist(), counts.tolist())),
-                seconds=time.perf_counter() - t0,
             )
         )
     return state, telemetry

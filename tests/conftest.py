@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,14 @@ from seedclust.datasets import karate_club, random_connected_graph, two_clique_b
 @pytest.fixture(scope="session")
 def karate() -> Graph:
     return karate_club()
+
+
+@pytest.fixture
+def karate_path(tmp_path) -> str:
+    """The packaged karate edge list, copied to a file of its own."""
+    path = tmp_path / "karate.edges"
+    path.write_text(resources.files("seedclust").joinpath("data/karate.edges").read_text())
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,9 @@
 import json
-from importlib import resources
 
 import numpy as np
 import pytest
 
 from seedclust.cli import main
-
-
-@pytest.fixture
-def karate_path(tmp_path):
-    path = tmp_path / "karate.edges"
-    path.write_text(resources.files("seedclust").joinpath("data/karate.edges").read_text())
-    return str(path)
 
 
 def test_cluster_subcommand(tmp_path, karate_path, capsys):
@@ -111,6 +103,25 @@ def test_bench_wall_clock_column(tmp_path, karate_path, capsys):
     )
     assert rc == 0
     assert telemetry.read_text().splitlines()[0].endswith(",seconds")
+
+
+def test_bench_csv_rows_equal_cluster_telemetry(tmp_path, karate_path, capsys):
+    telemetry = tmp_path / "telemetry.csv"
+    cluster = tmp_path / "cluster.json"
+    rc = main(
+        [
+            "bench", "--graph", karate_path, "--telemetry-out", str(telemetry),
+            "--alpha", "1e-3", "--wall-clock", "--cluster-out", str(cluster),
+        ]
+    )
+    assert rc == 0
+    header, *lines = telemetry.read_text().splitlines()
+    # every CSV cell is a Python repr, which parses as the JSON number it renders
+    rows = [dict(zip(header.split(","), map(json.loads, line.split(",")))) for line in lines]
+    doc = json.loads(cluster.read_text())
+    assert len(rows) == doc["iterations"] > 1
+    assert rows == doc["telemetry"]
+    assert all(list(row) == list(entry) for row, entry in zip(rows, doc["telemetry"]))
 
 
 def test_missing_graph_fails_nonzero(capsys):

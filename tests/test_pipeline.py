@@ -6,13 +6,12 @@ import pytest
 
 from seedclust import (
     DiffusionConfig,
-    ExperimentSpec,
     load_edge_list,
     modularity,
     overlap_clusters,
     partition_graph,
-    run_benchmark,
 )
+from seedclust.cli import main
 from seedclust.datasets import ring_of_cliques
 from seedclust.pipeline import renumber_by_first_vertex
 
@@ -99,21 +98,19 @@ def test_overlap_auto_centers(karate):
     assert len(set(result.centers)) == 2
 
 
-def test_benchmark_outputs(tmp_path, karate):
-    import importlib.resources as resources
-
-    graph_path = tmp_path / "karate.edges"
-    graph_path.write_text(resources.files("seedclust").joinpath("data/karate.edges").read_text())
-    spec = ExperimentSpec(
-        graph_path=str(graph_path),
-        telemetry_out=str(tmp_path / "telemetry.csv"),
-        seed_label="33",
-        alpha=1e-3,
-        cluster_out=str(tmp_path / "cluster.json"),
-        summary_out=str(tmp_path / "summary.json"),
-        include_partition=True,
+def test_benchmark_outputs(tmp_path, karate_path, capsys):
+    rc = main(
+        [
+            "bench", "--graph", karate_path,
+            "--telemetry-out", str(tmp_path / "telemetry.csv"),
+            "--seed", "33", "--alpha", "1e-3",
+            "--cluster-out", str(tmp_path / "cluster.json"),
+            "--summary-out", str(tmp_path / "summary.json"),
+            "--partition",
+        ]
     )
-    summary = run_benchmark(karate, spec)
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
     assert summary["converged"]
     assert "modularity" in summary
 
@@ -129,17 +126,18 @@ def test_benchmark_outputs(tmp_path, karate):
     assert saved == summary
 
 
-def test_benchmark_deterministic(tmp_path, karate):
+def test_benchmark_deterministic(tmp_path, karate_path):
     outs = []
     for run in (1, 2):
-        spec = ExperimentSpec(
-            graph_path="karate",
-            telemetry_out=str(tmp_path / f"t{run}.csv"),
-            seed_label="0",
-            alpha=1e-3,
+        telemetry = tmp_path / f"t{run}.csv"
+        rc = main(
+            [
+                "bench", "--graph", karate_path, "--telemetry-out", str(telemetry),
+                "--seed", "0", "--alpha", "1e-3",
+            ]
         )
-        run_benchmark(karate, spec)
-        outs.append((tmp_path / f"t{run}.csv").read_bytes())
+        assert rc == 0
+        outs.append(telemetry.read_bytes())
     assert outs[0] == outs[1]
 
 

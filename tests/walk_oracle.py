@@ -79,7 +79,6 @@ def run_oracle(g, seed: int, cfg: WalkConfig = WalkConfig()):
                 f=float(f),
                 steps=int(steps),
                 visits={int(u): int(delta[u]) for u in visited},
-                seconds=0.0,
             )
         )
     return state, telemetry
