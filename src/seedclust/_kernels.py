@@ -84,7 +84,9 @@ def diffuse_push(indptr, indices, degrees, support, mass, plan):
     ``bincount`` that adds each vertex's half-mass first and then its
     neighbours' shares in row order, so it costs the support's volume plus
     its one-step reach, never n. Only ``mass`` and ``plan`` are read; the
-    graph and ``support`` name the work the step stands for.
+    graph and ``support`` name the work the step stands for. A fixed-point
+    solve passes the plan's terms that land on the support, renumbered over
+    it and rescaled, with ``mass`` over the support.
     """
     reached, _, sources, divisors, targets = plan
     return np.bincount(targets, weights=mass.take(sources) / divisors, minlength=reached.size)

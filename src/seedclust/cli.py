@@ -173,6 +173,7 @@ def cmd_bench(args) -> int:
         result = partition_graph(g, cfg)
         summary["blocks"] = result.partition.block_count
         summary["modularity"] = result.modularity
+        summary["unconverged_blocks"] = sum(not info.converged for info in result.blocks)
 
     if args.cluster_out:
         doc = report.to_json_dict(g, include_timing=args.wall_clock)

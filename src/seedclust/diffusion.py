@@ -11,10 +11,26 @@ A run keeps its state on the vertices the current support reaches in one step
 and a mask of the support. That state and the step's plan change only when
 the support does, so one iteration costs O(support volume), and nothing
 scans all n vertices.
+
+The support stops changing long before the mass does. Once it has stayed the
+same for ``SETTLE_STEPS`` steps, diffuse+truncate is a linear map on it whose
+fixed point solves one symmetric positive definite system, and
+``solve_fixed_point`` solves it by conjugate gradients instead of iterating
+the map. The next ordinary step checks the result: its truncation keeps the
+support only if every kept entry is at least ``alpha`` times the seed's mass
+and every frontier entry is below it, and its L1 change is the solved
+distribution's residual. If the support changes there, iteration resumes
+from the solved distribution. ``iterations`` counts pushes: one per
+diffuse+truncate step and one per solve step, each with its own record, so
+``max_iterations`` bounds a run's work either way. ``converged`` means that
+a diffuse+truncate step moved the distribution by less than
+``convergence_epsilon``: after a solve, the residual at a fixed point whose
+support that step verified.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -31,7 +47,10 @@ class DiffusionConfig:
     ``alpha`` is the truncation threshold relative to the seed's mass;
     ``alpha=0`` disables truncation (useful for stationary-distribution
     checks). Convergence is declared when the L1 change between consecutive
-    post-truncation distributions drops below ``convergence_epsilon``.
+    post-truncation distributions drops below ``convergence_epsilon``; a
+    fixed-point solve aims at ``SOLVE_TOLERANCE`` times it. With
+    ``convergence_epsilon=0`` nothing converges and nothing is solved: the
+    run is ``max_iterations`` plain diffuse+truncate steps.
     """
 
     alpha: float = 1e-5
@@ -95,6 +114,8 @@ class DiffusionTelemetry:
 
     iterations: list[IterationStats] = field(default_factory=list)
     converged: bool = False
+    # record indices of each fixed-point solve's steps
+    solves: list[range] = field(default_factory=list)
 
     @property
     def iterations_used(self) -> int:
@@ -138,6 +159,10 @@ class ClusterReport:
         }
         if self.telemetry is not None:
             doc["telemetry"] = self.telemetry.rows(include_timing)
+            # a solve's rows carry its bound on the next step's L1 change
+            doc["solves"] = [
+                {"first": steps.start + 1, "last": steps.stop} for steps in self.telemetry.solves
+            ]
         return doc
 
 
@@ -164,6 +189,59 @@ def truncate(
     return keep, l1
 
 
+SETTLE_STEPS = 3  # steps a support stays the same before its fixed point is solved
+SOLVE_TOLERANCE = 1e-3  # a solve's bound on the next step's L1 change, in epsilons
+
+
+def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
+    """Fixed point of diffuse+truncate on a settled ``support``, over ``plan``'s reach.
+
+    A is the lazy walk restricted to the support: the plan's terms whose
+    target is on the support (``live`` over the reach). With the mass that
+    leaks off the support sent back to the seed, the fixed point is
+    y / sum(y) with (I - A) y = e_seed. Conjugate gradients solve the
+    symmetric form D^-1/2 (I - A) D^1/2 z = D^-1/2 e_seed, y = D^1/2 z, which
+    is positive definite when the support has a frontier; scaling the terms'
+    divisors by sqrt(d_target / d_source) makes each product one
+    ``diffuse_push``. After each step ``record(bound, support.size, t0)``
+    gets the step's bound on the L1 change of the next diffuse+truncate
+    step, 2 |r|_1 / sum(y) for the residual r of y; the solve stops once it
+    is at most ``tol``, or after ``max_steps`` steps. Returns the normalised
+    y over the reach.
+    """
+    reached, at, sources, divisors, targets = plan
+    rank = np.cumsum(live) - 1
+    on = live[targets]
+    src, dst = rank[sources[on]], rank[targets[on]]
+    root_deg = np.sqrt(g.degrees[support])
+    symmetric = (support, None, src, divisors[on] * (root_deg[dst] / root_deg[src]), dst)
+    # Cauchy-Schwarz: |r|_1 <= sqrt(volume) |D^-1/2 r|_2
+    root_volume = math.sqrt(float(g.degrees[support].sum()))
+    seed_at = int(np.searchsorted(support, seed))
+    z = np.zeros(support.size, dtype=np.float64)
+    r = np.zeros(support.size, dtype=np.float64)
+    r[seed_at] = 1.0 / root_deg[seed_at]
+    p = r.copy()
+    rr = float(r[seed_at]) ** 2
+    for _ in range(max_steps):
+        t0 = time.perf_counter()
+        q = p - _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, p, symmetric)
+        a = rr / float(np.dot(p, q))
+        z += a * p
+        r -= a * q
+        rr, last = float(np.dot(r, r)), rr
+        bound = 2.0 * root_volume * math.sqrt(rr) / float(np.dot(root_deg, z))
+        record(bound, support.size, t0)
+        if bound <= tol:
+            break
+        p *= rr / last
+        p += r
+    y = root_deg * z
+    out = np.zeros(reached.size, dtype=np.float64)
+    out[at] = y / y.sum()
+    return out
+
+
 def run_diffusion(
     g: Graph, seed: int, cfg: DiffusionConfig = DiffusionConfig()
 ) -> tuple[SparseMass, DiffusionTelemetry]:
@@ -171,8 +249,12 @@ def run_diffusion(
 
     The state lies over the vertices the support reaches in one step, and
     the push plan is rebuilt only when truncation changes the support, so
-    each iteration costs the support's volume. Hitting ``max_iterations`` is
-    not an error; the telemetry's ``converged`` flag reports it.
+    each iteration costs the support's volume. Once the support has stayed
+    the same for ``SETTLE_STEPS`` steps and has a frontier, its fixed point
+    is solved (``solve_fixed_point``) and the next step checks it. Every
+    push is one iteration, a solve's steps included. Hitting
+    ``max_iterations`` is not an error; the telemetry's ``converged`` flag
+    reports it.
     """
     seed = g.check_vertex(seed)
     reached = np.array([seed], dtype=np.int64)
@@ -180,8 +262,20 @@ def run_diffusion(
     live = np.ones(1, dtype=bool)
     plan = None
     telemetry = DiffusionTelemetry()
+    records = telemetry.iterations
 
-    for _ in range(cfg.max_iterations):
+    def record(l1, kept, t0):
+        records.append(
+            IterationStats(
+                l1_change=l1,
+                support_size=support_size,
+                support_volume=support_volume,
+                ops=support_size + support_volume + kept,
+                seconds=time.perf_counter() - t0,
+            )
+        )
+
+    while len(records) < cfg.max_iterations:
         t0 = time.perf_counter()
         if plan is None:
             support = reached[live]
@@ -194,20 +288,34 @@ def run_diffusion(
             seed_pos = int(np.searchsorted(reached, seed))
             support_size = int(support.size)
             support_volume = int(g.degrees[support].sum())
+            settled = 0
+        elif (
+            settled == SETTLE_STEPS
+            and reached.size > support_size  # a frontier: I - A is not singular
+            and cfg.convergence_epsilon > 0.0
+            and cfg.max_iterations - len(records) > 1  # room for the checking step
+        ):
+            first = len(records)
+            mass = solve_fixed_point(
+                g,
+                support,
+                live,
+                plan,
+                seed,
+                cfg.convergence_epsilon * SOLVE_TOLERANCE,
+                min(support_size, cfg.max_iterations - first - 1),
+                record,
+            )
+            telemetry.solves.append(range(first, len(records)))
+            t0 = time.perf_counter()
         new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, mass, plan)
         keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
-        if not np.array_equal(keep, live):
+        if np.array_equal(keep, live):
+            settled += 1
+        else:
             plan = None
         mass, live = new, keep
-        telemetry.iterations.append(
-            IterationStats(
-                l1_change=l1,
-                support_size=support_size,
-                support_volume=support_volume,
-                ops=support_size + support_volume + int(np.count_nonzero(keep)),
-                seconds=time.perf_counter() - t0,
-            )
-        )
+        record(l1, int(np.count_nonzero(keep)), t0)
         if l1 < cfg.convergence_epsilon:
             telemetry.converged = True
             break

@@ -27,6 +27,7 @@ class BlockInfo:
     seed: int
     conductance: float
     size: int
+    converged: bool
     # the seed's diffusion, reused by auto_centers
     mass: SparseMass = field(repr=False, compare=False)
 
@@ -69,7 +70,13 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
         assign[m[claimed]] = len(blocks)
         belong[m[claimed]] = b[claimed]
         blocks.append(
-            BlockInfo(seed=seed, conductance=report.conductance, size=int(m.size), mass=mass)
+            BlockInfo(
+                seed=seed,
+                conductance=report.conductance,
+                size=int(m.size),
+                converged=report.converged,
+                mass=mass,
+            )
         )
 
     # contested reassignment can empty a block; renumber densely

@@ -4,7 +4,10 @@ Every vertex carries a positive energy; moving from u, a neighbor v is chosen
 with probability proportional to min(energy[v]/energy[u], 1), and the departed
 vertex's energy is multiplied by the current factor f >= 1. Vertices the walk
 keeps revisiting accumulate energy, which makes leaving their neighborhood
-ever less likely. Energies are kept in log space so long runs cannot overflow.
+ever less likely. Energies are kept in log space, because a long run at a
+large f multiplies them far past the float range; the walk only ever
+exponentiates capped differences, and a member's belongingness is its energy
+relative to the member of highest energy, so it is at most 1.
 
 A query costs O(steps x degree) after one allocation of its two n-length
 arrays: each phase's bookkeeping comes from the path it walked, and the
@@ -183,8 +186,9 @@ def extract_cluster_from_energy(
     visited = state.visited
     order = visited[np.lexsort((visited, -state.log_energies[visited]))]
     members, phi, fallback = sweep_cut(g, order, state.seed)
-    seed_log = state.log_energies[state.seed]
-    belong = {int(u): math.exp(state.log_energies[u] - seed_log) for u in members}
+    # relative to the top member: a member can outgrow the seed by more than e^709
+    top_log = state.log_energies[members].max()
+    belong = {int(u): math.exp(state.log_energies[u] - top_log) for u in members}
     return ClusterReport(
         seed=state.seed,
         members=members,

@@ -3,7 +3,9 @@
 One step scatters into an n-length array with ``np.add.at``, adding each
 vertex's half-mass first and then its neighbours' shares in row order, and
 truncation and the L1 change work on sorted vertex arrays. These are the sums
-``run_diffusion`` must reproduce bit for bit, with no state kept between steps.
+``run_diffusion`` must reproduce bit for bit, with no state kept between steps,
+up to its first fixed-point solve; ``fixed_point`` is the dense solve that the
+distributions after it are measured against.
 """
 
 import numpy as np
@@ -89,3 +91,29 @@ def run_oracle(g, seed: int, cfg: DiffusionConfig = DiffusionConfig()):
             telemetry.converged = True
             break
     return mass, telemetry
+
+
+def fixed_point(g, vertices: np.ndarray, seed: int) -> np.ndarray:
+    """Distribution on ``vertices`` (sorted) that diffuse+truncate leaves unchanged.
+
+    With A the dense lazy walk restricted to ``vertices`` it is y / sum(y),
+    (I - A) y = e_seed. When ``vertices`` is a whole component, I - A is
+    singular and the fixed point is the stationary distribution, which is
+    proportional to degree.
+    """
+    pos = {int(v): i for i, v in enumerate(vertices)}
+    a = 0.5 * np.eye(len(pos))
+    closed = True
+    for v, j in pos.items():
+        for w in g.neighbors(v):
+            if int(w) in pos:
+                a[pos[int(w)], j] += 0.5 / g.degree(v)
+            else:
+                closed = False
+    if closed:
+        d = g.degrees[vertices].astype(np.float64)
+        return d / d.sum()
+    e = np.zeros(len(pos))
+    e[pos[seed]] = 1.0
+    y = np.linalg.solve(np.eye(len(pos)) - a, e)
+    return y / y.sum()

@@ -32,6 +32,22 @@ def test_cluster_timing_opt_in(tmp_path, karate_path):
     assert all("seconds" in row for row in doc["telemetry"])
 
 
+def test_cluster_json_marks_solve_rows(tmp_path, karate_path):
+    out = tmp_path / "cluster.json"
+    rc = main(
+        ["cluster", "--graph", karate_path, "--seed", "0", "--alpha", "0.03", "--out", str(out)]
+    )
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    rows = doc["telemetry"]
+    assert len(rows) == doc["iterations"]
+    (solve,) = doc["solves"]
+    # the solve's last row bounds the change of the ordinary step that checks it
+    assert 1 <= solve["first"] <= solve["last"] == len(rows) - 1
+    assert rows[solve["last"] - 1]["l1_change"] <= 1e-9 * 1e-3
+    assert rows[-1]["l1_change"] < 1e-9 and doc["converged"]
+
+
 def test_walk_subcommand(tmp_path, karate_path):
     out = tmp_path / "walk.json"
     rc = main(

@@ -7,7 +7,16 @@ from seedclust import DiffusionConfig, SparseMass, extract_cluster, find_cluster
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
 
 from conftest import brute_conductance, dense_transition_matrix, random_graphs
-from diffusion_oracle import as_dict, diffuse_step, from_seed, run_oracle, total_mass, truncate
+from diffusion_oracle import (
+    as_dict,
+    diffuse_step,
+    fixed_point,
+    from_seed,
+    l1_diff,
+    run_oracle,
+    total_mass,
+    truncate,
+)
 
 
 def sparse_from_dict(entries, seed):
@@ -141,7 +150,9 @@ def test_support_locality():
 
 def test_run_diffusion_state_stays_on_the_supports_reach(monkeypatch):
     """On a 100k-vertex graph a run allocates far less than one n-length
-    array, and every push covers exactly its support's closed neighbourhood."""
+    array, and every push covers exactly its support's closed neighbourhood,
+    or, in a fixed-point solve, the support itself: for 40 plain steps and
+    for a run that converges through solves."""
     import tracemalloc
 
     import seedclust._kernels as kernels
@@ -155,21 +166,26 @@ def test_run_diffusion_state_stays_on_the_supports_reach(monkeypatch):
         pushes.append((support, out.size))
         return out
 
-    cfg = steps(1e-3, 40)  # the telemetry grows by one record per step
-    run_diffusion(g, 0, cfg)  # warm up imports and caches
-    tracemalloc.start()
-    try:
-        mass, _ = run_diffusion(g, 0, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024 < 8 * g.vertex_count
-    monkeypatch.setattr(kernels, "diffuse_push", recording_push)
-    assert run_diffusion(g, 0, cfg)[0].masses.tobytes() == mass.masses.tobytes()
-    assert len(pushes) == 40
-    for support, size in pushes:
-        closed = np.union1d(support, np.concatenate([g.neighbors(int(u)) for u in support]))
-        assert size == closed.size
+    # the telemetry grows by one record per push
+    for cfg in (steps(1e-3, 40), DiffusionConfig(alpha=3e-3)):
+        run_diffusion(g, 0, cfg)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            mass, telemetry = run_diffusion(g, 0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 < 8 * g.vertex_count
+        assert bool(telemetry.solves) == telemetry.converged == (cfg.convergence_epsilon > 0)
+        pushes.clear()
+        monkeypatch.setattr(kernels, "diffuse_push", recording_push)
+        assert run_diffusion(g, 0, cfg)[0].masses.tobytes() == mass.masses.tobytes()
+        monkeypatch.undo()
+        assert len(pushes) == telemetry.iterations_used
+        solving = {i for steps_of in telemetry.solves for i in steps_of}
+        for i, (support, size) in enumerate(pushes):
+            closed = np.union1d(support, np.concatenate([g.neighbors(int(u)) for u in support]))
+            assert size == (support.size if i in solving else closed.size)
 
 
 def test_support_size_non_increasing_in_alpha():
@@ -206,17 +222,26 @@ def test_bad_seeds_rejected():
         )
 
 
-# --- run_diffusion against the oracle loop, bit for bit ---------------------
+# --- run_diffusion against the oracle loop -----------------------------------
 
 def assert_same_run(g, seed, cfg):
+    """Bit for bit up to the first fixed-point solve. After it, the same
+    support and ``converged`` flag, and masses no farther from the loop's
+    than the loop's are from the support's fixed point (up to the solve's
+    own residual)."""
     mass, telemetry = run_diffusion(g, seed, cfg)
     want, want_telemetry = run_oracle(g, seed, cfg)
     assert mass.seed == want.seed
     assert mass.vertices.dtype == want.vertices.dtype and mass.masses.dtype == want.masses.dtype
     assert mass.vertices.tobytes() == want.vertices.tobytes()
-    assert mass.masses.tobytes() == want.masses.tobytes()
     assert telemetry.converged == want_telemetry.converged
-    assert iteration_fields(telemetry) == iteration_fields(want_telemetry)
+    first = telemetry.solves[0].start if telemetry.solves else None
+    assert iteration_fields(telemetry)[:first] == iteration_fields(want_telemetry)[:first]
+    if first is None:
+        assert mass.masses.tobytes() == want.masses.tobytes()
+    else:
+        gap = np.abs(want.masses - fixed_point(g, want.vertices, want.seed)).sum()
+        assert np.abs(mass.masses - want.masses).sum() <= gap + 1e-12
     return mass, telemetry
 
 
@@ -225,22 +250,50 @@ def iteration_fields(telemetry):
     return [(s.l1_change, s.support_size, s.support_volume, s.ops) for s in telemetry.iterations]
 
 
+# (config, whether some run of the suite solves a fixed point)
 EQUIVALENCE_CONFIGS = [
-    pytest.param(DiffusionConfig(alpha=0.0, max_iterations=300), id="alpha0"),
-    pytest.param(DiffusionConfig(alpha=1e-5), id="alpha1e-5"),
-    pytest.param(DiffusionConfig(alpha=1e-2), id="alpha1e-2"),
-    pytest.param(DiffusionConfig(alpha=0.2), id="alpha0.2"),
-    pytest.param(DiffusionConfig(alpha=1e-3, max_iterations=7), id="max-iterations"),
-    pytest.param(steps(1e-3, 150), id="eps0"),
+    pytest.param(DiffusionConfig(alpha=0.0, max_iterations=300), False, id="alpha0"),
+    pytest.param(DiffusionConfig(alpha=1e-5), True, id="alpha1e-5"),
+    pytest.param(DiffusionConfig(alpha=1e-2), True, id="alpha1e-2"),
+    pytest.param(DiffusionConfig(alpha=0.2), True, id="alpha0.2"),
+    pytest.param(DiffusionConfig(alpha=1e-3, max_iterations=7), False, id="max-iterations"),
+    pytest.param(steps(1e-3, 150), False, id="eps0"),
 ]
 
 
-@pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS)
-def test_run_diffusion_matches_oracle_loop(cfg):
+@pytest.mark.parametrize("cfg, solves", EQUIVALENCE_CONFIGS)
+def test_run_diffusion_matches_oracle_loop(cfg, solves):
     graphs = random_graphs(12) + [karate_club(), ring_of_cliques(12, 5)]
+    solved = False
     for g in graphs:
         for seed in sorted({0, g.vertex_count // 2, g.vertex_count - 1}):
-            assert_same_run(g, seed, cfg)
+            solved |= bool(assert_same_run(g, seed, cfg)[1].solves)
+    assert solved == solves
+
+
+def test_solved_result_is_a_verified_fixed_point():
+    """A run that converges after a solve has the truncation certificate (the
+    kept entries of one more step are at least alpha times the seed's mass,
+    the frontier's below it), sums to one, and one more step moves it by at
+    most 1e-14."""
+    cases = [(ring_of_cliques(200, 8), 3e-3), (ring_of_cliques(12, 5), 1e-2)]
+    cases += [(g, 0.2) for g in random_graphs(12)]
+    solved = 0
+    for g, alpha in cases:
+        for seed in sorted({0, g.vertex_count // 2, g.vertex_count - 1}):
+            mass, telemetry = run_diffusion(g, seed, DiffusionConfig(alpha=alpha))
+            if not telemetry.solves:
+                continue
+            solved += 1
+            assert telemetry.converged
+            assert abs(total_mass(mass) - 1.0) < 1e-12
+            stepped = diffuse_step(g, mass)
+            threshold = alpha * stepped.mass_of(seed)
+            kept = np.isin(stepped.vertices, mass.vertices)
+            assert (stepped.masses[kept & (stepped.vertices != seed)] >= threshold).all()
+            assert (stepped.masses[~kept] < threshold).all()
+            assert l1_diff(truncate(stepped, alpha), mass) <= 1e-14
+    assert solved >= 10
 
 
 def test_run_diffusion_matches_oracle_when_support_is_whole_component():

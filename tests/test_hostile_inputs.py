@@ -2,7 +2,8 @@
 
 The lists mix duplicate edges in both orientations, self-loop-only labels
 (dropped at load), many small components and graphs of two or three
-vertices. Each subcommand runs in-process twice; a run either exits 0 with
+vertices, and the walk runs with drawn schedules of up to a few thousand
+steps. Each subcommand runs in-process twice; a run either exits 0 with
 valid output or exits 1 with a single ``error:`` line, and reruns are
 byte-identical. A self-loop-only label changes no output.
 """
@@ -32,6 +33,17 @@ def hostile_edge_lists(draw) -> str:
     lines = [f"v{u} v{v}" for u, v in edges] + [f"z{i} z{i}" for i in loners]
     order = draw(st.permutations(range(len(lines))))
     return "".join(lines[i] + "\n" for i in order)
+
+
+# walk schedules of f in [1, 4] and at most a few thousand steps: long enough
+# for a member's energy to outgrow another's by more than the float range
+walk_flags = st.one_of(
+    st.just([]),
+    st.integers(1, 100).map(lambda size: ["--expected-size", str(size)]),
+    st.lists(st.tuples(st.floats(1.0, 4.0), st.integers(0, 1000)), min_size=1, max_size=4).map(
+        lambda phases: ["--f-schedule", ",".join(f"{f!r}:{steps}" for f, steps in phases)]
+    ),
+)
 
 
 def strict_json(text):
@@ -77,21 +89,24 @@ def check(argv):
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=hostile_edge_lists())
-@example(text="v1 v1\nz0 z0\n")
-def test_subcommands_survive_hostile_edge_lists(text):
+@given(text=hostile_edge_lists(), walk=walk_flags)
+@example(text="v1 v1\nz0 z0\n", walk=[])
+@example(text="v0 v1\nv1 v2\nv2 v0\nv2 v3\n", walk=["--f-schedule", "2.0:3000"])
+def test_subcommands_survive_hostile_edge_lists(text, walk):
     graph = write_graph(text)
     try:
         linked = linked_labels(text)
         seed = text.split()[0]
 
-        for command in ("cluster", "walk"):
-            rc, out, _, _ = check([command, "--graph", graph, "--seed", seed])
+        for command, flags in (("cluster", []), ("walk", walk)):
+            rc, out, _, _ = check([command, "--graph", graph, "--seed", seed, *flags])
             assert (rc == 0) == (seed in linked)  # a self-loop-only seed is unknown
             if rc == 0:
                 doc = strict_json(out)
                 assert 0.0 <= doc["conductance"] <= 1.0
                 assert seed in [m["vertex"] for m in doc["members"]]
+                if command == "walk":  # relative to the member of highest energy
+                    assert max(m["belongingness"] for m in doc["members"]) == 1.0
 
         rc, out, err, _ = check(["partition", "--graph", graph])
         assert (rc == 0) == bool(linked)  # an all-self-loop list has no edge

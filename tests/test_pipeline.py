@@ -49,6 +49,22 @@ def test_partition_karate_quality(karate):
     assert abs(best - 0.42) <= 0.05
 
 
+@pytest.mark.parametrize(
+    "alpha, blocks, q",
+    [(1e-2, 249, 0.961623172413789), (3e-3, 83, 0.9756639429250874), (1e-3, 31, 0.9377809655172418)],
+)
+def test_partition_ring_of_cliques_blocks_converge(alpha, blocks, q):
+    """Every block diffusion on a 2000-vertex ring of 8-cliques converges.
+    At 1e-2 and 3e-3 the blocks and Q are those that plain iteration gave,
+    though at 3e-3 each of its 83 diffusions stopped unconverged at the
+    1000-iteration cap. At 1e-3 plain iteration stopped all 35 of its
+    diffusions at the cap; converged, the blocks are 31."""
+    result = partition_graph(ring_of_cliques(250, 8), DiffusionConfig(alpha=alpha))
+    assert all(info.converged for info in result.blocks)
+    assert result.partition.block_count == blocks
+    assert result.modularity == q
+
+
 def test_partition_ignores_self_loop_only_labels():
     text = "a b\nb c\nc a\nc d\nd e\ne c\n"
     cfg = DiffusionConfig(alpha=1e-3)
@@ -113,6 +129,7 @@ def test_benchmark_outputs(tmp_path, karate_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"]
     assert "modularity" in summary
+    assert summary["unconverged_blocks"] == 0
 
     rows = (tmp_path / "telemetry.csv").read_text().splitlines()
     assert rows[0] == "iteration,l1_change,support_size,support_volume,ops"
