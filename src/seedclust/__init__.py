@@ -5,7 +5,6 @@ clusters around seed vertices; a fuzzy c-means layer on diffusion embeddings
 finds overlapping communities.
 """
 
-from ._kernels import BACKEND
 from .diffusion import (
     ClusterReport,
     DiffusionConfig,
@@ -49,7 +48,6 @@ from .walk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ClusterReport",
     "DiffusionConfig",
     "EdgeListParseError",

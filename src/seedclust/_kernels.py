@@ -3,26 +3,18 @@
 ``diffuse_push`` and ``sweep_cutvol`` are vectorised numpy and touch only the
 rows they are given: one diffusion step works over the vertices its support
 reaches in one step, so it costs O(support volume), not O(n). ``walk_phase``
-is a scalar loop that reads each step's row once and records the path it
-walks, so a phase costs O(steps x degree); when numba imports it is jitted,
-otherwise it runs as plain Python. ``BACKEND`` reports which of the two the
-walk uses.
+is a CPython loop over Python lists and floats that records the path it
+walks: a phase costs O(steps x degree) float operations plus one row fetch
+from the CSR arrays per vertex the walk departs from for the first time.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:
-    HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = True
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
 
 def gather_rows(indptr, indices, vertices):
@@ -111,51 +103,59 @@ def sweep_cutvol(indptr, indices, degrees, order):
     return np.cumsum(deg - 2 * internal), np.cumsum(deg)
 
 
-def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, path):
+def walk_phase(
+    indptr, indices, log_energy, visit_counts, current, log_f, uniforms, path, memo=None
+):
     """Run one schedule phase of the energy-biased walk.
 
     Each step moves to a neighbor sampled with probability proportional to
     min(energy[v]/energy[u], 1), then multiplies the departed vertex's energy
-    by f. Consumes one uniform per step and writes the vertex each step moves
-    to into ``path`` (length ``uniforms.size``). A step reads the row of the
-    current vertex once: its capped log-ratios go to a scratch buffer that
-    grows to the largest degree met, each is exponentiated once, and the same
-    weights give the total and the draw. Returns the final current vertex.
+    by f. Consumes one uniform per step, writes the vertex each step moves to
+    into ``path`` (length ``uniforms.size``), adds those arrivals to
+    ``visit_counts`` and returns the final current vertex.
+
+    The steps run on Python lists and floats. ``memo`` is a pair of dicts
+    that one walk passes to all its phases: the neighbour list of every
+    vertex the walk has departed from, and, as Python floats, the log energy
+    of those vertices and of every vertex in their lists. A row is fetched
+    from the CSR arrays the first time the walk departs from its vertex. Each
+    step stores the departed vertex's new energy in both ``memo`` and
+    ``log_energy``, so the array is current whenever a row is fetched. A step
+    does the float operations of the reference loop in its order: the
+    log-ratios capped at 0 and their maximum, one ``math.exp`` each, a
+    left-to-right running sum (``accumulate``, not ``sum``, which compensates
+    from Python 3.12 on) and a draw of the first neighbour whose running sum
+    exceeds the uniform times the total, else the last one.
     """
-    weights = np.empty(16)
-    for t in range(uniforms.size):
-        s = int(indptr[current])
-        e = int(indptr[current + 1])
-        if e - s > weights.size:
-            weights = np.empty(max(e - s, 2 * weights.size))
-        lu = log_energy[current]
-        mx = -np.inf
-        for j in range(s, e):
-            lw = log_energy[indices[j]] - lu
-            if lw > 0.0:
-                lw = 0.0
-            if lw > mx:
-                mx = lw
-            weights[j - s] = lw
-        total = 0.0
-        for k in range(e - s):
-            w = math.exp(weights[k] - mx)
-            weights[k] = w
-            total += w
-        r = uniforms[t] * total
-        acc = 0.0
-        chosen = int(indices[e - 1])
-        for k in range(e - s):
-            acc += weights[k]
-            if r < acc:
-                chosen = int(indices[s + k])
-                break
-        log_energy[current] += log_f
-        visit_counts[chosen] += 1
-        path[t] = chosen
+    rows, energies = memo if memo is not None else ({}, {})
+    exp = math.exp
+    arrivals = []
+    for uniform in uniforms.tolist():
+        row = rows.get(current)
+        if row is None:
+            row = _fetch_row(indptr, indices, log_energy, current, rows, energies)
+        lu = energies[current]
+        diffs = [energies[v] - lu for v in row]
+        mx = max(diffs)
+        if mx > 0.0:
+            mx = 0.0
+        # a log-ratio at or above 0 is capped to 0 and makes mx 0, so its weight is exp(0 - 0)
+        acc = list(accumulate([exp(d - mx) if d < 0.0 else 1.0 for d in diffs]))
+        k = bisect_right(acc, uniform * acc[-1])
+        chosen = row[k] if k < len(row) else row[-1]
+        log_energy[current] = energies[current] = lu + log_f
+        arrivals.append(chosen)
         current = chosen
+    path[:] = arrivals
+    np.add.at(visit_counts, path, 1)
     return current
 
 
-if HAVE_NUMBA:
-    walk_phase = njit(cache=True)(walk_phase)
+def _fetch_row(indptr, indices, log_energy, u, rows, energies):
+    """Memoise ``u``'s neighbour list and copy the energies of ``u`` and its
+    neighbours into ``energies``."""
+    nbrs = indices[indptr[u] : indptr[u + 1]]
+    row = rows[u] = nbrs.tolist()
+    energies[u] = float(log_energy[u])
+    energies.update(zip(row, log_energy[nbrs].tolist()))
+    return row

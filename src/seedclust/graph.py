@@ -193,8 +193,16 @@ def _intern(
     Tokens of one length are compared as fixed-width rows of their code
     points viewed as uint64 words, so equal tokens are found by sorting
     integers. Tokens of different lengths are never compared, so zero padding
-    cannot make ``"a"`` and ``"a\\x00"`` equal.
+    cannot make ``"a"`` and ``"a\\x00"`` equal. Non-ASCII text is compared by
+    the ranks of its characters among those that can occur, in the smallest
+    unsigned type that holds them: while at most 256 occur, eight characters
+    fill a word, as in ASCII text, not two.
     """
+    if codes.dtype != np.uint8:
+        points = np.concatenate((np.arange(128), sorted_unique(codes[codes >= 128])))
+        rank = np.zeros(int(points[-1]) + 1, dtype=np.min_scalar_type(points.size - 1))
+        rank[points] = np.arange(points.size)
+        codes = np.concatenate((rank[codes[: len(text)]], np.zeros(8, dtype=rank.dtype)))
     by_len = np.argsort(lens)
     per_word = 8 // codes.itemsize
     group = np.empty(starts.size, dtype=np.int64)

@@ -9,10 +9,12 @@ large f multiplies them far past the float range; the walk only ever
 exponentiates capped differences, and a member's belongingness is its energy
 relative to the member of highest energy, so it is at most 1.
 
-A query costs O(steps x degree) after one allocation of its two n-length
-arrays: each phase's bookkeeping comes from the path it walked, and the
-cluster is the best sweep prefix over the vertices the walk visited, never
-over the rest of the graph.
+A query costs O(steps x degree) float operations plus one row fetch per
+vertex the walk departs from, after one allocation of its two n-length
+arrays: the steps run on Python floats over a memo of the departed vertices'
+rows, each phase's bookkeeping comes from the path it walked, and the cluster
+is the best sweep prefix over the vertices the walk visited, never over the
+rest of the graph.
 """
 
 from __future__ import annotations
@@ -128,11 +130,13 @@ def run_walk(
     """Execute the f-schedule, resetting the walker to the seed at each phase.
 
     A phase's visits are counted from its own path, so no phase reads an
-    n-length array.
+    n-length array. One memo of departed vertices' rows and energies (see
+    ``_kernels.walk_phase``) serves every phase.
     """
     state = init_energies(g, seed, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
+    memo = ({}, {})
 
     for f, steps in cfg.phases():
         state.current_vertex = state.seed
@@ -148,6 +152,7 @@ def run_walk(
                 math.log(f),
                 uniforms,
                 path,
+                memo,
             )
         arrivals, counts = np.unique(path, return_counts=True)
         # a vertex counted only in this phase was reached for the first time

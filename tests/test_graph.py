@@ -225,6 +225,9 @@ def load_outcome(load, source):
 @example(text="a a\r\nb b\n", chunk=1)
 @example(text="a b\na\x00 b\x00\n", chunk=graph.LINES_PER_CHUNK)
 @example(text="x y\n\u2028p q r\n", chunk=1)
+# 128 and 129 non-ASCII characters: 256 character ranks fit a byte, 257 do not
+@example(text="".join(f"{chr(0x100 + i)} \x00\n" for i in range(128)), chunk=graph.LINES_PER_CHUNK)
+@example(text="".join(f"{chr(0x100 + i)} \x00\n" for i in range(129)), chunk=graph.LINES_PER_CHUNK)
 def test_loader_matches_per_line_oracle(text, chunk):
     with mock.patch.object(graph, "LINES_PER_CHUNK", chunk):
         got = load_outcome(load_edge_list, io.StringIO(text))

@@ -70,21 +70,3 @@ def test_diffuse_push_frame_stays_local():
         # the reach is the ball the steps reached, whatever n is
         assert mass.vertices.tolist() == sorted(ball)
         assert mass.masses.size == len(ball) < 100
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba is not installed")
-def test_jitted_walk_phase_matches_python_loop():
-    g = random_graphs(1)[0]
-    uniforms = np.random.default_rng(9).random(5000)
-    results = []
-    for fn in (kernels.walk_phase, kernels.walk_phase.py_func):
-        log_e = np.log(1.0 / g.degrees.astype(np.float64))
-        visits = np.zeros(g.vertex_count, dtype=np.int64)
-        path = np.empty(uniforms.size, dtype=np.int64)
-        cur = fn(g.indptr, g.indices, log_e, visits, 0, np.log(1.3), uniforms, path)
-        results.append((cur, log_e, visits, path))
-    (c1, e1, v1, p1), (c2, e2, v2, p2) = results
-    assert c1 == c2
-    assert np.array_equal(e1, e2)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(p1, p2)

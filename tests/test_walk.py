@@ -252,33 +252,57 @@ def test_run_walk_matches_oracle_loop():
 
 
 def test_walk_phase_matches_oracle_step_bit_for_bit():
-    """Arbitrary energies, heavy ties and degrees above the scratch buffer's
-    first size: same energies, visits, final vertex, and the path is the
-    sequence of arrivals."""
+    """Random, tied and widely spread energies (the last make weights
+    underflow to 0, so the running sum ties), f = 1.3 and f = 1, uniforms at
+    the top of [0, 1] and a degree-60 hub: the same energies, visits and
+    final vertex as the reference loop, and the path is the sequence of
+    arrivals. One memo carried over two phases gives what the reference loop
+    gives over both, and holds the rows of the departed vertices only."""
     rng = np.random.default_rng(23)
-    hub = from_edges([(0, v) for v in range(1, 40)] + [(v, v + 1) for v in range(1, 39)])
+    hub = from_edges([(0, v) for v in range(1, 61)] + [(v, v + 1) for v in range(1, 60)])
+    # the total weight is at least 1, so 1 - 2**-53 times it stays below it;
+    # only a uniform of 1.0 overshoots and falls back to the last neighbour
+    top = [1 - 2**-53, 1.0]
     for g in random_graphs(12) + [karate_club(), hub]:
-        for tied in (False, True):
-            log_e = np.zeros(g.vertex_count) if tied else rng.normal(size=g.vertex_count)
-            uniforms = rng.random(300)
-            got_e, got_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
-            want_e, want_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
-            path = np.empty(uniforms.size, dtype=np.int64)
-            cur = kernels.walk_phase(g.indptr, g.indices, got_e, got_v, 0, 0.2, uniforms, path)
-            want = walk_oracle.walk_phase(g.indptr, g.indices, want_e, want_v, 0, 0.2, uniforms)
-            assert cur == want
-            assert got_e.tobytes() == want_e.tobytes()
-            assert got_v.tobytes() == want_v.tobytes()
-            assert np.bincount(path, minlength=g.vertex_count).tolist() == want_v.tolist()
-            assert path[-1] == cur
-            moves = np.concatenate(([0], path))
-            assert all(v in g.neighbors(int(u)) for u, v in zip(moves[:-1], moves[1:]))
+        for spread in (0.0, 1.0, 2000.0):
+            for log_f in (math.log(1.3), 0.0):
+                log_e = rng.normal(scale=spread, size=g.vertex_count)
+                got_e, got_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
+                want_e, want_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
+                memo = ({}, {})
+                departed = set()
+                for _ in range(2):
+                    uniforms = rng.random(300)
+                    uniforms[rng.choice(uniforms.size, 20)] = rng.choice(top, 20)
+                    path = np.empty(uniforms.size, dtype=np.int64)
+                    before = want_v.copy()
+                    cur = kernels.walk_phase(
+                        g.indptr, g.indices, got_e, got_v, 0, log_f, uniforms, path, memo
+                    )
+                    want = walk_oracle.walk_phase(
+                        g.indptr, g.indices, want_e, want_v, 0, log_f, uniforms
+                    )
+                    assert cur == want
+                    assert got_e.tobytes() == want_e.tobytes()
+                    assert got_v.tobytes() == want_v.tobytes()
+                    assert np.bincount(path, minlength=g.vertex_count).tolist() == (
+                        want_v - before
+                    ).tolist()
+                    assert path[-1] == cur
+                    moves = np.concatenate(([0], path))
+                    assert all(v in g.neighbors(int(u)) for u, v in zip(moves[:-1], moves[1:]))
+                    departed |= set(moves[:-1].tolist())
+                    rows, energies = memo
+                    assert set(rows) == departed
+                    reach = departed.union(*(g.neighbors(u).tolist() for u in departed))
+                    assert set(energies) == reach
 
 
 def test_walk_sweep_stays_local(monkeypatch):
-    """The same walk on a 1k- and a 100k-vertex ring of cliques sweeps the
-    same visited vertices, at most one per step plus the seed, and never
-    searches the seed's component."""
+    """The same walk on a 1k- and a 100k-vertex ring of cliques fetches the
+    rows of exactly the vertices it departs from, the same ones on both, and
+    sweeps the same visited vertices, at most one per step plus the seed,
+    and never searches the seed's component."""
 
     def no_component(*args, **kwargs):
         raise AssertionError("component_of called")
@@ -292,19 +316,37 @@ def test_walk_sweep_stays_local(monkeypatch):
         swept.append(int(order.size))
         return sweep_cutvol(indptr, indices, degrees, order)
 
+    memos, departed = [], set()
+    walk_phase = kernels.walk_phase
+
+    def recording_phase(*args):
+        current, path, memo = args[4], args[7], args[8]
+        result = walk_phase(*args)
+        memos.append(memo)
+        departed.update([current, *path[:-1].tolist()])
+        return result
+
     monkeypatch.setattr(kernels, "sweep_cutvol", counting_sweep)
+    monkeypatch.setattr(kernels, "walk_phase", recording_phase)
     cfg = WalkConfig(rng_seed=7, expected_size=40)
     results = []
     for clique_count in (200, 20000):
         g = ring_of_cliques(clique_count, 5)
         swept.clear()
+        memos.clear()
+        departed.clear()
         state, telemetry = run_walk(g, 0, cfg)
         report = extract_cluster_from_energy(g, state, telemetry)
         assert swept == [state.visited.size]
         assert swept[0] <= telemetry.total_steps + 1
+        assert len(memos) == len(telemetry.phases) and all(m is memos[0] for m in memos)
+        rows = sorted(memos[0][0])
+        assert rows == sorted(departed)
         # the ring wraps round: vertices past the middle sit behind the seed
         n = g.vertex_count
-        members = np.where(report.members < n // 2, report.members, report.members - n)
-        results.append((swept[0], sorted(members.tolist()), report.conductance))
+        members, rows = (
+            sorted(v if v < n // 2 else v - n for v in vs) for vs in (report.members.tolist(), rows)
+        )
+        results.append((swept[0], members, report.conductance, rows))
     assert ring_of_cliques(20000, 5).vertex_count == 100000
     assert results[0] == results[1]
