@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
@@ -112,7 +113,8 @@ def walk_phase(
     min(energy[v]/energy[u], 1), then multiplies the departed vertex's energy
     by f. Consumes one uniform per step, writes the vertex each step moves to
     into ``path`` (length ``uniforms.size``), adds those arrivals to
-    ``visit_counts`` and returns the final current vertex.
+    ``visit_counts`` and returns the final current vertex and the phase's
+    arrivals per vertex, a dict in ascending vertex order.
 
     The steps run on Python lists and floats. ``memo`` is a pair of dicts
     that one walk passes to all its phases: the neighbour list of every
@@ -147,8 +149,11 @@ def walk_phase(
         arrivals.append(chosen)
         current = chosen
     path[:] = arrivals
-    np.add.at(visit_counts, path, 1)
-    return current
+    tally = Counter(arrivals)
+    visits = {v: tally[v] for v in sorted(tally)}
+    vertices = np.fromiter(visits, np.int64, len(visits))
+    visit_counts[vertices] += np.fromiter(visits.values(), np.int64, len(visits))
+    return current, visits
 
 
 def _fetch_row(indptr, indices, log_energy, u, rows, energies):

@@ -44,9 +44,14 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _parse_schedule(text: str) -> tuple[tuple[float, int], ...]:
     phases = []
-    for part in text.split(","):
-        f, steps = part.split(":")
-        phases.append((float(f), int(steps)))
+    for i, part in enumerate(text.split(","), 1):
+        try:
+            f, steps = part.split(":")
+            phases.append((float(f), int(steps)))
+        except ValueError:
+            raise ValueError(
+                f"--f-schedule phase {i} is {part!r}, not f:steps (as in 1.1:20,2.0:20)"
+            ) from None
     return tuple(phases)
 
 

@@ -14,14 +14,16 @@ scans all n vertices.
 
 The support stops changing long before the mass does. Once it has stayed the
 same for ``SETTLE_STEPS`` steps, diffuse+truncate is a linear map on it whose
-fixed point solves one symmetric positive definite system, and
-``solve_fixed_point`` solves it by conjugate gradients instead of iterating
-the map. The next ordinary step checks the result: its truncation keeps the
-support only if every kept entry is at least ``alpha`` times the seed's mass
-and every frontier entry is below it, and its L1 change is the solved
-distribution's residual. If the support changes there, iteration resumes
-from the solved distribution. ``iterations`` counts pushes: one per
-diffuse+truncate step and one per solve step, each with its own record, so
+fixed point solves one linear system, and ``solve_fixed_point`` solves it
+instead of iterating the map: by one dense LU solve on a support of at most
+``DENSE_MAX`` vertices, by conjugate gradients on the system's symmetric
+positive definite form above that. The next ordinary step checks the
+result: its truncation keeps the support only if every kept entry is at
+least ``alpha`` times the seed's mass and every frontier entry is below it,
+and its L1 change is the solved distribution's residual. If the support
+changes there, iteration resumes from the solved distribution. ``iterations`` counts pushes: one per
+diffuse+truncate step and one per solve step (a direct solve is one step,
+whose push gives its exact residual), each with its own record, so
 ``max_iterations`` bounds a run's work either way. ``converged`` means that
 a diffuse+truncate step moved the distribution by less than
 ``convergence_epsilon``: after a solve, the residual at a fixed point whose
@@ -191,6 +193,14 @@ def truncate(
 
 SETTLE_STEPS = 3  # steps a support stays the same before its fixed point is solved
 SOLVE_TOLERANCE = 1e-3  # a solve's bound on the next step's L1 change, in epsilons
+# Largest support solved by dense LU rather than conjugate gradients, a little
+# below the measured crossover. Median time per solve over the partition-overlap
+# partition's solves (alpha 3e-3, inputs of seeds 1 and 2; numpy on one
+# OpenBLAS thread, x86-64, 2 vCPUs), direct against CG: 0.24-0.37 against
+# 0.56-0.69 ms at 96-127 vertices, 0.39-0.57 against 0.63-0.74 ms at 128-159,
+# 0.61-0.79 against 0.66-0.85 ms at 176-191, 0.89-1.38 against 0.77-0.99 ms
+# at 192-223 and 5-25 against 1.4-3.1 ms above 400.
+DENSE_MAX = 160
 
 
 def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
@@ -199,25 +209,52 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     A is the lazy walk restricted to the support: the plan's terms whose
     target is on the support (``live`` over the reach). With the mass that
     leaks off the support sent back to the seed, the fixed point is
-    y / sum(y) with (I - A) y = e_seed. Conjugate gradients solve the
-    symmetric form D^-1/2 (I - A) D^1/2 z = D^-1/2 e_seed, y = D^1/2 z, which
-    is positive definite when the support has a frontier; scaling the terms'
-    divisors by sqrt(d_target / d_source) makes each product one
-    ``diffuse_push``. After each step ``record(bound, support.size, t0)``
-    gets the step's bound on the L1 change of the next diffuse+truncate
-    step, 2 |r|_1 / sum(y) for the residual r of y; the solve stops once it
-    is at most ``tol``, or after ``max_steps`` steps. Returns the normalised
-    y over the reach.
+    y / sum(y) with (I - A) y = e_seed. Each step calls ``record(bound,
+    support.size, t0)`` with its bound on the L1 change of the next
+    diffuse+truncate step, 2 |r|_1 / sum(y) for the residual r of y.
+
+    A support of at most ``DENSE_MAX`` vertices is solved in one step: I - A
+    is built as one dense matrix and solved by LU, and one ``diffuse_push``
+    of A gives the exact residual. A larger one is solved by conjugate
+    gradients on the symmetric form D^-1/2 (I - A) D^1/2 z = D^-1/2 e_seed,
+    y = D^1/2 z, which is positive definite when the support has a
+    frontier; scaling the terms' divisors by sqrt(d_target / d_source) makes
+    each product one ``diffuse_push``, and the bound takes |r|_1 from
+    |D^-1/2 r|_2 by Cauchy-Schwarz. It stops once the bound is at most
+    ``tol``, or after ``max_steps`` steps. Returns the normalised y over the
+    reach.
     """
     reached, at, sources, divisors, targets = plan
     rank = np.cumsum(live) - 1
     on = live[targets]
-    src, dst = rank[sources[on]], rank[targets[on]]
+    src, dst, div = rank[sources[on]], rank[targets[on]], divisors[on]
+    seed_at = int(np.searchsorted(support, seed))
+    k = support.size
+    if k <= DENSE_MAX:
+        t0 = time.perf_counter()
+        # I - A in one k x k buffer: a separate identity would double the peak
+        matrix = np.bincount(dst * k + src, weights=-1.0 / div, minlength=k * k)
+        matrix[:: k + 1] += 1.0
+        e = np.zeros(k, dtype=np.float64)
+        e[seed_at] = 1.0
+        y = np.linalg.solve(matrix.reshape(k, k), e)
+        walk = (support, None, src, div, dst)
+        r = e - y + _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, y, walk)
+        record(2.0 * float(np.abs(r).sum()) / float(y.sum()), k, t0)
+    else:
+        y = _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, record)
+    out = np.zeros(reached.size, dtype=np.float64)
+    out[at] = y / y.sum()
+    return out
+
+
+def _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, record):
+    """y of ``solve_fixed_point`` by conjugate gradients on the symmetric form;
+    term j of A moves y[src[j]] / div[j] to ``dst[j]``."""
     root_deg = np.sqrt(g.degrees[support])
-    symmetric = (support, None, src, divisors[on] * (root_deg[dst] / root_deg[src]), dst)
+    symmetric = (support, None, src, div * (root_deg[dst] / root_deg[src]), dst)
     # Cauchy-Schwarz: |r|_1 <= sqrt(volume) |D^-1/2 r|_2
     root_volume = math.sqrt(float(g.degrees[support].sum()))
-    seed_at = int(np.searchsorted(support, seed))
     z = np.zeros(support.size, dtype=np.float64)
     r = np.zeros(support.size, dtype=np.float64)
     r[seed_at] = 1.0 / root_deg[seed_at]
@@ -236,10 +273,7 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
             break
         p *= rr / last
         p += r
-    y = root_deg * z
-    out = np.zeros(reached.size, dtype=np.float64)
-    out[at] = y / y.sum()
-    return out
+    return root_deg * z
 
 
 def run_diffusion(

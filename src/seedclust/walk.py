@@ -81,8 +81,9 @@ class EnergyTable:
     """Walk state: per-vertex log energies, visit counts, current position.
 
     ``visited`` lists the vertices with a positive visit count, the seed and
-    every vertex a phase of ``run_walk`` moved to, in the order the walk
-    first reached them.
+    every vertex a phase of ``run_walk`` moved to: phase by phase, each
+    phase's newly reached vertices in ascending order. The sweep orders them
+    by energy and index, so nothing reads this order.
     """
 
     log_energies: np.ndarray
@@ -129,9 +130,10 @@ def run_walk(
 ) -> tuple[EnergyTable, WalkTelemetry]:
     """Execute the f-schedule, resetting the walker to the seed at each phase.
 
-    A phase's visits are counted from its own path, so no phase reads an
-    n-length array. One memo of departed vertices' rows and energies (see
-    ``_kernels.walk_phase``) serves every phase.
+    A phase's visits are counted once, by the kernel from the arrivals it
+    walked, so no phase reads an n-length array. One memo of departed
+    vertices' rows and energies (see ``_kernels.walk_phase``) serves every
+    phase.
     """
     state = init_energies(g, seed, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -140,31 +142,25 @@ def run_walk(
 
     for f, steps in cfg.phases():
         state.current_vertex = state.seed
-        path = np.empty(steps, dtype=np.int64)
+        visits = {}
         if steps > 0:
-            uniforms = rng.random(steps)
-            state.current_vertex = _kernels.walk_phase(
+            state.current_vertex, visits = _kernels.walk_phase(
                 g.indptr,
                 g.indices,
                 state.log_energies,
                 state.visit_counts,
                 state.current_vertex,
                 math.log(f),
-                uniforms,
-                path,
+                rng.random(steps),
+                np.empty(steps, dtype=np.int64),
                 memo,
             )
-        arrivals, counts = np.unique(path, return_counts=True)
+        arrivals = np.fromiter(visits, np.int64, len(visits))
+        counts = np.fromiter(visits.values(), np.int64, len(visits))
         # a vertex counted only in this phase was reached for the first time
         first = arrivals[state.visit_counts[arrivals] == counts]
         state.visited = np.concatenate((state.visited, first))
-        telemetry.phases.append(
-            PhaseStats(
-                f=float(f),
-                steps=int(steps),
-                visits=dict(zip(arrivals.tolist(), counts.tolist())),
-            )
-        )
+        telemetry.phases.append(PhaseStats(f=float(f), steps=int(steps), visits=visits))
     return state, telemetry
 
 

@@ -158,6 +158,15 @@ def test_malformed_graph_fails_nonzero(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "schedule, phase", [("1.1", "phase 1 is '1.1'"), ("1.1:20,", "phase 2 is ''")]
+)
+def test_malformed_f_schedule_names_the_phase(karate_path, capsys, schedule, phase):
+    rc = main(["walk", "--graph", karate_path, "--seed", "0", "--f-schedule", schedule])
+    assert rc == 1
+    assert f"error: --f-schedule {phase}, not f:steps" in capsys.readouterr().err
+
+
 def strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")

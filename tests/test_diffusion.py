@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from seedclust import DiffusionConfig, SparseMass, extract_cluster, find_cluster, run_diffusion
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
+from seedclust.diffusion import DENSE_MAX
 
 from conftest import brute_conductance, dense_transition_matrix, random_graphs
 from diffusion_oracle import (
@@ -274,19 +275,28 @@ def test_run_diffusion_matches_oracle_loop(cfg, solves):
 def test_solved_result_is_a_verified_fixed_point():
     """A run that converges after a solve has the truncation certificate (the
     kept entries of one more step are at least alpha times the seed's mass,
-    the frontier's below it), sums to one, and one more step moves it by at
-    most 1e-14."""
+    the frontier's below it), sums to one, lies within 1e-12 of the dense
+    fixed point on its support, and one more step moves it by at most 1e-14.
+    Supports of at most ``DENSE_MAX`` vertices are solved in one record, by
+    LU; the 200-cliques' larger ones in several, by conjugate gradients."""
     cases = [(ring_of_cliques(200, 8), 3e-3), (ring_of_cliques(12, 5), 1e-2)]
+    cases += [(ring_of_cliques(6, 200), 1e-3)]
     cases += [(g, 0.2) for g in random_graphs(12)]
     solved = 0
+    records = set()
     for g, alpha in cases:
         for seed in sorted({0, g.vertex_count // 2, g.vertex_count - 1}):
             mass, telemetry = run_diffusion(g, seed, DiffusionConfig(alpha=alpha))
             if not telemetry.solves:
                 continue
             solved += 1
+            for steps_of in telemetry.solves:
+                direct = telemetry.iterations[steps_of.start].support_size <= DENSE_MAX
+                assert (len(steps_of) == 1) == direct
+                records.add(len(steps_of) == 1)
             assert telemetry.converged
             assert abs(total_mass(mass) - 1.0) < 1e-12
+            assert np.abs(mass.masses - fixed_point(g, mass.vertices, seed)).sum() <= 1e-12
             stepped = diffuse_step(g, mass)
             threshold = alpha * stepped.mass_of(seed)
             kept = np.isin(stepped.vertices, mass.vertices)
@@ -294,6 +304,7 @@ def test_solved_result_is_a_verified_fixed_point():
             assert (stepped.masses[~kept] < threshold).all()
             assert l1_diff(truncate(stepped, alpha), mass) <= 1e-14
     assert solved >= 10
+    assert records == {True, False}  # both solve paths ran
 
 
 def test_run_diffusion_matches_oracle_when_support_is_whole_component():

@@ -31,7 +31,7 @@ def step(g, state, log_f, uniforms) -> int:
     """Run ``walk_phase`` from the state's current vertex; return the vertex it ends on."""
     uniforms = np.asarray(uniforms, dtype=np.float64)
     path = np.full(uniforms.size, -1, dtype=np.int64)
-    state.current_vertex = kernels.walk_phase(
+    state.current_vertex, _ = kernels.walk_phase(
         g.indptr,
         g.indices,
         state.log_energies,
@@ -276,7 +276,7 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
                     uniforms[rng.choice(uniforms.size, 20)] = rng.choice(top, 20)
                     path = np.empty(uniforms.size, dtype=np.int64)
                     before = want_v.copy()
-                    cur = kernels.walk_phase(
+                    cur, visits = kernels.walk_phase(
                         g.indptr, g.indices, got_e, got_v, 0, log_f, uniforms, path, memo
                     )
                     want = walk_oracle.walk_phase(
@@ -288,6 +288,10 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
                     assert np.bincount(path, minlength=g.vertex_count).tolist() == (
                         want_v - before
                     ).tolist()
+                    arrived = np.flatnonzero(want_v - before)
+                    assert list(visits.items()) == list(
+                        zip(arrived.tolist(), (want_v - before)[arrived].tolist())
+                    )
                     assert path[-1] == cur
                     moves = np.concatenate(([0], path))
                     assert all(v in g.neighbors(int(u)) for u, v in zip(moves[:-1], moves[1:]))
