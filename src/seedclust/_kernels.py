@@ -3,9 +3,9 @@
 ``diffuse_push`` and ``sweep_cutvol`` are vectorised numpy and touch only the
 rows they are given: one diffusion step works over the vertices its support
 reaches in one step, so it costs O(support volume), not O(n). ``walk_phase``
-is a CPython loop over Python lists and floats that records the path it
-walks: a phase costs O(steps x degree) float operations plus one row fetch
-from the CSR arrays per vertex the walk departs from for the first time.
+is a CPython loop over Python lists and floats that counts the vertices it
+arrives at: a phase costs O(steps x degree) float operations plus one row
+fetch from the CSR arrays per vertex the walk departs from for the first time.
 """
 
 from __future__ import annotations
@@ -104,16 +104,13 @@ def sweep_cutvol(indptr, indices, degrees, order):
     return np.cumsum(deg - 2 * internal), np.cumsum(deg)
 
 
-def walk_phase(
-    indptr, indices, log_energy, visit_counts, current, log_f, uniforms, path, memo=None
-):
+def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, memo=None):
     """Run one schedule phase of the energy-biased walk.
 
     Each step moves to a neighbor sampled with probability proportional to
     min(energy[v]/energy[u], 1), then multiplies the departed vertex's energy
-    by f. Consumes one uniform per step, writes the vertex each step moves to
-    into ``path`` (length ``uniforms.size``), adds those arrivals to
-    ``visit_counts`` and returns the final current vertex and the phase's
+    by f. Consumes one uniform per step, counts each vertex a step moves to
+    in ``visit_counts`` and returns the final current vertex and the phase's
     arrivals per vertex, a dict in ascending vertex order.
 
     The steps run on Python lists and floats. ``memo`` is a pair of dicts
@@ -148,7 +145,6 @@ def walk_phase(
         log_energy[current] = energies[current] = lu + log_f
         arrivals.append(chosen)
         current = chosen
-    path[:] = arrivals
     tally = Counter(arrivals)
     visits = {v: tally[v] for v in sorted(tally)}
     vertices = np.fromiter(visits, np.int64, len(visits))

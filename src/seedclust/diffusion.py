@@ -210,7 +210,7 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     target is on the support (``live`` over the reach). With the mass that
     leaks off the support sent back to the seed, the fixed point is
     y / sum(y) with (I - A) y = e_seed. Each step calls ``record(bound,
-    support.size, t0)`` with its bound on the L1 change of the next
+    support.size)`` with its bound on the L1 change of the next
     diffuse+truncate step, 2 |r|_1 / sum(y) for the residual r of y.
 
     A support of at most ``DENSE_MAX`` vertices is solved in one step: I - A
@@ -221,8 +221,9 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     frontier; scaling the terms' divisors by sqrt(d_target / d_source) makes
     each product one ``diffuse_push``, and the bound takes |r|_1 from
     |D^-1/2 r|_2 by Cauchy-Schwarz. It stops once the bound is at most
-    ``tol``, or after ``max_steps`` steps. Returns the normalised y over the
-    reach.
+    ``tol``, or after as many steps as the support has vertices. Returns the
+    normalised y over the reach, or None when ``max_steps`` steps end the
+    solve before its bound reaches ``tol``.
     """
     reached, at, sources, divisors, targets = plan
     rank = np.cumsum(live) - 1
@@ -231,7 +232,6 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     seed_at = int(np.searchsorted(support, seed))
     k = support.size
     if k <= DENSE_MAX:
-        t0 = time.perf_counter()
         # I - A in one k x k buffer: a separate identity would double the peak
         matrix = np.bincount(dst * k + src, weights=-1.0 / div, minlength=k * k)
         matrix[:: k + 1] += 1.0
@@ -240,17 +240,20 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
         y = np.linalg.solve(matrix.reshape(k, k), e)
         walk = (support, None, src, div, dst)
         r = e - y + _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, y, walk)
-        record(2.0 * float(np.abs(r).sum()) / float(y.sum()), k, t0)
+        record(2.0 * float(np.abs(r).sum()) / float(y.sum()), k)
     else:
         y = _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, record)
+        if y is None:
+            return None
     out = np.zeros(reached.size, dtype=np.float64)
     out[at] = y / y.sum()
     return out
 
 
 def _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, record):
-    """y of ``solve_fixed_point`` by conjugate gradients on the symmetric form;
-    term j of A moves y[src[j]] / div[j] to ``dst[j]``."""
+    """y of ``solve_fixed_point`` by conjugate gradients on the symmetric form,
+    or None when ``max_steps`` cut it short; term j of A moves y[src[j]] /
+    div[j] to ``dst[j]``."""
     root_deg = np.sqrt(g.degrees[support])
     symmetric = (support, None, src, div * (root_deg[dst] / root_deg[src]), dst)
     # Cauchy-Schwarz: |r|_1 <= sqrt(volume) |D^-1/2 r|_2
@@ -260,19 +263,21 @@ def _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, rec
     r[seed_at] = 1.0 / root_deg[seed_at]
     p = r.copy()
     rr = float(r[seed_at]) ** 2
-    for _ in range(max_steps):
-        t0 = time.perf_counter()
+    for _ in range(min(support.size, max_steps)):
         q = p - _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, p, symmetric)
         a = rr / float(np.dot(p, q))
         z += a * p
         r -= a * q
         rr, last = float(np.dot(r, r)), rr
         bound = 2.0 * root_volume * math.sqrt(rr) / float(np.dot(root_deg, z))
-        record(bound, support.size, t0)
+        record(bound, support.size)
         if bound <= tol:
             break
         p *= rr / last
         p += r
+    else:
+        if max_steps <= support.size:  # the budget, not the support's size, ended it
+            return None
     return root_deg * z
 
 
@@ -286,9 +291,12 @@ def run_diffusion(
     each iteration costs the support's volume. Once the support has stayed
     the same for ``SETTLE_STEPS`` steps and has a frontier, its fixed point
     is solved (``solve_fixed_point``) and the next step checks it. Every
-    push is one iteration, a solve's steps included. Hitting
-    ``max_iterations`` is not an error; the telemetry's ``converged`` flag
-    reports it.
+    push is one iteration, a solve's steps included. A solve that
+    ``max_iterations`` cuts short leaves the distribution it started from:
+    its early iterate can lie further from the fixed point. Each record's
+    ``seconds`` is the time since the previous record, or since the run
+    started. Hitting ``max_iterations`` is not an error; the telemetry's
+    ``converged`` flag reports it.
     """
     seed = g.check_vertex(seed)
     reached = np.array([seed], dtype=np.int64)
@@ -297,20 +305,23 @@ def run_diffusion(
     plan = None
     telemetry = DiffusionTelemetry()
     records = telemetry.iterations
+    last = time.perf_counter()
 
-    def record(l1, kept, t0):
+    def record(l1, kept):
+        nonlocal last
+        now = time.perf_counter()
         records.append(
             IterationStats(
                 l1_change=l1,
                 support_size=support_size,
                 support_volume=support_volume,
                 ops=support_size + support_volume + kept,
-                seconds=time.perf_counter() - t0,
+                seconds=now - last,
             )
         )
+        last = now
 
     while len(records) < cfg.max_iterations:
-        t0 = time.perf_counter()
         if plan is None:
             support = reached[live]
             plan = _kernels.push_plan(g.indptr, g.indices, g.degrees, support)
@@ -330,18 +341,19 @@ def run_diffusion(
             and cfg.max_iterations - len(records) > 1  # room for the checking step
         ):
             first = len(records)
-            mass = solve_fixed_point(
+            solved = solve_fixed_point(
                 g,
                 support,
                 live,
                 plan,
                 seed,
                 cfg.convergence_epsilon * SOLVE_TOLERANCE,
-                min(support_size, cfg.max_iterations - first - 1),
+                cfg.max_iterations - first - 1,
                 record,
             )
             telemetry.solves.append(range(first, len(records)))
-            t0 = time.perf_counter()
+            if solved is not None:
+                mass = solved
         new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, mass, plan)
         keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
         if np.array_equal(keep, live):
@@ -349,7 +361,7 @@ def run_diffusion(
         else:
             plan = None
         mass, live = new, keep
-        record(l1, int(np.count_nonzero(keep)), t0)
+        record(l1, int(np.count_nonzero(keep)))
         if l1 < cfg.convergence_epsilon:
             telemetry.converged = True
             break

@@ -70,12 +70,6 @@ def build_embedding(g: Graph, masses: Sequence[SparseMass]) -> EmbeddingMatrix:
     return EmbeddingMatrix(matrix=matrix, centers=tuple(centers))
 
 
-def _as_matrix(embedding) -> np.ndarray:
-    if isinstance(embedding, EmbeddingMatrix):
-        return embedding.matrix
-    return np.asarray(embedding, dtype=np.float64)
-
-
 def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
     n, k = d2.shape
     u = np.empty((n, k), dtype=np.float64)
@@ -105,7 +99,7 @@ def fcm_fit(
     ``initial_centers`` is given. Stops when the objective decreases by less
     than ``tol`` between iterations.
     """
-    x = _as_matrix(embedding)
+    x = np.asarray(embedding, dtype=np.float64)
     n = x.shape[0]
     if k < 2:
         raise ValueError("cluster count k must be >= 2")

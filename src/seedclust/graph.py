@@ -14,7 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._kernels import sorted_unique
 
 COMMENT_PREFIXES = ("#", "%")
-LINES_PER_CHUNK = 1 << 16
 
 
 class EdgeListParseError(ValueError):
@@ -122,54 +121,57 @@ def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     return indptr, indices, degrees, int(a.size - keys.size)
 
 
-def _code_points(text: str) -> np.ndarray:
-    """One element per character of ``text`` (bytes when it is ASCII, else
-    UTF-32 units), then 8 bytes of zeros, so that whole uint64 words read
-    from any character on stay inside the array."""
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii") + bytes(8), dtype=np.uint8)
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass") + bytes(8), dtype=np.uint32)
+def _code_points(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Character codes of ``text`` and the whitespace and line-break tables indexed by them.
 
-
-def _char_classes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whitespace and line-break tables indexed by code point.
-
-    Each character that can occur in ``codes`` is classified by ``str.isspace``
-    (the separators of ``str.split``) and by ``str.splitlines``, so tokens and
-    line numbers found with these tables are the ones those methods give.
+    A character's code is its rank among the characters that can occur: code
+    points 0-127, then the text's other characters in sorted order. Codes
+    are stored in the smallest unsigned type that holds them, so while at
+    most 256 characters occur a uint64 word holds eight, as in ASCII text;
+    8 zeros follow, so that whole words read from any character on stay
+    inside the array. Each character is classified by ``str.isspace`` (the
+    separators of ``str.split``) and by ``str.splitlines``, so tokens and
+    line numbers found with the tables are the ones those methods give.
     """
-    points = np.arange(128)
-    if codes.dtype != np.uint8:
-        points = np.concatenate((points, np.unique(codes[codes >= 128])))
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii") + bytes(8), dtype=np.uint8)
+        points = np.arange(128)
+    else:
+        utf32 = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        points = np.concatenate((np.arange(128), sorted_unique(utf32[utf32 >= 128])))
+        rank = np.zeros(int(points[-1]) + 1, dtype=np.min_scalar_type(points.size - 1))
+        rank[points] = np.arange(points.size)
+        codes = np.concatenate((rank[utf32], np.zeros(8, dtype=rank.dtype)))
     chars = list(map(chr, points.tolist()))
-    space = np.zeros(int(points[-1]) + 1, dtype=bool)
-    space[points] = list(map(str.isspace, chars))
-    newline = np.zeros_like(space)
-    newline[points] = [len(f"x{c}x".splitlines()) == 2 for c in chars]
-    return space, newline
+    space = np.array(list(map(str.isspace, chars)))
+    newline = np.array([len(f"x{c}x".splitlines()) == 2 for c in chars])
+    return codes, space, newline
 
 
-def _edge_tokens(text: str, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of every token on the edge lines of ``text``, searched
-    ``LINES_PER_CHUNK`` lines at a time so that the search's per-character
-    temporaries stay small."""
-    space, newline = _char_classes(codes)
-    breaks = np.flatnonzero(newline[codes[: len(text)]])
-    # a CR LF pair is one line break, at its CR
-    breaks = breaks[(codes[breaks] != 10) | (codes[np.maximum(breaks - 1, 0)] != 13)]
-    bounds = [0, *breaks[LINES_PER_CHUNK::LINES_PER_CHUNK].tolist(), len(text)]
-    chunks = [_chunk_tokens(text, codes, lo, hi, space, breaks) for lo, hi in zip(bounds, bounds[1:])]
-    return tuple(map(np.concatenate, zip(*chunks)))
+def _edge_tokens(text: str, codes, space, newline) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every token on the edge lines of ``text``, found
+    in one pass over its character codes."""
+    codes = codes[: len(text)]
+    solid = np.zeros(len(text) + 2, dtype=bool)
+    solid[1:-1] = ~space[codes]
+    starts = np.flatnonzero(solid[1:] > solid[:-1])
+    lens = np.flatnonzero(solid[:-1] > solid[1:]) - starts
+    del solid
+    # _on_edge_lines has its own frame so that its temporaries are freed
+    # before the selected tokens are allocated: allocated among them, the
+    # tokens pin the heap, and loading the 12 MB local-diffusion edge list
+    # peaks at 202 MB of RSS, not 192 MB
+    edge = _on_edge_lines(text, codes, newline, starts)
+    return starts[edge], lens[edge]
 
 
-def _chunk_tokens(text, codes, lo: int, hi: int, space, breaks) -> tuple[np.ndarray, np.ndarray]:
-    """``_edge_tokens`` of ``codes[lo:hi]``, a run of whole lines: blank and
+def _on_edge_lines(text: str, codes, newline, starts) -> np.ndarray:
+    """Mask of the tokens at ``starts`` that lie on edge lines: blank and
     comment lines are skipped, and the first line with other than two tokens
     raises ``EdgeListParseError``."""
-    solid = np.zeros(hi - lo + 2, dtype=bool)
-    solid[1:-1] = ~space[codes[lo:hi]]
-    starts = np.flatnonzero(solid[1:] > solid[:-1]) + lo
-    lens = np.flatnonzero(solid[:-1] > solid[1:]) + lo - starts
+    breaks = np.flatnonzero(newline[codes])
+    # a CR LF pair is one line break, at its CR
+    breaks = breaks[(codes[breaks] != 10) | (codes[np.maximum(breaks - 1, 0)] != 13)]
     line = np.searchsorted(breaks, starts)
     heads = np.flatnonzero(np.diff(line, prepend=-1))
     comment = np.isin(codes[starts[heads]], [ord(p) for p in COMMENT_PREFIXES])
@@ -180,8 +182,7 @@ def _chunk_tokens(text, codes, lo: int, hi: int, space, breaks) -> tuple[np.ndar
         line_no = int(line[heads[k]]) + 1
         raw = text.splitlines()[line_no - 1]
         raise EdgeListParseError(line_no, f"expected 2 tokens, got {int(counts[k])}: {raw!r}")
-    edge = np.repeat(~comment, counts)
-    return starts[edge], lens[edge]
+    return np.repeat(~comment, counts)
 
 
 def _intern(
@@ -190,19 +191,11 @@ def _intern(
     """Vertex id of every token ``text[starts[i]:starts[i] + lens[i]]``, ids
     numbered in order of first appearance, and the label of each id.
 
-    Tokens of one length are compared as fixed-width rows of their code
-    points viewed as uint64 words, so equal tokens are found by sorting
-    integers. Tokens of different lengths are never compared, so zero padding
-    cannot make ``"a"`` and ``"a\\x00"`` equal. Non-ASCII text is compared by
-    the ranks of its characters among those that can occur, in the smallest
-    unsigned type that holds them: while at most 256 occur, eight characters
-    fill a word, as in ASCII text, not two.
+    Tokens of one length are compared as fixed-width rows of their character
+    codes (``_code_points``) viewed as uint64 words, so equal tokens are
+    found by sorting integers. Tokens of different lengths are never
+    compared, so zero padding cannot make ``"a"`` and ``"a\\x00"`` equal.
     """
-    if codes.dtype != np.uint8:
-        points = np.concatenate((np.arange(128), sorted_unique(codes[codes >= 128])))
-        rank = np.zeros(int(points[-1]) + 1, dtype=np.min_scalar_type(points.size - 1))
-        rank[points] = np.arange(points.size)
-        codes = np.concatenate((rank[codes[: len(text)]], np.zeros(8, dtype=rank.dtype)))
     by_len = np.argsort(lens)
     per_word = 8 // codes.itemsize
     group = np.empty(starts.size, dtype=np.int64)
@@ -269,7 +262,7 @@ def from_edges(pairs: Iterable[tuple[object, object]]) -> Graph:
     tokens = [str(x) for u, v in pairs for x in (u, v)]
     text = "".join(tokens)
     lens = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    return _graph_from_tokens(text, _code_points(text), np.cumsum(lens) - lens, lens)
+    return _graph_from_tokens(text, _code_points(text)[0], np.cumsum(lens) - lens, lens)
 
 
 def load_edge_list(source) -> Graph:
@@ -284,8 +277,8 @@ def load_edge_list(source) -> Graph:
     distinct labels raises ``EmptyGraphError``.
 
     Lines and tokens are those of ``str.splitlines`` and ``str.split``, found
-    by array operations over the text's code points, with no Python loop per
-    line or token.
+    by array operations over the text's character codes, in one pass with no
+    Python loop per line or token.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -293,8 +286,8 @@ def load_edge_list(source) -> Graph:
         text = Path(source).read_text()
     else:
         text = str(source)
-    codes = _code_points(text)
-    starts, lens = _edge_tokens(text, codes)
+    codes, space, newline = _code_points(text)
+    starts, lens = _edge_tokens(text, codes, space, newline)
     return _graph_from_tokens(text, codes, starts, lens)
 
 

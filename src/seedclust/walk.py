@@ -12,9 +12,9 @@ relative to the member of highest energy, so it is at most 1.
 A query costs O(steps x degree) float operations plus one row fetch per
 vertex the walk departs from, after one allocation of its two n-length
 arrays: the steps run on Python floats over a memo of the departed vertices'
-rows, each phase's bookkeeping comes from the path it walked, and the cluster
-is the best sweep prefix over the vertices the walk visited, never over the
-rest of the graph.
+rows, each phase's bookkeeping comes from the arrivals it counted, and the
+cluster is the best sweep prefix over the vertices the walk visited, never
+over the rest of the graph.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ def run_walk(
                 state.current_vertex,
                 math.log(f),
                 rng.random(steps),
-                np.empty(steps, dtype=np.int64),
                 memo,
             )
         arrivals = np.fromiter(visits, np.int64, len(visits))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from seedclust import DiffusionConfig, SparseMass, extract_cluster, find_cluster, run_diffusion
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
-from seedclust.diffusion import DENSE_MAX
+from seedclust.diffusion import DENSE_MAX, SOLVE_TOLERANCE
 
 from conftest import brute_conductance, dense_transition_matrix, random_graphs
 from diffusion_oracle import (
@@ -204,6 +204,50 @@ def test_non_convergence_is_flagged_not_raised(two_k5):
     _, telemetry = run_diffusion(two_k5, 0, cfg)
     assert not telemetry.converged
     assert telemetry.iterations_used == 3
+
+
+def test_solve_cut_short_by_the_budget_is_discarded():
+    """At alpha 1e-4 on a 100k-vertex ring of cliques the support creeps one
+    clique per solve, and the 1,000-iteration budget cuts the last solve
+    short. Its steps count and are listed, but the run keeps the
+    distribution the solve started from, whose support it would have shrunk."""
+    g = ring_of_cliques(12500, 8)
+    cfg = DiffusionConfig(alpha=1e-4)
+    mass, telemetry = run_diffusion(g, 0, cfg)
+    last = telemetry.solves[-1]
+    assert telemetry.iterations_used == cfg.max_iterations == last.stop + 1
+    tol = cfg.convergence_epsilon * SOLVE_TOLERANCE
+    assert telemetry.iterations[last.stop - 1].l1_change > tol
+    assert not telemetry.converged
+    assert mass.support_size >= telemetry.iterations[last.start].support_size
+
+
+@pytest.mark.parametrize(
+    "cfg", [steps(1e-3, 200), DiffusionConfig(alpha=1e-3)], ids=["plain", "solved"]
+)
+def test_records_time_the_run_with_one_clock_read_each(cfg, monkeypatch):
+    """Each record times the span since the one before it, the first since
+    the run started: the run reads the clock once per record plus once at
+    its start, and its records never add up to more than the run."""
+    import time
+
+    real_clock = time.perf_counter
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return real_clock()
+
+    g = ring_of_cliques(200, 8)
+    t0 = real_clock()
+    monkeypatch.setattr(time, "perf_counter", clock)
+    _, telemetry = run_diffusion(g, 0, cfg)
+    monkeypatch.undo()
+    wall = real_clock() - t0
+    assert bool(telemetry.solves) == (cfg.convergence_epsilon > 0)
+    assert len(reads) == telemetry.iterations_used + 1
+    assert all(s.seconds >= 0.0 for s in telemetry.iterations)
+    assert sum(s.seconds for s in telemetry.iterations) <= wall
 
 
 def test_bad_seeds_rejected():

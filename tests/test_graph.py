@@ -1,5 +1,4 @@
 import io
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from seedclust import (
     load_edge_list,
     run_diffusion,
 )
-from seedclust import graph
 
 from conftest import dense_transition_matrix, random_graphs
 
@@ -220,17 +218,16 @@ def load_outcome(load, source):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=edge_list_texts(), chunk=st.sampled_from([1, 2, 3, graph.LINES_PER_CHUNK]))
-@example(text="# only\n  % comments\n\n", chunk=graph.LINES_PER_CHUNK)
-@example(text="a a\r\nb b\n", chunk=1)
-@example(text="a b\na\x00 b\x00\n", chunk=graph.LINES_PER_CHUNK)
-@example(text="x y\n\u2028p q r\n", chunk=1)
+@given(text=edge_list_texts())
+@example(text="# only\n  % comments\n\n")
+@example(text="a a\r\nb b\n")
+@example(text="a b\na\x00 b\x00\n")
+@example(text="x y\n\u2028p q r\n")
 # 128 and 129 non-ASCII characters: 256 character ranks fit a byte, 257 do not
-@example(text="".join(f"{chr(0x100 + i)} \x00\n" for i in range(128)), chunk=graph.LINES_PER_CHUNK)
-@example(text="".join(f"{chr(0x100 + i)} \x00\n" for i in range(129)), chunk=graph.LINES_PER_CHUNK)
-def test_loader_matches_per_line_oracle(text, chunk):
-    with mock.patch.object(graph, "LINES_PER_CHUNK", chunk):
-        got = load_outcome(load_edge_list, io.StringIO(text))
+@example(text="".join(f"{chr(0x100 + i)} \x00\n" for i in range(128)))
+@example(text="".join(f"{chr(0x100 + i)} \x00\n" for i in range(129)))
+def test_loader_matches_per_line_oracle(text):
+    got = load_outcome(load_edge_list, io.StringIO(text))
     assert got == load_outcome(loader_oracle.load_edge_list, text)
 
 

@@ -27,21 +27,36 @@ def deg4_graph():
     return from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 1)])
 
 
+def oracle_path(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, memo=None):
+    """The vertices a ``walk_phase`` call with these arguments moves to, as
+    the reference loop walks them on copies of the state."""
+    path = []
+    walk_oracle.walk_phase(
+        indptr, indices, log_energy.copy(), visit_counts.copy(), current, log_f, uniforms, path
+    )
+    return path
+
+
+def assert_moves_to_neighbours(g, start, path):
+    moves = [start, *path]
+    assert all(v in g.neighbors(u) for u, v in zip(moves[:-1], moves[1:]))
+
+
 def step(g, state, log_f, uniforms) -> int:
     """Run ``walk_phase`` from the state's current vertex; return the vertex it ends on."""
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    path = np.full(uniforms.size, -1, dtype=np.int64)
-    state.current_vertex, _ = kernels.walk_phase(
+    args = (
         g.indptr,
         g.indices,
         state.log_energies,
         state.visit_counts,
         state.current_vertex,
         log_f,
-        uniforms,
-        path,
+        np.asarray(uniforms, dtype=np.float64),
     )
-    assert (path >= 0).all() and path[-1] == state.current_vertex
+    path = oracle_path(*args)
+    state.current_vertex, _ = kernels.walk_phase(*args)
+    assert_moves_to_neighbours(g, args[4], path)
+    assert path[-1] == state.current_vertex
     return state.current_vertex
 
 
@@ -255,9 +270,9 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
     """Random, tied and widely spread energies (the last make weights
     underflow to 0, so the running sum ties), f = 1.3 and f = 1, uniforms at
     the top of [0, 1] and a degree-60 hub: the same energies, visits and
-    final vertex as the reference loop, and the path is the sequence of
-    arrivals. One memo carried over two phases gives what the reference loop
-    gives over both, and holds the rows of the departed vertices only."""
+    final vertex as the reference loop, whose every move goes to a
+    neighbour. One memo carried over two phases gives what the reference
+    loop gives over both, and holds the rows of the departed vertices only."""
     rng = np.random.default_rng(23)
     hub = from_edges([(0, v) for v in range(1, 61)] + [(v, v + 1) for v in range(1, 60)])
     # the total weight is at least 1, so 1 - 2**-53 times it stays below it;
@@ -274,28 +289,23 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
                 for _ in range(2):
                     uniforms = rng.random(300)
                     uniforms[rng.choice(uniforms.size, 20)] = rng.choice(top, 20)
-                    path = np.empty(uniforms.size, dtype=np.int64)
+                    path = []
                     before = want_v.copy()
                     cur, visits = kernels.walk_phase(
-                        g.indptr, g.indices, got_e, got_v, 0, log_f, uniforms, path, memo
+                        g.indptr, g.indices, got_e, got_v, 0, log_f, uniforms, memo
                     )
                     want = walk_oracle.walk_phase(
-                        g.indptr, g.indices, want_e, want_v, 0, log_f, uniforms
+                        g.indptr, g.indices, want_e, want_v, 0, log_f, uniforms, path
                     )
-                    assert cur == want
+                    assert cur == want == path[-1]
                     assert got_e.tobytes() == want_e.tobytes()
                     assert got_v.tobytes() == want_v.tobytes()
-                    assert np.bincount(path, minlength=g.vertex_count).tolist() == (
-                        want_v - before
-                    ).tolist()
                     arrived = np.flatnonzero(want_v - before)
                     assert list(visits.items()) == list(
                         zip(arrived.tolist(), (want_v - before)[arrived].tolist())
                     )
-                    assert path[-1] == cur
-                    moves = np.concatenate(([0], path))
-                    assert all(v in g.neighbors(int(u)) for u, v in zip(moves[:-1], moves[1:]))
-                    departed |= set(moves[:-1].tolist())
+                    assert_moves_to_neighbours(g, 0, path)
+                    departed |= {0, *path[:-1]}
                     rows, energies = memo
                     assert set(rows) == departed
                     reach = departed.union(*(g.neighbors(u).tolist() for u in departed))
@@ -324,10 +334,11 @@ def test_walk_sweep_stays_local(monkeypatch):
     walk_phase = kernels.walk_phase
 
     def recording_phase(*args):
-        current, path, memo = args[4], args[7], args[8]
+        path = oracle_path(*args)
         result = walk_phase(*args)
-        memos.append(memo)
-        departed.update([current, *path[:-1].tolist()])
+        assert result[0] == path[-1]
+        memos.append(args[7])
+        departed.update([args[4], *path[:-1]])
         return result
 
     monkeypatch.setattr(kernels, "sweep_cutvol", counting_sweep)

@@ -4,8 +4,8 @@ Each step scans the current vertex's row three times, recomputing every
 capped log-ratio: once for the maximum, once for the total of the weights and
 once for the draw. Each phase copies the n-length visit counts and diffs them
 afterwards. These are the energies, visits and per-phase records
-``run_walk`` must reproduce bit for bit, in a form with no path and no
-scratch buffer.
+``run_walk`` must reproduce bit for bit, in a form with no scratch buffer.
+A phase can also record the path it walks, which the kernel does not keep.
 """
 
 import math
@@ -16,9 +16,10 @@ from seedclust import WalkConfig, init_energies
 from seedclust.walk import PhaseStats, WalkTelemetry
 
 
-def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms):
+def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, path=None):
     """One phase: move to a neighbour drawn with weight min(e_v/e_u, 1), then
-    multiply the departed vertex's energy by f. Returns the final vertex."""
+    multiply the departed vertex's energy by f. Appends the vertex each step
+    moves to onto ``path`` when one is given. Returns the final vertex."""
     for t in range(uniforms.size):
         s = int(indptr[current])
         e = int(indptr[current + 1])
@@ -49,6 +50,8 @@ def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, unifor
                 break
         log_energy[current] += log_f
         visit_counts[chosen] += 1
+        if path is not None:
+            path.append(chosen)
         current = chosen
     return current
 
