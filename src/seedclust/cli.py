@@ -15,14 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import DiffusionConfig, extract_cluster, run_diffusion
-from .graph import Graph, load_edge_list
+from .graph import load_edge_list
 from .metrics import Partition, modularity
 from .pipeline import OVERLAP_EMBED_ALPHA, overlap_clusters, partition_graph
 from .walk import WalkConfig, extract_cluster_from_energy, run_walk
-
-
-def _load_graph(path: str) -> Graph:
-    return load_edge_list(Path(path))
 
 
 def _json_text(doc: dict) -> str:
@@ -56,7 +52,7 @@ def _parse_schedule(text: str) -> tuple[tuple[float, int], ...]:
 
 
 def cmd_cluster(args) -> int:
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     mass, telemetry = run_diffusion(g, g.index_of(args.seed), _diffusion_config(args))
     report = extract_cluster(g, mass, telemetry)
     doc = report.to_json_dict(g, include_timing=args.include_timing)
@@ -71,7 +67,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     cfg = WalkConfig(
         alpha=args.alpha,
         beta=args.beta,
@@ -101,7 +97,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     result = partition_graph(g, _diffusion_config(args))
     _write_or_print(result.partition.to_csv(g), args.out)
     print(
@@ -112,7 +108,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     if args.centers.startswith("auto:"):
         centers = None
         auto_count = int(args.centers.split(":", 1)[1])
@@ -144,7 +140,7 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     partition = Partition.from_csv(Path(args.partition).read_text(), g)
     q = modularity(g, partition)
     print(f"modularity={q!r} blocks={partition.block_count}")
@@ -153,7 +149,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     """One diffusion, written as a telemetry CSV and a summary JSON."""
-    g = _load_graph(args.graph)
+    g = load_edge_list(args.graph)
     seed = g.index_of(args.seed) if args.seed is not None else int(np.argmax(g.degrees))
     cfg = _diffusion_config(args)
     mass, telemetry = run_diffusion(g, seed, cfg)

@@ -64,8 +64,8 @@ class DiffusionConfig:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_epsilon < 0.0:
-            raise ValueError("convergence_epsilon must be nonnegative")
+        if not 0.0 <= self.convergence_epsilon < math.inf:
+            raise ValueError("convergence_epsilon must be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,11 +72,11 @@ def build_embedding(g: Graph, masses: Sequence[SparseMass]) -> EmbeddingMatrix:
 
 def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
     n, k = d2.shape
-    u = np.empty((n, k), dtype=np.float64)
-    zero_rows = (d2 <= 0.0).any(axis=1)
-    for i in np.flatnonzero(zero_rows):
-        u[i] = 0.0
-        u[i, int(np.argmax(d2[i] <= 0.0))] = 1.0
+    u = np.zeros((n, k), dtype=np.float64)
+    zero = d2 <= 0.0
+    zero_rows = zero.any(axis=1)
+    # a row at distance 0 from a center is one-hot at its first such center
+    u[zero_rows, np.argmax(zero[zero_rows], axis=1)] = 1.0
     rest = ~zero_rows
     if rest.any():
         w = d2[rest] ** (-1.0 / (m - 1.0))

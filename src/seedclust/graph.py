@@ -268,9 +268,8 @@ def from_edges(pairs: Iterable[tuple[object, object]]) -> Graph:
 def load_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    ``source`` may be a path, a text stream, or a string of edge-list content
-    only when it contains a newline (paths never do). One edge per line, two
-    labels per edge; '#'/'%' comment lines and blank lines are skipped.
+    ``source`` is a path (``str`` or ``Path``) or a text stream. One edge per
+    line, two labels per edge; '#'/'%' comment lines and blank lines are skipped.
     Duplicate edges collapse, self-loops are dropped, and so are labels that
     occur only in self-loops (all three counted in ``load_report``); labels
     are interned in first-appearance order. A source with no edge between
@@ -280,12 +279,7 @@ def load_edge_list(source) -> Graph:
     by array operations over the text's character codes, in one pass with no
     Python loop per line or token.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
     codes, space, newline = _code_points(text)
     starts, lens = _edge_tokens(text, codes, space, newline)
     return _graph_from_tokens(text, codes, starts, lens)

@@ -47,8 +47,11 @@ class Partition:
             rows = rows[1:]
         assignments = np.full(g.vertex_count, -1, dtype=np.int64)
         for row in rows:
-            label, block = row.rsplit(",", 1)
-            assignments[g.index_of(label)] = int(block)
+            label, cell = row.rsplit(",", 1)
+            block = int(cell)
+            if block < 0:
+                raise ValueError(f"partition CSV gives vertex {label!r} negative block id {block}")
+            assignments[g.index_of(label)] = block
         if (assignments < 0).any():
             missing = g.label_of(int(np.flatnonzero(assignments < 0)[0]))
             raise ValueError(f"partition CSV misses vertex {missing!r}")

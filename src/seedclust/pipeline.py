@@ -49,6 +49,11 @@ def renumber_by_first_vertex(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return dense[inverse], ids[by_first]
 
 
+def _seed_order(g: Graph) -> np.ndarray:
+    """Vertices by degree, highest first, lowest index on ties."""
+    return np.argsort(-g.degrees, kind="stable")
+
+
 def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> PartitionResult:
     """Cover the graph with diffusion clusters, each seeded at the
     highest-degree uncovered vertex (lowest index on ties); vertices claimed
@@ -59,7 +64,7 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
     blocks: list[BlockInfo] = []
 
     # a covered vertex is never uncovered, so one order serves every block
-    for seed in np.argsort(-g.degrees, kind="stable").tolist():
+    for seed in _seed_order(g).tolist():
         if assign[seed] >= 0:
             continue
         mass, telemetry = run_diffusion(g, seed, cfg)
@@ -99,7 +104,7 @@ class OverlapResult:
 def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]:
     """Diffusions of ``count`` centers: the seeds of the highest
     mean-belongingness partition blocks of more than one vertex, topped up
-    with the highest-degree vertices if the partition is too coarse. Block
+    in ``partition_graph``'s seed order if the partition is too coarse. Block
     seeds keep the diffusion ``partition_graph`` ran; only a top-up center
     that seeded no block is diffused here."""
     result = partition_graph(g, cfg)
@@ -117,8 +122,9 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]
     scored.sort(key=lambda item: (-mean_belong(item), item[0].seed))
     centers = [info.seed for info, _ in scored[:count]]
     if len(centers) < count:
-        extra = [u for u in np.argsort(-g.degrees) if int(u) not in centers]
-        centers += [int(u) for u in extra[: count - len(centers)]]
+        # at most len(centers) of the first count vertices are centers already
+        extra = [u for u in _seed_order(g)[:count].tolist() if u not in centers]
+        centers += extra[: count - len(centers)]
     return [seeded[c] if c in seeded else run_diffusion(g, c, cfg)[0] for c in centers]
 
 

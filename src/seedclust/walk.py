@@ -58,15 +58,15 @@ class WalkConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.beta < self.alpha:
-            raise ValueError("beta must be at least alpha")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not self.alpha <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and at least alpha, got {self.beta}")
         if self.expected_size < 1:
             raise ValueError("expected_size must be >= 1")
         for f, steps in self.phases():
-            if f < 1.0:
-                raise ValueError(f"every f must be >= 1, got {f}")
+            if not 1.0 <= f < math.inf:
+                raise ValueError(f"every f must be finite and >= 1, got {f}")
             if steps < 0:
                 raise ValueError("phase step counts must be nonnegative")
 
@@ -80,10 +80,10 @@ class WalkConfig:
 class EnergyTable:
     """Walk state: per-vertex log energies, visit counts, current position.
 
-    ``visited`` lists the vertices with a positive visit count, the seed and
-    every vertex a phase of ``run_walk`` moved to: phase by phase, each
-    phase's newly reached vertices in ascending order. The sweep orders them
-    by energy and index, so nothing reads this order.
+    ``visited`` lists the seed, then each phase's newly reached vertices in
+    ascending order; ``run_walk`` builds it from ``PhaseStats.visits``, and no
+    program code reads ``visit_counts``. The sweep orders ``visited`` by
+    energy and index, so nothing reads its order.
     """
 
     log_energies: np.ndarray
@@ -131,14 +131,16 @@ def run_walk(
     """Execute the f-schedule, resetting the walker to the seed at each phase.
 
     A phase's visits are counted once, by the kernel from the arrivals it
-    walked, so no phase reads an n-length array. One memo of departed
-    vertices' rows and energies (see ``_kernels.walk_phase``) serves every
-    phase.
+    walked; ``state.visited`` is built from them after the last phase, so no
+    phase reads an n-length array. One memo of departed vertices' rows and
+    energies (see ``_kernels.walk_phase``) serves every phase.
     """
     state = init_energies(g, seed, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
     memo = ({}, {})
+    # insertion-ordered: a key keeps the place of its first visit
+    reached = dict.fromkeys(state.visited.tolist())
 
     for f, steps in cfg.phases():
         state.current_vertex = state.seed
@@ -154,26 +156,23 @@ def run_walk(
                 rng.random(steps),
                 memo,
             )
-        arrivals = np.fromiter(visits, np.int64, len(visits))
-        counts = np.fromiter(visits.values(), np.int64, len(visits))
-        # a vertex counted only in this phase was reached for the first time
-        first = arrivals[state.visit_counts[arrivals] == counts]
-        state.visited = np.concatenate((state.visited, first))
+        reached.update(visits)
         telemetry.phases.append(PhaseStats(f=float(f), steps=int(steps), visits=visits))
+    state.visited = np.fromiter(reached, np.int64, len(reached))
     return state, telemetry
 
 
 def extract_cluster_from_energy(
-    g: Graph, state: EnergyTable, telemetry: WalkTelemetry | None = None
+    g: Graph, state: EnergyTable, telemetry: WalkTelemetry
 ) -> ClusterReport:
     """Sweep the visited vertices ordered by final energy (descending, then by index).
 
     Only vertices the walk reached are ranked: an untouched vertex keeps its
     background energy alpha/degree, which says nothing about the seed's
     cluster, so the sweep costs the visited set's volume, not the component's.
+    The report's ``iterations_used`` is the number of steps walked.
     """
-    total_steps = telemetry.total_steps if telemetry else int(state.visit_counts.sum() - 1)
-    if total_steps <= 0:
+    if telemetry.total_steps <= 0:
         return ClusterReport(
             seed=state.seed,
             members=np.array([state.seed], dtype=np.int64),
@@ -194,6 +193,7 @@ def extract_cluster_from_energy(
         members=members,
         conductance=phi,
         belongingness=belong,
+        iterations_used=telemetry.total_steps,
         converged=True,
         degenerate=fallback,
     )

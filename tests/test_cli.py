@@ -61,6 +61,7 @@ def test_walk_subcommand(tmp_path, karate_path):
     assert doc["schema"] == "seedclust/walk-report/v1"
     assert len(doc["phases"]) == 3
     assert doc["phases"][0]["steps"] == 20
+    assert doc["iterations"] == sum(phase["steps"] for phase in doc["phases"]) == 60
 
 
 def test_partition_eval_roundtrip(tmp_path, karate_path, capsys):
@@ -165,6 +166,22 @@ def test_malformed_f_schedule_names_the_phase(karate_path, capsys, schedule, pha
     rc = main(["walk", "--graph", karate_path, "--seed", "0", "--f-schedule", schedule])
     assert rc == 1
     assert f"error: --f-schedule {phase}, not f:steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--f-schedule", "inf:10"], "every f"),
+        (["--beta", "inf"], "beta"),
+        (["--alpha", "nan"], "alpha"),
+    ],
+)
+def test_walk_rejects_non_finite_numbers(tmp_path, karate_path, capsys, flags, field):
+    out = tmp_path / "walk.json"
+    rc = main(["walk", "--graph", karate_path, "--seed", "0", "--out", str(out), *flags])
+    assert rc == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def strict_json(text):

@@ -250,6 +250,20 @@ def test_records_time_the_run_with_one_clock_read_each(cfg, monkeypatch):
     assert sum(s.seconds for s in telemetry.iterations) <= wall
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"convergence_epsilon": float("nan")}, "convergence_epsilon"),
+        ({"convergence_epsilon": float("inf")}, "convergence_epsilon"),
+        ({"convergence_epsilon": -1e-9}, "convergence_epsilon"),
+        ({"alpha": float("nan")}, "alpha"),
+    ],
+)
+def test_config_rejects_non_finite_numbers(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        DiffusionConfig(**kwargs)
+
+
 def test_bad_seeds_rejected():
     from seedclust import from_edges
     from seedclust.graph import Graph

@@ -10,7 +10,7 @@ from seedclust import (
     fcm_fit,
     overlap_report,
 )
-from seedclust.fcm import diffuse_centers
+from seedclust.fcm import _memberships_from_distances, diffuse_centers
 
 
 def brute_objective(x, u, centers, m):
@@ -129,6 +129,23 @@ def test_fit_equidistant_point_splits():
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])
     msm = fcm_fit(x, k=2, m=2.0, initial_centers=centers, max_iters=1)
     assert msm.memberships[2] == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+def test_memberships_match_the_per_row_loop():
+    """Rows with a zero distance are one-hot at their first zero; the rest
+    follow the fuzzy update, as in a loop over the rows."""
+    rng = np.random.default_rng(0)
+    d2 = rng.integers(0, 3, size=(200, 4)) * rng.random((200, 4))
+    for m in (1.5, 2.0, 3.0):
+        u = _memberships_from_distances(d2, m)
+        for row, got in zip(d2, u):
+            want = np.zeros(4)
+            if (row <= 0.0).any():
+                want[np.flatnonzero(row <= 0.0)[0]] = 1.0
+            else:
+                w = row ** (-1.0 / (m - 1.0))
+                want = w / w.sum()
+            assert got.tobytes() == want.tobytes()
 
 
 def test_fit_coincident_point_gets_hard_membership():

@@ -49,6 +49,15 @@ def test_load_drops_self_loops_and_skips_comments():
     assert g.load_report.self_loops == 1
 
 
+def test_load_reads_a_str_as_a_path(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("a b\nb c\n")
+    assert load_edge_list(str(path)).labels == load_edge_list(path).labels == ("a", "b", "c")
+    # edge-list text is read from a stream, never from a str
+    with pytest.raises(OSError):
+        load_edge_list("a b\nb c\n")
+
+
 def test_load_karate(karate):
     assert karate.vertex_count == 34
     assert karate.edge_count == 78

@@ -129,3 +129,8 @@ def test_partition_csv_renumbers_in_sorted_block_order():
 def test_partition_csv_missing_vertex(karate):
     with pytest.raises(ValueError):
         Partition.from_csv("vertex,block\n0,0\n", karate)
+
+
+def test_partition_csv_negative_block_names_label_and_id(karate):
+    with pytest.raises(ValueError, match="vertex '0' negative block id -3"):
+        Partition.from_csv("vertex,block\n0,-3\n", karate)

@@ -13,7 +13,7 @@ from seedclust import (
 )
 from seedclust.cli import main
 from seedclust.datasets import ring_of_cliques
-from seedclust.pipeline import renumber_by_first_vertex
+from seedclust.pipeline import auto_centers, renumber_by_first_vertex
 
 
 def test_partition_two_triangles(two_triangles):
@@ -112,6 +112,15 @@ def test_overlap_auto_centers(karate):
     result = overlap_clusters(karate, centers=None, auto_count=2, k=3)
     assert len(result.centers) == 2
     assert len(set(result.centers)) == 2
+
+
+def test_auto_centers_top_up_follows_the_partition_seed_order(karate):
+    # two blocks at alpha 0.04, so five of seven centres are topped up
+    seeds = [mass.seed for mass in auto_centers(karate, 7, DiffusionConfig(alpha=0.04))]
+    order = np.argsort(-karate.degrees, kind="stable").tolist()
+    assert seeds[2:] == [u for u in order if u not in seeds[:2]][:5]
+    # vertices 3 and 16 tie at degree 6: the lower index comes first
+    assert seeds == [30, 0, 23, 21, 2, 1, 3]
 
 
 def test_benchmark_outputs(tmp_path, karate_path, capsys):

@@ -232,6 +232,33 @@ def test_config_validation():
         WalkConfig(expected_size=0)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("alpha", {"alpha": math.nan}),
+        ("alpha", {"alpha": math.inf}),
+        ("beta", {"beta": math.nan}),
+        ("beta", {"beta": math.inf}),
+        ("every f", {"f_schedule": ((math.nan, 10),)}),
+        ("every f", {"f_schedule": ((1.1, 10), (math.inf, 10))}),
+    ],
+)
+def test_config_rejects_non_finite_numbers(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        WalkConfig(**kwargs)
+
+
+def test_visited_lists_first_visits_phase_by_phase_and_report_counts_steps(karate):
+    state, telemetry = run_walk(karate, 0, WalkConfig(rng_seed=7, expected_size=8))
+    want = [0]
+    for phase in telemetry.phases:
+        want += [u for u in sorted(phase.visits) if u not in want]
+    assert state.visited.tolist() == want
+    assert sorted(want) == np.flatnonzero(state.visit_counts).tolist()
+    report = extract_cluster_from_energy(karate, state, telemetry)
+    assert report.iterations_used == telemetry.total_steps == 30 * 8
+
+
 def oracle_cases():
     """(graph, seed, config) triples for the walk against the reference loop:
     random graphs, karate, a ring of cliques, f = 1 and zero-step phases, and
