@@ -6,6 +6,13 @@ reaches in one step, so it costs O(support volume), not O(n). ``walk_phase``
 is a CPython loop over Python lists and floats that counts the vertices it
 arrives at: a phase costs O(steps x degree) float operations plus one row
 fetch from the CSR arrays per vertex the walk departs from for the first time.
+
+At local supports of tens of vertices a diffusion step costs its numpy calls,
+not its arithmetic, so the per-step kernels call array methods and ufuncs
+(``a.cumsum()``, ``a.repeat``, ``a.argsort()``, ``a.searchsorted``) rather
+than numpy's Python-level wrappers (``np.cumsum`` and the like in
+``fromnumeric.py``, ``np.ones``, ``np.full``), which run the same C kernels
+after about 2 microseconds of argument handling each.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ def gather_rows(indptr, indices, vertices):
     """Concatenated CSR rows of ``vertices`` (with multiplicity) and their lengths."""
     starts = indptr[vertices]
     lens = indptr[vertices + 1] - starts
-    ends = np.cumsum(lens)
-    pos = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lens, lens)
+    ends = lens.cumsum()
+    pos = np.arange(ends[-1] if ends.size else 0) + (starts - ends + lens).repeat(lens)
     return indices[pos], lens
 
 
@@ -43,12 +50,13 @@ def sorted_unique_inverse(values):
     among them, by one ``argsort``, a neighbour comparison and a ``cumsum``
     (``np.unique`` with ``return_inverse`` costs tens of microseconds more
     per call at a few hundred elements)."""
-    by_value = np.argsort(values)
+    by_value = values.argsort()
     ordered = values[by_value]
-    fresh = np.ones(values.size, dtype=bool)
+    fresh = np.empty(values.size, dtype=bool)
+    fresh[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
     inverse = np.empty(values.size, dtype=np.int64)
-    inverse[by_value] = np.cumsum(fresh) - 1
+    inverse[by_value] = fresh.cumsum() - 1
     return ordered[fresh], inverse
 
 
@@ -64,8 +72,10 @@ def push_plan(indptr, indices, degrees, support):
     nbrs, lens = gather_rows(indptr, indices, support)
     reached, targets = sorted_unique_inverse(np.concatenate((support, nbrs)))
     at = targets[: support.size]
-    sources = np.concatenate((at, np.repeat(at, lens)))
-    divisors = np.concatenate((np.full(support.size, 2.0), np.repeat(2.0 * degrees[support], lens)))
+    sources = np.concatenate((at, at.repeat(lens)))
+    divisors = np.empty(sources.size, dtype=np.float64)
+    divisors[: support.size] = 2.0
+    divisors[support.size :] = (2.0 * degrees[support]).repeat(lens)
     return reached, at, sources, divisors, targets
 
 
@@ -94,14 +104,14 @@ def sweep_cutvol(indptr, indices, degrees, order):
     """
     deg = degrees[order]
     nbrs, lens = gather_rows(indptr, indices, order)
-    by_vertex = np.argsort(order)
+    by_vertex = order.argsort()
     sorted_order = order[by_vertex]
-    k = np.searchsorted(sorted_order, nbrs)
+    k = sorted_order.searchsorted(nbrs)
     in_order = sorted_order.take(k, mode="clip") == nbrs
-    owner = np.repeat(np.arange(order.size, dtype=np.int64), lens)
+    owner = np.arange(order.size, dtype=np.int64).repeat(lens)
     earlier = in_order & (by_vertex.take(k, mode="clip") < owner)
     internal = np.bincount(owner[earlier], minlength=order.size)
-    return np.cumsum(deg - 2 * internal), np.cumsum(deg)
+    return (deg - 2 * internal).cumsum(), deg.cumsum()
 
 
 def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, memo=None):

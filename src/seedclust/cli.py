@@ -111,7 +111,12 @@ def cmd_overlap(args) -> int:
     g = load_edge_list(args.graph)
     if args.centers.startswith("auto:"):
         centers = None
-        auto_count = int(args.centers.split(":", 1)[1])
+        try:
+            auto_count = int(args.centers.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"--centers {args.centers!r} is not auto:k with a whole number k (as in auto:2)"
+            ) from None
     else:
         centers = [g.index_of(lbl) for lbl in args.centers.split(",")]
         auto_count = 0

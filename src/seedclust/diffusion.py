@@ -81,7 +81,7 @@ class SparseMass:
         return int(self.vertices.size)
 
     def mass_of(self, u: int) -> float:
-        k = np.searchsorted(self.vertices, u)
+        k = self.vertices.searchsorted(u)
         if k < self.vertices.size and self.vertices[k] == u:
             return float(self.masses[k])
         return 0.0
@@ -91,7 +91,7 @@ class SparseMass:
 
     def relative_masses(self, vertices: np.ndarray) -> np.ndarray:
         """Mass of each of ``vertices`` over the seed's, by one binary search."""
-        k = np.searchsorted(self.vertices, vertices)
+        k = self.vertices.searchsorted(vertices)
         found = self.vertices.take(k, mode="clip") == vertices
         return np.where(found, self.masses.take(k, mode="clip"), 0.0) / self.seed_mass()
 
@@ -182,12 +182,12 @@ def truncate(
         raise ValueError("seed has zero mass; truncation threshold undefined")
     keep = mass >= alpha * mass[seed_pos]
     keep[seed_pos] = True
-    dropped = ~keep
-    if np.count_nonzero(dropped):
-        removed = float(mass[dropped].sum())
+    if not np.logical_and.reduce(keep):
+        dropped = ~keep
+        removed = float(np.add.reduce(mass[dropped]))
         mass[dropped] = 0.0
         mass[seed_pos] += removed
-    l1 = float(np.abs((mass - prev)[keep | live]).sum())
+    l1 = float(np.add.reduce(np.abs((mass - prev)[keep | live])))
     return keep, l1
 
 
@@ -226,10 +226,10 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     solve before its bound reaches ``tol``.
     """
     reached, at, sources, divisors, targets = plan
-    rank = np.cumsum(live) - 1
+    rank = live.cumsum() - 1
     on = live[targets]
     src, dst, div = rank[sources[on]], rank[targets[on]], divisors[on]
-    seed_at = int(np.searchsorted(support, seed))
+    seed_at = int(support.searchsorted(seed))
     k = support.size
     if k <= DENSE_MAX:
         # I - A in one k x k buffer: a separate identity would double the peak
@@ -240,13 +240,13 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
         y = np.linalg.solve(matrix.reshape(k, k), e)
         walk = (support, None, src, div, dst)
         r = e - y + _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, y, walk)
-        record(2.0 * float(np.abs(r).sum()) / float(y.sum()), k)
+        record(2.0 * float(np.add.reduce(np.abs(r))) / float(np.add.reduce(y)), k)
     else:
         y = _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, record)
         if y is None:
             return None
     out = np.zeros(reached.size, dtype=np.float64)
-    out[at] = y / y.sum()
+    out[at] = y / np.add.reduce(y)
     return out
 
 
@@ -257,7 +257,7 @@ def _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, rec
     root_deg = np.sqrt(g.degrees[support])
     symmetric = (support, None, src, div * (root_deg[dst] / root_deg[src]), dst)
     # Cauchy-Schwarz: |r|_1 <= sqrt(volume) |D^-1/2 r|_2
-    root_volume = math.sqrt(float(g.degrees[support].sum()))
+    root_volume = math.sqrt(float(np.add.reduce(g.degrees[support])))
     z = np.zeros(support.size, dtype=np.float64)
     r = np.zeros(support.size, dtype=np.float64)
     r[seed_at] = 1.0 / root_deg[seed_at]
@@ -265,11 +265,11 @@ def _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, rec
     rr = float(r[seed_at]) ** 2
     for _ in range(min(support.size, max_steps)):
         q = p - _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, p, symmetric)
-        a = rr / float(np.dot(p, q))
+        a = rr / float(p.dot(q))
         z += a * p
         r -= a * q
-        rr, last = float(np.dot(r, r)), rr
-        bound = 2.0 * root_volume * math.sqrt(rr) / float(np.dot(root_deg, z))
+        rr, last = float(r.dot(r)), rr
+        bound = 2.0 * root_volume * math.sqrt(rr) / float(root_deg.dot(z))
         record(bound, support.size)
         if bound <= tol:
             break
@@ -300,8 +300,8 @@ def run_diffusion(
     """
     seed = g.check_vertex(seed)
     reached = np.array([seed], dtype=np.int64)
-    mass = np.ones(1, dtype=np.float64)
-    live = np.ones(1, dtype=bool)
+    mass = np.array([1.0])
+    live = np.array([True])
     plan = None
     telemetry = DiffusionTelemetry()
     records = telemetry.iterations
@@ -330,9 +330,9 @@ def run_diffusion(
             moved[at] = mass[live]
             mass, live = moved, np.zeros(reached.size, dtype=bool)
             live[at] = True
-            seed_pos = int(np.searchsorted(reached, seed))
+            seed_pos = int(reached.searchsorted(seed))
             support_size = int(support.size)
-            support_volume = int(g.degrees[support].sum())
+            support_volume = int(np.add.reduce(g.degrees[support]))
             settled = 0
         elif (
             settled == SETTLE_STEPS
@@ -356,12 +356,12 @@ def run_diffusion(
                 mass = solved
         new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, mass, plan)
         keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
-        if np.array_equal(keep, live):
+        if np.logical_and.reduce(keep == live):
             settled += 1
         else:
             plan = None
         mass, live = new, keep
-        record(l1, int(np.count_nonzero(keep)))
+        record(l1, int(np.add.reduce(keep)))
         if l1 < cfg.convergence_epsilon:
             telemetry.converged = True
             break
@@ -383,17 +383,18 @@ def sweep_cut(
     """
     cuts, vols = _kernels.sweep_cutvol(g.indptr, g.indices, g.degrees, order)
     twice_m = g.total_degree
-    seed_pos = int(np.flatnonzero(order == seed)[0])
+    seed_pos = int((order == seed).argmax())
 
     sizes = np.arange(1, order.size + 1)
     eligible = (sizes > seed_pos) & (sizes < g.vertex_count)
-    if not eligible.any():
+    if not np.logical_or.reduce(eligible):
         return np.array([seed], dtype=np.int64), 1.0, True
 
     small_side = np.minimum(vols, twice_m - vols)
     phis = np.where(eligible, cuts / np.maximum(small_side, 1), np.inf)
-    best = int(np.argmin(phis))
-    members = np.sort(order[: best + 1])
+    best = int(phis.argmin())
+    members = order[: best + 1].copy()
+    members.sort()
     return members, float(phis[best]), False
 
 

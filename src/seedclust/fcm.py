@@ -8,6 +8,7 @@ vertex sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,8 +106,10 @@ def fcm_fit(
         raise ValueError("cluster count k must be >= 2")
     if k > n:
         raise ValueError("more clusters than data points")
-    if m <= 1.0:
-        raise ValueError("fuzzifier m must be > 1 (m=1 is the hard-assignment limit)")
+    if not 1.0 < m < math.inf:
+        raise ValueError(
+            f"fuzzifier m must be finite and > 1 (m=1 is the hard-assignment limit), got {m}"
+        )
 
     if initial_centers is not None:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()

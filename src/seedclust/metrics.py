@@ -42,13 +42,18 @@ class Partition:
 
     @classmethod
     def from_csv(cls, text: str, g: Graph) -> "Partition":
-        rows = [r.strip() for r in text.splitlines() if r.strip()]
-        if rows and rows[0].lower().startswith("vertex"):
+        rows = [(i, r.strip()) for i, r in enumerate(text.splitlines(), 1) if r.strip()]
+        if rows and rows[0][1].lower().startswith("vertex"):
             rows = rows[1:]
         assignments = np.full(g.vertex_count, -1, dtype=np.int64)
-        for row in rows:
-            label, cell = row.rsplit(",", 1)
-            block = int(cell)
+        for line, row in rows:
+            try:
+                label, cell = row.rsplit(",", 1)
+                block = int(cell)
+            except ValueError:
+                raise ValueError(
+                    f"partition CSV line {line} is {row!r}, not vertex,block (as in 0,1)"
+                ) from None
             if block < 0:
                 raise ValueError(f"partition CSV gives vertex {label!r} negative block id {block}")
             assignments[g.index_of(label)] = block

@@ -1,3 +1,7 @@
+import os
+import sys
+from collections import Counter
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -44,6 +48,32 @@ def two_triangles() -> Graph:
 def star4() -> Graph:
     """Center 0 with three leaves."""
     return from_edges([(0, 1), (0, 2), (0, 3)])
+
+
+NUMPY_ROOT = os.path.dirname(np.__file__) + os.sep
+
+
+@contextmanager
+def numpy_frames():
+    """Count numpy's Python-level functions entered from outside numpy while
+    the block runs, keyed by file name (``fromnumeric.py``, ``numeric.py``,
+    ...), so the counts read the same on numpy 1.x (``numpy/core``) and 2.x
+    (``numpy/_core``). Calls numpy makes to itself are not counted, and C
+    functions and methods enter no Python frame."""
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(NUMPY_ROOT):
+            caller = frame.f_back
+            if caller is None or not caller.f_code.co_filename.startswith(NUMPY_ROOT):
+                counts[os.path.basename(frame.f_code.co_filename)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(previous)
 
 
 def random_graphs(count: int, n_max: int = 64):

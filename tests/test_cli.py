@@ -184,6 +184,27 @@ def test_walk_rejects_non_finite_numbers(tmp_path, karate_path, capsys, flags, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", ["nan", "inf"])
+def test_overlap_rejects_non_finite_fuzzifier(tmp_path, karate_path, capsys, m):
+    out = tmp_path / "overlap.json"
+    rc = main(
+        ["overlap", "--graph", karate_path, "--centers", "auto:2", "--m", m, "--out", str(out)]
+    )
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: fuzzifier m must be finite and > 1")
+    assert errors[0].endswith(f"got {m}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("centers", ["auto:x", "auto:"])
+def test_overlap_malformed_auto_centers_names_the_flag(karate_path, capsys, centers):
+    rc = main(["overlap", "--graph", karate_path, "--centers", centers])
+    assert rc == 1
+    assert f"error: --centers {centers!r} is not auto:k" in capsys.readouterr().err
+
+
 def strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")

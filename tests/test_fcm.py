@@ -189,8 +189,9 @@ def test_fit_parameter_validation():
     x = blob_data()
     with pytest.raises(ValueError):
         fcm_fit(x, k=1)
-    with pytest.raises(ValueError):
-        fcm_fit(x, k=2, m=1.0)
+    for m in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="fuzzifier m must be"):
+            fcm_fit(x, k=2, m=m)
     with pytest.raises(ValueError):
         fcm_fit(x, k=200)
 

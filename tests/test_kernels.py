@@ -5,10 +5,11 @@ import pytest
 
 import seedclust._kernels as kernels
 
-from seedclust import SparseMass
-from seedclust.datasets import ring_of_cliques
+from seedclust import DiffusionConfig, SparseMass, find_cluster
+from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
+from seedclust.walk import WalkConfig, extract_cluster_from_energy, run_walk
 
-from conftest import random_graphs
+from conftest import numpy_frames, random_graphs
 from diffusion_oracle import diffuse_step, from_seed
 
 
@@ -70,3 +71,29 @@ def test_diffuse_push_frame_stays_local():
         # the reach is the ball the steps reached, whatever n is
         assert mass.vertices.tolist() == sorted(ball)
         assert mass.masses.size == len(ball) < 100
+
+
+# numpy's Python-level wrappers (np.cumsum, np.repeat, np.count_nonzero, ...)
+# cost more than the arithmetic at local supports: the query path calls array
+# methods and ufuncs instead. A C function with a Python dispatcher
+# (np.bincount, np.concatenate) still enters one frame per call.
+MAX_NUMPY_FRAMES_PER_PUSH = 6
+
+
+def test_diffusion_query_enters_few_numpy_frames():
+    g = random_connected_graph(3000, 6000, rng_seed=3)
+    pushes = 0
+    with numpy_frames() as frames:
+        for seed in range(0, 3000, 75):
+            pushes += find_cluster(g, seed, DiffusionConfig(alpha=0.04)).iterations_used
+    assert frames["fromnumeric.py"] == 0, frames
+    assert sum(frames.values()) <= MAX_NUMPY_FRAMES_PER_PUSH * pushes, (frames, pushes)
+
+
+def test_energy_extraction_enters_no_fromnumeric_frame():
+    g = karate_club()
+    walks = [run_walk(g, seed, WalkConfig(rng_seed=7, expected_size=8)) for seed in range(0, 34, 3)]
+    with numpy_frames() as frames:
+        for state, telemetry in walks:
+            extract_cluster_from_energy(g, state, telemetry)
+    assert frames["fromnumeric.py"] == 0, frames

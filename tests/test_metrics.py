@@ -134,3 +134,9 @@ def test_partition_csv_missing_vertex(karate):
 def test_partition_csv_negative_block_names_label_and_id(karate):
     with pytest.raises(ValueError, match="vertex '0' negative block id -3"):
         Partition.from_csv("vertex,block\n0,-3\n", karate)
+
+
+@pytest.mark.parametrize("row", ["0", "0,a", "0,"])
+def test_partition_csv_malformed_row_names_line_and_text(karate, row):
+    with pytest.raises(ValueError, match=f"line 3 is '{row}', not vertex,block"):
+        Partition.from_csv(f"vertex,block\n1,0\n{row}\n", karate)
