@@ -110,20 +110,20 @@ def cmd_partition(args) -> int:
 def cmd_overlap(args) -> int:
     g = load_edge_list(args.graph)
     if args.centers.startswith("auto:"):
-        centers = None
         try:
-            auto_count = int(args.centers.split(":", 1)[1])
+            centers = int(args.centers.split(":", 1)[1])
         except ValueError:
             raise ValueError(
                 f"--centers {args.centers!r} is not auto:k with a whole number k (as in auto:2)"
             ) from None
     else:
-        centers = [g.index_of(lbl) for lbl in args.centers.split(",")]
-        auto_count = 0
+        try:
+            centers = [g.index_of(lbl) for lbl in args.centers.split(",")]
+        except KeyError as exc:
+            raise ValueError(f"--centers {args.centers!r}: {exc.args[0]}") from None
     result = overlap_clusters(
         g,
         centers=centers,
-        auto_count=auto_count,
         k=args.k,
         fuzzifier=args.m,
         alpha=args.alpha,

@@ -224,25 +224,25 @@ def _intern(
 
 
 def _graph_from_tokens(text: str, codes: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> Graph:
-    """Graph whose edges are consecutive token pairs: intern, drop self-loops,
-    build the CSR, then drop the labels left without an edge."""
+    """Graph whose edges are consecutive token pairs: intern, drop self-loops
+    and the labels that only they use, then build the CSR."""
     if starts.size == 0:
         raise EmptyGraphError("edge-list source contains no edges")
     ids, labels = _intern(text, codes, starts, lens)
     u, v = ids[0::2], ids[1::2]
     edge = u != v
-    indptr, indices, degrees, duplicates = csr_from_pairs(u[edge], v[edge], len(labels))
-    isolated = 0
-    if not degrees.all():
-        linked = degrees > 0
-        if not linked.any():
-            raise EmptyGraphError("edge-list source contains no edges")
-        # renumbering by rank among the linked labels keeps every row sorted
-        indices = np.take(np.cumsum(linked) - 1, indices)
-        degrees = degrees[linked]
-        indptr = np.concatenate(([0], np.cumsum(degrees)))
-        isolated = len(labels) - degrees.size
+    u, v = u[edge], v[edge]
+    linked = np.zeros(len(labels), dtype=bool)
+    linked[u] = linked[v] = True
+    if not linked.any():
+        raise EmptyGraphError("edge-list source contains no edges")
+    isolated = len(labels) - int(linked.sum())
+    if isolated:
+        # renumbering by rank among the linked labels keeps first-appearance order
+        rank = np.cumsum(linked) - 1
+        u, v = rank[u], rank[v]
         labels = tuple(compress(labels, linked.tolist()))
+    indptr, indices, degrees, duplicates = csr_from_pairs(u, v, len(labels))
     return Graph(
         indptr=indptr,
         indices=indices,
@@ -250,7 +250,7 @@ def _graph_from_tokens(text: str, codes: np.ndarray, starts: np.ndarray, lens: n
         labels=labels,
         load_report=LoadReport(
             duplicate_edges=duplicates,
-            self_loops=int(u.size - edge.sum()),
+            self_loops=int(edge.size - edge.sum()),
             isolated_labels=isolated,
         ),
     )

@@ -43,9 +43,11 @@ class Partition:
     @classmethod
     def from_csv(cls, text: str, g: Graph) -> "Partition":
         rows = [(i, r.strip()) for i, r in enumerate(text.splitlines(), 1) if r.strip()]
-        if rows and rows[0][1].lower().startswith("vertex"):
+        # the first row is a header when its vertex cell is "vertex"
+        if rows and rows[0][1].rsplit(",", 1)[0].strip().lower() == "vertex":
             rows = rows[1:]
         assignments = np.full(g.vertex_count, -1, dtype=np.int64)
+        line_of: dict[int, int] = {}
         for line, row in rows:
             try:
                 label, cell = row.rsplit(",", 1)
@@ -56,7 +58,13 @@ class Partition:
                 ) from None
             if block < 0:
                 raise ValueError(f"partition CSV gives vertex {label!r} negative block id {block}")
-            assignments[g.index_of(label)] = block
+            u = g.index_of(label)
+            if u in line_of:
+                raise ValueError(
+                    f"partition CSV gives vertex {label!r} on lines {line_of[u]} and {line}"
+                )
+            line_of[u] = line
+            assignments[u] = block
         if (assignments < 0).any():
             missing = g.label_of(int(np.flatnonzero(assignments < 0)[0]))
             raise ValueError(f"partition CSV misses vertex {missing!r}")

@@ -4,6 +4,8 @@ and the overlap pipeline."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
+from typing import Sequence
 
 import numpy as np
 
@@ -28,15 +30,22 @@ class BlockInfo:
     conductance: float
     size: int
     converged: bool
-    # the seed's diffusion, reused by auto_centers
-    mass: SparseMass = field(repr=False, compare=False)
 
 
 @dataclass
 class PartitionResult:
+    """A partition, one ``BlockInfo`` per block in block order, and its
+    modularity.
+
+    ``diffusions`` maps every seed ``partition_graph`` diffused to its
+    diffusion, the seeds of blocks that contested reassignment emptied
+    included, so that ``auto_centers`` can reuse any of them.
+    """
+
     partition: Partition
     blocks: list[BlockInfo]
     modularity: float
+    diffusions: dict[int, SparseMass] = field(repr=False, compare=False)
 
 
 def renumber_by_first_vertex(assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,12 +71,14 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
     assign = np.full(n, -1, dtype=np.int64)
     belong = np.zeros(n, dtype=np.float64)
     blocks: list[BlockInfo] = []
+    diffusions: dict[int, SparseMass] = {}
 
     # a covered vertex is never uncovered, so one order serves every block
     for seed in _seed_order(g).tolist():
         if assign[seed] >= 0:
             continue
         mass, telemetry = run_diffusion(g, seed, cfg)
+        diffusions[seed] = mass
         report = extract_cluster(g, mass, telemetry)
         m = report.members
         b = mass.relative_masses(m)
@@ -80,7 +91,6 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
                 conductance=report.conductance,
                 size=int(m.size),
                 converged=report.converged,
-                mass=mass,
             )
         )
 
@@ -90,7 +100,12 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
     blocks = [blocks[b] for b in kept]
     for info, members in zip(blocks, partition.blocks()):
         info.size = int(members.size)
-    return PartitionResult(partition=partition, blocks=blocks, modularity=modularity(g, partition))
+    return PartitionResult(
+        partition=partition,
+        blocks=blocks,
+        modularity=modularity(g, partition),
+        diffusions=diffusions,
+    )
 
 
 @dataclass
@@ -104,11 +119,14 @@ class OverlapResult:
 def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]:
     """Diffusions of ``count`` centers: the seeds of the highest
     mean-belongingness partition blocks of more than one vertex, topped up
-    in ``partition_graph``'s seed order if the partition is too coarse. Block
-    seeds keep the diffusion ``partition_graph`` ran; only a top-up center
-    that seeded no block is diffused here."""
+    in ``partition_graph``'s seed order if the partition is too coarse.
+
+    A center that ``partition_graph`` diffused, as the seed of a kept or of
+    an emptied block, keeps that diffusion; only a top-up center that seeded
+    no block is diffused here, so each center is diffused once.
+    """
     result = partition_graph(g, cfg)
-    seeded = {info.seed: info.mass for info in result.blocks}
+    diffusions = result.diffusions
     scored = [
         (info, members)
         for info, members in zip(result.blocks, result.partition.blocks())
@@ -117,7 +135,7 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]
 
     def mean_belong(item):
         info, members = item
-        return float(np.mean(info.mass.relative_masses(members)))
+        return float(np.mean(diffusions[info.seed].relative_masses(members)))
 
     scored.sort(key=lambda item: (-mean_belong(item), item[0].seed))
     centers = [info.seed for info, _ in scored[:count]]
@@ -125,13 +143,35 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]
         # at most len(centers) of the first count vertices are centers already
         extra = [u for u in _seed_order(g)[:count].tolist() if u not in centers]
         centers += extra[: count - len(centers)]
-    return [seeded[c] if c in seeded else run_diffusion(g, c, cfg)[0] for c in centers]
+    return [diffusions[c] if c in diffusions else run_diffusion(g, c, cfg)[0] for c in centers]
+
+
+def _check_centers(g: Graph, centers) -> int | list[int]:
+    """``centers`` as a count of auto centers from 2 to n, or as a list of at
+    least 2 distinct vertices in range; raises ``ValueError`` naming
+    ``centers`` otherwise."""
+    n = g.vertex_count
+    if isinstance(centers, Integral):
+        if not 2 <= centers <= n:
+            raise ValueError(
+                f"centers count must be from 2 to {n}, the vertex count; got {centers}"
+            )
+        return int(centers)
+    vertices = list(centers)
+    for u in vertices:
+        if not 0 <= u < n:
+            raise ValueError(f"centers vertex {u} is out of range [0, {n})")
+    if len(vertices) < 2 or len(set(vertices)) < len(vertices):
+        raise ValueError(
+            f"centers must be at least 2 distinct vertices; got {len(vertices)} vertices, "
+            f"{len(set(vertices))} distinct"
+        )
+    return [int(u) for u in vertices]
 
 
 def overlap_clusters(
     g: Graph,
-    centers=None,
-    auto_count: int = 2,
+    centers: int | Sequence[int] = 2,
     k: int = 3,
     fuzzifier: float = 2.0,
     alpha: float = OVERLAP_EMBED_ALPHA,
@@ -140,16 +180,23 @@ def overlap_clusters(
 ) -> OverlapResult:
     """Embed via per-center diffusion (degree-normalized) and fuzzy-cluster.
 
-    Each center is diffused once: auto centers reuse the block diffusions of
+    ``centers`` is either a count of auto centers (``auto_centers``) or a
+    sequence of center vertices. It is checked before any diffusion runs: a
+    count must be from 2 to n, a sequence must hold at least 2 distinct
+    vertices in range, and a ``ValueError`` naming ``centers`` is raised
+    otherwise.
+
+    Each center is diffused once: auto centers reuse the diffusions of
     ``partition_graph``, given ones are diffused by ``diffuse_centers``. Every
     vertex has an edge, so the degree normalization never divides by zero.
     The default ``alpha`` is much larger than the single-cluster default: the
     embedding must stay localized around each center to carry any boundary
     signal, and small thresholds mix to stationarity on small graphs.
     """
+    centers = _check_centers(g, centers)
     cfg = DiffusionConfig(alpha=alpha)
-    if centers is None:
-        masses = auto_centers(g, auto_count, cfg)
+    if isinstance(centers, int):
+        masses = auto_centers(g, centers, cfg)
     else:
         masses = diffuse_centers(g, centers, cfg)
 
@@ -165,4 +212,3 @@ def overlap_clusters(
         report=overlap_report(msm, threshold),
         belongingness=belongingness,
     )
-

@@ -205,6 +205,26 @@ def test_overlap_malformed_auto_centers_names_the_flag(karate_path, capsys, cent
     assert f"error: --centers {centers!r} is not auto:k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("centers", ["auto:0", "auto:1", "auto:-1", "auto:35", "0,0", "0", "0,x"])
+def test_overlap_rejects_centers_before_any_work(tmp_path, karate_path, capsys, monkeypatch, centers):
+    import seedclust.fcm as fcm_module
+    import seedclust.pipeline as pipeline_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the centres were checked")
+
+    monkeypatch.setattr(pipeline_module, "partition_graph", refuse)
+    for module in (pipeline_module, fcm_module):
+        monkeypatch.setattr(module, "run_diffusion", refuse)
+    out = tmp_path / "overlap.json"
+    rc = main(["overlap", "--graph", karate_path, "--centers", centers, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "centers" in err[0]
+    assert not out.exists()
+
+
 def strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")

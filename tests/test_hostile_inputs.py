@@ -5,7 +5,9 @@ The lists mix duplicate edges in both orientations, self-loop-only labels
 vertices, and the walk runs with drawn schedules of up to a few thousand
 steps. Each subcommand runs in-process twice; a run either exits 0 with
 valid output or exits 1 with a single ``error:`` line, and reruns are
-byte-identical. A self-loop-only label changes no output.
+byte-identical. A self-loop-only label changes no output. ``overlap`` also
+runs with drawn ``--centers`` specs: counts from -1 to n + 2 and label lists
+with repeats or self-loop-only labels.
 """
 
 import contextlib
@@ -133,6 +135,49 @@ def test_subcommands_survive_hostile_edge_lists(text, walk):
             assert np.allclose(u.sum(axis=1), 1.0)
     finally:
         Path(graph).unlink()
+
+
+@st.composite
+def graphs_with_center_specs(draw) -> tuple[str, str]:
+    text = draw(hostile_edge_lists())
+    labels = sorted(set(text.split()))
+    counts = st.integers(-1, len(linked_labels(text)) + 2).map("auto:{}".format)
+    # a drawn list repeats a label or names a self-loop-only one often enough
+    lists = st.lists(st.sampled_from(labels), min_size=1, max_size=4).map(",".join)
+    return text, draw(st.one_of(counts, lists))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=graphs_with_center_specs())
+@example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,v0"))
+@example(case=("v0 v1\nv1 v2\nv2 v0\nz0 z0\n", "v0,z0"))
+@example(case=("v0 v1\nv1 v2\nv2 v0\n", "auto:4"))
+def test_overlap_centers_are_checked(case):
+    text, spec = case
+    linked = linked_labels(text)
+    if spec.startswith("auto:"):
+        valid = 2 <= int(spec[5:]) <= len(linked)
+    else:
+        listed = spec.split(",")
+        valid = len(set(listed)) == len(listed) >= 2 and set(listed) <= linked
+    graph = write_graph(text)
+    try:
+        rc, out, err, _ = check(["overlap", "--graph", graph, "--centers", spec])
+    finally:
+        Path(graph).unlink()
+    if not linked:
+        assert rc == 1  # an all-self-loop list has no edge
+    elif not valid:
+        assert rc == 1
+        assert "centers" in err
+    else:
+        # valid centres and k = 3 data points suffice
+        assert (rc == 0) == (len(linked) >= 3)
+    if rc == 0:
+        doc = strict_json(out)
+        assert {v for c in doc["clusters"] for v in c["members"]} == linked
+        if not spec.startswith("auto:"):
+            assert doc["centers"] == spec.split(",")
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -140,3 +140,16 @@ def test_partition_csv_negative_block_names_label_and_id(karate):
 def test_partition_csv_malformed_row_names_line_and_text(karate, row):
     with pytest.raises(ValueError, match=f"line 3 is '{row}', not vertex,block"):
         Partition.from_csv(f"vertex,block\n1,0\n{row}\n", karate)
+
+
+def test_partition_csv_names_both_lines_of_a_repeated_vertex():
+    g = from_edges([("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="vertex 'a' on lines 2 and 4"):
+        Partition.from_csv("vertex,block\na,0\nb,0\na,1\nc,1\n", g)
+
+
+@pytest.mark.parametrize("header", ["", "vertex,block\n", "Vertex,Block\n", "VERTEX , block\n"])
+def test_partition_csv_header_is_a_vertex_cell_of_vertex(header):
+    g = from_edges([("vertexA", "b"), ("b", "c")])
+    p = Partition.from_csv(header + "vertexA,1\nb,0\nc,1\n", g)
+    assert p.assignments.tolist() == [1, 0, 1]

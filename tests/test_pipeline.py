@@ -109,18 +109,46 @@ def test_overlap_pipeline_karate(karate):
 
 
 def test_overlap_auto_centers(karate):
-    result = overlap_clusters(karate, centers=None, auto_count=2, k=3)
+    result = overlap_clusters(karate, centers=2, k=3)
     assert len(result.centers) == 2
     assert len(set(result.centers)) == 2
 
 
-def test_auto_centers_top_up_follows_the_partition_seed_order(karate):
+def count_diffusions(monkeypatch) -> list:
+    """Record ``(seed, repr(cfg))`` of every ``run_diffusion`` the pipeline
+    and fcm modules make, the modules that call it."""
+    import seedclust.fcm as fcm_module
+    import seedclust.pipeline as pipeline_module
+
+    calls = []
+    for module in (pipeline_module, fcm_module):
+        def counted(graph, seed, cfg=DiffusionConfig(), real=module.run_diffusion):
+            calls.append((int(seed), repr(cfg)))
+            return real(graph, seed, cfg)
+
+        monkeypatch.setattr(module, "run_diffusion", counted)
+    return calls
+
+
+def test_auto_centers_top_up_follows_the_partition_seed_order(karate, monkeypatch):
+    calls = count_diffusions(monkeypatch)
     # two blocks at alpha 0.04, so five of seven centres are topped up
     seeds = [mass.seed for mass in auto_centers(karate, 7, DiffusionConfig(alpha=0.04))]
     order = np.argsort(-karate.degrees, kind="stable").tolist()
     assert seeds[2:] == [u for u in order if u not in seeds[:2]][:5]
     # vertices 3 and 16 tie at degree 6: the lower index comes first
     assert seeds == [30, 0, 23, 21, 2, 1, 3]
+    # 23 seeded a block that contested reassignment emptied: its diffusion is reused
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
+
+
+def test_partition_keeps_the_diffusion_of_every_seed(karate, monkeypatch):
+    calls = count_diffusions(monkeypatch)
+    result = partition_graph(karate, DiffusionConfig(alpha=0.04))
+    assert sorted(result.diffusions) == sorted(seed for seed, _ in calls)
+    assert {info.seed for info in result.blocks} < set(result.diffusions)
+    assert all(mass.seed == seed for seed, mass in result.diffusions.items())
 
 
 def test_benchmark_outputs(tmp_path, karate_path, capsys):
@@ -180,18 +208,8 @@ def test_ops_bounded_by_support_volume():
     "name, centers", [("karate", (30, 0)), ("ring_of_cliques", (0, 5))]
 )
 def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monkeypatch):
-    import seedclust.fcm as fcm_module
-    import seedclust.pipeline as pipeline_module
-
     g = karate if name == "karate" else ring_of_cliques(30, 5)
-    calls = []
-
-    for module in (pipeline_module, fcm_module):  # the modules that call run_diffusion
-        def counted(graph, seed, cfg=DiffusionConfig(), real=module.run_diffusion):
-            calls.append((int(seed), repr(cfg)))
-            return real(graph, seed, cfg)
-
-        monkeypatch.setattr(module, "run_diffusion", counted)
+    calls = count_diffusions(monkeypatch)
     partition_graph(g, DiffusionConfig(alpha=0.04))
     block_diffusions = list(calls)
     calls.clear()
