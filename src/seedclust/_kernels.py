@@ -60,22 +60,25 @@ def sorted_unique_inverse(values):
     return ordered[fresh], inverse
 
 
-def push_plan(indptr, indices, degrees, support):
-    """Everything of a push from ``support`` (sorted) that does not depend on its mass.
+def push_plan(indptr, indices, degrees, domain):
+    """Everything of a push from ``domain`` (sorted) that does not depend on its mass.
 
     Returns (reached, at, sources, divisors, targets): ``reached`` is the
-    sorted support and its neighbours, ``at`` the support's positions in it,
+    sorted domain and its neighbours, ``at`` the domain's positions in it,
     and term j of a push moves ``mass[sources[j]] / divisors[j]`` to
-    position ``targets[j]``: every support vertex's half-mass first, then
-    its neighbours' shares in row order.
+    position ``targets[j]``: every domain vertex's half-mass first, then
+    its neighbours' shares in row order. A diffusion builds it over its
+    support plus part of the support's frontier, whose mass is 0.0: their
+    terms add 0.0, so every target receives the support's terms in the
+    order a plan over the support alone would give them.
     """
-    nbrs, lens = gather_rows(indptr, indices, support)
-    reached, targets = sorted_unique_inverse(np.concatenate((support, nbrs)))
-    at = targets[: support.size]
+    nbrs, lens = gather_rows(indptr, indices, domain)
+    reached, targets = sorted_unique_inverse(np.concatenate((domain, nbrs)))
+    at = targets[: domain.size]
     sources = np.concatenate((at, at.repeat(lens)))
     divisors = np.empty(sources.size, dtype=np.float64)
-    divisors[: support.size] = 2.0
-    divisors[support.size :] = (2.0 * degrees[support]).repeat(lens)
+    divisors[: domain.size] = 2.0
+    divisors[domain.size :] = (2.0 * degrees[domain]).repeat(lens)
     return reached, at, sources, divisors, targets
 
 
@@ -83,13 +86,15 @@ def diffuse_push(indptr, indices, degrees, support, mass, plan):
     """new[u] = old[u]/2 + sum_{w~u} old[w]/(2 d_w), over the vertices ``support`` reaches.
 
     ``plan`` is ``push_plan`` of the same graph and ``support``, and ``mass``
-    lies over its ``reached`` vertices, zero off the support. The step is one
-    ``bincount`` that adds each vertex's half-mass first and then its
-    neighbours' shares in row order, so it costs the support's volume plus
-    its one-step reach, never n. Only ``mass`` and ``plan`` are read; the
-    graph and ``support`` name the work the step stands for. A fixed-point
-    solve passes the plan's terms that land on the support, renumbered over
-    it and rescaled, with ``mass`` over the support.
+    lies over its ``reached`` vertices. A diffusion passes its plan's domain
+    as ``support``, with mass 0.0 on the domain's vertices off the
+    diffusion's own support. The step is one ``bincount`` that adds each
+    vertex's half-mass first and then its neighbours' shares in row order,
+    so it costs the domain's volume plus its one-step reach, never n. Only
+    ``mass`` and ``plan`` are read; the graph and ``support`` name the work
+    the step stands for. A fixed-point solve passes the plan's terms that
+    start and land on the support, renumbered over it and rescaled, with
+    ``mass`` over the support.
     """
     reached, _, sources, divisors, targets = plan
     return np.bincount(targets, weights=mass.take(sources) / divisors, minlength=reached.size)

@@ -6,11 +6,16 @@ seed's mass and returns the removed mass to the seed. The converged
 distribution is turned into a cluster by sweeping prefixes of the
 degree-normalized ordering and keeping the minimum-conductance prefix.
 
-A run keeps its state on the vertices the current support reaches in one step
-(the support and its neighbours): the mass over them, zero off the support,
-and a mask of the support. That state and the step's plan change only when
-the support does, so one iteration costs O(support volume), and nothing
-scans all n vertices.
+A run keeps its state on the vertices a push plan's domain reaches in one
+step: the mass over them, zero off the support, and a mask of the support.
+The domain is the support plus the frontier vertices whose mass came above
+``NEAR`` times the truncation threshold, so while the support grows the
+domain lies inside its closed neighbourhood. That state and the step's plan
+change only when truncation keeps a vertex off the domain, so a support that
+grows into its frontier keeps its plan, one iteration costs O(domain volume),
+and nothing scans all n vertices. Off the support the domain carries mass
+0.0, which changes no sum: the masses are bit for bit those of a plan over
+the bare support.
 
 The support stops changing long before the mass does. Once it has stayed the
 same for ``SETTLE_STEPS`` steps, diffuse+truncate is a linear map on it whose
@@ -169,21 +174,31 @@ class ClusterReport:
 
 
 def truncate(
-    mass: np.ndarray, prev: np.ndarray, live: np.ndarray, seed_pos: int, alpha: float
+    mass: np.ndarray,
+    prev: np.ndarray,
+    live: np.ndarray,
+    reach: np.ndarray,
+    seed_pos: int,
+    alpha: float,
 ) -> tuple[np.ndarray, float]:
     """Truncate one step's ``mass`` in place; return (kept mask, L1 change from ``prev``).
 
-    Entries below ``alpha`` times the seed's mass (at ``seed_pos``) are
-    zeroed and their sum, taken in vertex order, is added to the seed. The
-    L1 change from ``prev``, whose support is ``live``, is summed over the
-    vertices of either support, in vertex order.
+    ``reach`` marks the vertices the pushed-from support reaches in one step;
+    ``mass`` is 0.0 off it, below any positive threshold. (At ``alpha`` 0 a
+    diffusion's domain is its support, so nothing lies off the reach.)
+    Entries of the reach below ``alpha`` times the seed's mass (at
+    ``seed_pos``) are zeroed and their sum, taken in vertex order over the
+    reach alone, is added to the seed: numpy's pairwise sum assigns elements
+    to its lanes by position, so summing zeros from off the reach among them
+    would change the rounding. The L1 change from ``prev``, whose support is
+    ``live``, is summed over the vertices of either support, in vertex order.
     """
     if mass[seed_pos] <= 0.0:
         raise ValueError("seed has zero mass; truncation threshold undefined")
     keep = mass >= alpha * mass[seed_pos]
     keep[seed_pos] = True
-    if not np.logical_and.reduce(keep):
-        dropped = ~keep
+    dropped = reach > keep  # in the reach and not kept
+    if np.logical_or.reduce(dropped):
         removed = float(np.add.reduce(mass[dropped]))
         mass[dropped] = 0.0
         mass[seed_pos] += removed
@@ -201,13 +216,28 @@ SOLVE_TOLERANCE = 1e-3  # a solve's bound on the next step's L1 change, in epsil
 # 0.61-0.79 against 0.66-0.85 ms at 176-191, 0.89-1.38 against 0.77-0.99 ms
 # at 192-223 and 5-25 against 1.4-3.1 ms above 400.
 DENSE_MAX = 160
+# A push plan's domain takes the frontier vertices whose mass before truncation
+# was above NEAR times the threshold, at the step that built the plan. Plans
+# built, and push entries (domain size plus volume) against plans over the
+# bare support (NEAR 1), on the benchmark's seed-1 inputs: local-diffusion's
+# 200 queries at alpha 0.04, then partition-overlap's partition at alpha 3e-3
+# and its overlap flow. NEAR 1: 1,421, 778 and 1,293 plans. 0.75: 936, 424
+# and 927 plans at +7%, +4% and +7% entries. 0.5: 768, 306 and 807 at +23%,
+# +13% and +23%. 0.25: 675, 247 and 758 at +69%, +30% and +59%. 0, the
+# support's whole reach: 636, 214 and 733 at 2.9x, 1.6x and 2.9x. In two
+# in-process sweeps (medians of 15 and 21 alternating rounds; one OpenBLAS
+# thread, x86-64, 2 vCPUs) 0.5 ran the queries 18-19% and the partition 17-28%
+# faster than NEAR 1; 0.25 and 0.75 were within the noise of 0.5, and 0 gained
+# less (4-15% and 6-10%).
+NEAR = 0.5
 
 
 def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     """Fixed point of diffuse+truncate on a settled ``support``, over ``plan``'s reach.
 
-    A is the lazy walk restricted to the support: the plan's terms whose
-    target is on the support (``live`` over the reach). With the mass that
+    ``plan`` is built over a domain that holds the support (``live`` over
+    the reach), and A is the lazy walk restricted to the support: the
+    plan's terms whose source and target are both on it. With the mass that
     leaks off the support sent back to the seed, the fixed point is
     y / sum(y) with (I - A) y = e_seed. Each step calls ``record(bound,
     support.size)`` with its bound on the L1 change of the next
@@ -225,9 +255,9 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     normalised y over the reach, or None when ``max_steps`` steps end the
     solve before its bound reaches ``tol``.
     """
-    reached, at, sources, divisors, targets = plan
+    reached, _, sources, divisors, targets = plan
     rank = live.cumsum() - 1
-    on = live[targets]
+    on = live[sources] & live[targets]
     src, dst, div = rank[sources[on]], rank[targets[on]], divisors[on]
     seed_at = int(support.searchsorted(seed))
     k = support.size
@@ -246,7 +276,7 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
         if y is None:
             return None
     out = np.zeros(reached.size, dtype=np.float64)
-    out[at] = y / np.add.reduce(y)
+    out[live] = y / np.add.reduce(y)
     return out
 
 
@@ -286,23 +316,29 @@ def run_diffusion(
 ) -> tuple[SparseMass, DiffusionTelemetry]:
     """Alternate diffuse/truncate until the post-truncation L1 change converges.
 
-    The state lies over the vertices the support reaches in one step, and
-    the push plan is rebuilt only when truncation changes the support, so
-    each iteration costs the support's volume. Once the support has stayed
-    the same for ``SETTLE_STEPS`` steps and has a frontier, its fixed point
-    is solved (``solve_fixed_point``) and the next step checks it. Every
-    push is one iteration, a solve's steps included. A solve that
-    ``max_iterations`` cuts short leaves the distribution it started from:
-    its early iterate can lie further from the fixed point. Each record's
-    ``seconds`` is the time since the previous record, or since the run
-    started. Hitting ``max_iterations`` is not an error; the telemetry's
-    ``converged`` flag reports it.
+    The state lies over the vertices a push plan's domain reaches in one
+    step. The domain is the support plus the frontier vertices whose mass
+    before truncation was above ``NEAR`` times the threshold, at the step
+    that built the plan; it carries mass 0.0 off the support, and each
+    target still adds the same nonzero terms in the same order, so the
+    masses are those of a plan over the bare support. The plan is rebuilt
+    only when truncation keeps a vertex off its domain, so each iteration
+    costs the domain's volume. Once the support has stayed the same for
+    ``SETTLE_STEPS`` steps and has a frontier, its fixed point is solved
+    (``solve_fixed_point``) and the next step checks it. Every push is one
+    iteration, a solve's steps included, and its record describes the
+    support it pushed from. A solve that ``max_iterations`` cuts short leaves
+    the distribution it started from: its early iterate can lie further
+    from the fixed point. Each record's ``seconds`` is the time since the
+    previous record, or since the run started. Hitting ``max_iterations`` is
+    not an error; the telemetry's ``converged`` flag reports it.
     """
     seed = g.check_vertex(seed)
-    reached = np.array([seed], dtype=np.int64)
+    reached = support = np.array([seed], dtype=np.int64)
     mass = np.array([1.0])
-    live = np.array([True])
-    plan = None
+    live = near = np.array([True])
+    plan = reach = None
+    support_size, support_volume, settled = 1, int(g.degrees[seed]), 0
     telemetry = DiffusionTelemetry()
     records = telemetry.iterations
     last = time.perf_counter()
@@ -323,20 +359,26 @@ def run_diffusion(
 
     while len(records) < cfg.max_iterations:
         if plan is None:
-            support = reached[live]
-            plan = _kernels.push_plan(g.indptr, g.indices, g.degrees, support)
+            domain = reached[near]
+            plan = _kernels.push_plan(g.indptr, g.indices, g.degrees, domain)
             reached, at = plan[0], plan[1]
             moved = np.zeros(reached.size, dtype=np.float64)
-            moved[at] = mass[live]
-            mass, live = moved, np.zeros(reached.size, dtype=bool)
-            live[at] = True
+            moved[at] = mass[near]
+            on = np.zeros(reached.size, dtype=bool)
+            on[at] = live[near]
+            inside = np.zeros(reached.size, dtype=bool)
+            inside[at] = True
+            mass, live = moved, on
+            # at is a view of the plan's targets: keep nothing of this plan
+            # alive through the next build, whose peak it would raise
+            del moved, on, at
             seed_pos = int(reached.searchsorted(seed))
-            support_size = int(support.size)
-            support_volume = int(np.add.reduce(g.degrees[support]))
-            settled = 0
         elif (
             settled == SETTLE_STEPS
-            and reached.size > support_size  # a frontier: I - A is not singular
+            # a frontier, so I - A is not singular: the domain lies in the
+            # seed's component, so its reach is larger than the support
+            # exactly when the support has one
+            and reached.size > support_size
             and cfg.convergence_epsilon > 0.0
             and cfg.max_iterations - len(records) > 1  # room for the checking step
         ):
@@ -354,17 +396,26 @@ def run_diffusion(
             telemetry.solves.append(range(first, len(records)))
             if solved is not None:
                 mass = solved
-        new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, mass, plan)
-        keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
-        if np.logical_and.reduce(keep == live):
-            settled += 1
-        else:
-            plan = None
-        mass, live = new, keep
+        new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, domain, mass, plan)
+        if reach is None:  # the first push from this support
+            reach = new > 0.0
+        near = new > NEAR * cfg.alpha * new[seed_pos]
+        keep, l1 = truncate(new, mass, live, reach, seed_pos, cfg.alpha)
+        mass = new
         record(l1, int(np.add.reduce(keep)))
         if l1 < cfg.convergence_epsilon:
             telemetry.converged = True
             break
+        if np.logical_and.reduce(keep == live):
+            settled += 1
+            continue
+        if np.logical_or.reduce(keep > inside):  # kept off the domain
+            near |= keep  # the next domain holds the support whatever NEAR is
+            plan = None
+        live, reach, settled = keep, None, 0
+        support = reached[live]
+        support_size = int(support.size)
+        support_volume = int(np.add.reduce(g.degrees[support]))
 
     return SparseMass(reached[live], mass[live], seed), telemetry
 

@@ -80,9 +80,33 @@ def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
     u[zero_rows, np.argmax(zero[zero_rows], axis=1)] = 1.0
     rest = ~zero_rows
     if rest.any():
-        w = d2[rest] ** (-1.0 / (m - 1.0))
-        u[rest] = w / w.sum(axis=1, keepdims=True)
+        d = d2[rest]
+        power = -1.0 / (m - 1.0)
+        with np.errstate(over="ignore"):
+            w = d**power
+        total = w.sum(axis=1, keepdims=True)
+        # just above m = 1 the powers leave the float range; relative to the
+        # row's nearest center they lie in [0, 1], and the nearest one is 1
+        lost = ~(total[:, 0] < math.inf) | (total[:, 0] == 0.0)
+        if lost.any():
+            far = d[lost]
+            w[lost] = (far / far.min(axis=1, keepdims=True)) ** power
+            total[lost] = w[lost].sum(axis=1, keepdims=True)
+        u[rest] = w / total
     return u
+
+
+def check_fit(k: int, m: float, points: int) -> None:
+    """Raise ``ValueError`` naming ``k`` or ``m`` unless k is from 2 to
+    ``points`` and m is finite and > 1."""
+    if not 2 <= k <= points:
+        raise ValueError(
+            f"cluster count k must be from 2 to {points}, the number of data points; got {k}"
+        )
+    if not 1.0 < m < math.inf:
+        raise ValueError(
+            f"fuzzifier m must be finite and > 1 (m=1 is the hard-assignment limit), got {m}"
+        )
 
 
 def fcm_fit(
@@ -102,14 +126,7 @@ def fcm_fit(
     """
     x = np.asarray(embedding, dtype=np.float64)
     n = x.shape[0]
-    if k < 2:
-        raise ValueError("cluster count k must be >= 2")
-    if k > n:
-        raise ValueError("more clusters than data points")
-    if not 1.0 < m < math.inf:
-        raise ValueError(
-            f"fuzzifier m must be finite and > 1 (m=1 is the hard-assignment limit), got {m}"
-        )
+    check_fit(k, m, n)
 
     if initial_centers is not None:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()
@@ -167,11 +184,16 @@ class OverlapReport:
         }
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` naming ``threshold`` unless it is in (0, 0.5]."""
+    if not 0.0 < threshold <= 0.5:
+        raise ValueError(f"threshold must be in (0, 0.5], got {threshold}")
+
+
 def overlap_report(msm: MembershipMatrix, threshold: float = 0.3) -> OverlapReport:
     """Vertex u joins every cluster with membership >= threshold; its argmax
     cluster is always included so no vertex is left unassigned."""
-    if not 0.0 < threshold <= 0.5:
-        raise ValueError("threshold must be in (0, 0.5]")
+    check_threshold(threshold)
     u = msm.memberships
     chosen = u >= threshold
     chosen[np.arange(u.shape[0]), u.argmax(axis=1)] = True

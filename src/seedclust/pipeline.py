@@ -14,6 +14,8 @@ from .fcm import (
     MembershipMatrix,
     OverlapReport,
     build_embedding,
+    check_fit,
+    check_threshold,
     diffuse_centers,
     fcm_fit,
     overlap_report,
@@ -181,10 +183,12 @@ def overlap_clusters(
     """Embed via per-center diffusion (degree-normalized) and fuzzy-cluster.
 
     ``centers`` is either a count of auto centers (``auto_centers``) or a
-    sequence of center vertices. It is checked before any diffusion runs: a
-    count must be from 2 to n, a sequence must hold at least 2 distinct
-    vertices in range, and a ``ValueError`` naming ``centers`` is raised
-    otherwise.
+    sequence of center vertices. Every argument is checked before any
+    diffusion runs, and a ``ValueError`` names the first one out of range:
+    a ``centers`` count must be from 2 to n and a sequence must hold at
+    least 2 distinct vertices in range; ``k`` must be from 2 to n (one data
+    point per vertex), ``fuzzifier`` finite and > 1, ``threshold`` in
+    (0, 0.5] and ``alpha`` in [0, 1).
 
     Each center is diffused once: auto centers reuse the diffusions of
     ``partition_graph``, given ones are diffused by ``diffuse_centers``. Every
@@ -194,6 +198,8 @@ def overlap_clusters(
     signal, and small thresholds mix to stationarity on small graphs.
     """
     centers = _check_centers(g, centers)
+    check_fit(k, fuzzifier, g.vertex_count)
+    check_threshold(threshold)
     cfg = DiffusionConfig(alpha=alpha)
     if isinstance(centers, int):
         masses = auto_centers(g, centers, cfg)

@@ -151,9 +151,11 @@ def test_support_locality():
 
 def test_run_diffusion_state_stays_on_the_supports_reach(monkeypatch):
     """On a 100k-vertex graph a run allocates far less than one n-length
-    array, and every push covers exactly its support's closed neighbourhood,
-    or, in a fixed-point solve, the support itself: for 40 plain steps and
-    for a run that converges through solves."""
+    array. Every push covers exactly its domain's closed neighbourhood, or,
+    in a fixed-point solve, the support itself; the domain holds the support
+    the push is from (the one its record describes) and lies inside that
+    support's closed neighbourhood: for 40 plain steps and for a run that
+    converges through solves."""
     import tracemalloc
 
     import seedclust._kernels as kernels
@@ -164,9 +166,12 @@ def test_run_diffusion_state_stays_on_the_supports_reach(monkeypatch):
 
     def recording_push(indptr, indices, degrees, support, mass, plan):
         out = diffuse_push(indptr, indices, degrees, support, mass, plan)
-        pushes.append((support, out.size))
+        # outside a solve the mass lies over the domain's reach, positive on the support
+        pushed_from = support if plan[1] is None else plan[0][mass > 0.0]
+        pushes.append((support, out.size, pushed_from))
         return out
 
+    wider = 0  # pushes whose domain reaches past their support
     # the telemetry grows by one record per push
     for cfg in (steps(1e-3, 40), DiffusionConfig(alpha=3e-3)):
         run_diffusion(g, 0, cfg)  # warm up imports and caches
@@ -184,9 +189,67 @@ def test_run_diffusion_state_stays_on_the_supports_reach(monkeypatch):
         monkeypatch.undo()
         assert len(pushes) == telemetry.iterations_used
         solving = {i for steps_of in telemetry.solves for i in steps_of}
-        for i, (support, size) in enumerate(pushes):
+        for i, (support, size, pushed_from) in enumerate(pushes):
             closed = np.union1d(support, np.concatenate([g.neighbors(int(u)) for u in support]))
             assert size == (support.size if i in solving else closed.size)
+            assert pushed_from.size == telemetry.iterations[i].support_size
+            reach = np.concatenate([pushed_from] + [g.neighbors(int(u)) for u in pushed_from])
+            assert np.isin(pushed_from, support).all() and np.isin(support, reach).all()
+            wider += support.size > pushed_from.size
+    assert wider
+
+
+@pytest.mark.parametrize("alpha", [0.04, 3e-3])
+def test_plans_outlive_support_changes(alpha, monkeypatch):
+    """A plan over the support and its near-threshold frontier survives the
+    support's growth into that frontier: on fixed graphs, fewer plans are
+    built after each run's first than the support changes (a plan over the
+    bare support is rebuilt at every change that adds a vertex). The runs
+    push, record and converge exactly as runs whose plans cover only their
+    support (``NEAR`` = 1), mass for mass; every domain lies inside the closed
+    neighbourhood of the support it pushes from."""
+    import seedclust._kernels as kernels
+    import seedclust.diffusion as diffusion
+
+    push_plan, diffuse_push = kernels.push_plan, kernels.diffuse_push
+    builds, supports = [], []
+
+    def counted_plan(indptr, indices, degrees, domain):
+        builds.append(domain)
+        return push_plan(indptr, indices, degrees, domain)
+
+    def recording_push(indptr, indices, degrees, support, mass, plan):
+        if plan[1] is not None:  # not a solve's push: the support carries the mass
+            pushed_from = plan[0][mass > 0.0]
+            supports.append(pushed_from.tolist())
+            # the domain lies inside the support's closed neighbourhood
+            nbrs = kernels.gather_rows(indptr, indices, pushed_from)[0]
+            assert np.isin(support, np.concatenate((pushed_from, nbrs))).all()
+        return diffuse_push(indptr, indices, degrees, support, mass, plan)
+
+    cfg = DiffusionConfig(alpha=alpha)
+    for g in (karate_club(), random_connected_graph(3000, 1500, rng_seed=3)):
+        rebuilds = changes = 0
+        for seed in range(0, g.vertex_count, g.vertex_count // 20):
+            builds.clear()
+            supports.clear()
+            monkeypatch.setattr(kernels, "push_plan", counted_plan)
+            monkeypatch.setattr(kernels, "diffuse_push", recording_push)
+            mass, telemetry = run_diffusion(g, seed, cfg)
+            monkeypatch.undo()
+            rebuilds += len(builds) - 1
+            changes += sum(a != b for a, b in zip(supports, supports[1:]))
+
+            monkeypatch.setattr(diffusion, "NEAR", 1.0)
+            bare, bare_telemetry = run_diffusion(g, seed, cfg)
+            monkeypatch.undo()
+            assert mass.vertices.tobytes() == bare.vertices.tobytes()
+            assert mass.masses.tobytes() == bare.masses.tobytes()
+            assert iteration_fields(telemetry) == iteration_fields(bare_telemetry)
+            assert telemetry.solves == bare_telemetry.solves
+            assert telemetry.converged == bare_telemetry.converged
+            assert telemetry.iterations_used == bare_telemetry.iterations_used
+        assert rebuilds < changes, (g.vertex_count, rebuilds, changes)
 
 
 def test_support_size_non_increasing_in_alpha():

@@ -148,6 +148,27 @@ def test_memberships_match_the_per_row_loop():
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("m", [1.001, 1.0 + 1e-9, float(np.nextafter(1.0, 2.0))])
+def test_memberships_stay_finite_just_above_m_1(m):
+    """Where d2 ** (-1 / (m - 1)) leaves the float range, a row is taken
+    relative to its nearest center: finite, stochastic, largest at that
+    center. Rows whose powers stay finite keep the plain formula's bits."""
+    rng = np.random.default_rng(1)
+    d2 = rng.random((200, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(200, 1))
+    u = _memberships_from_distances(d2, m)
+    assert np.isfinite(u).all()
+    assert np.allclose(u.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert (u.argmax(axis=1) == d2.argmin(axis=1)).all()
+    with np.errstate(over="ignore"):
+        w = d2 ** (-1.0 / (m - 1.0))
+    total = w.sum(axis=1)
+    plain = (total > 0.0) & (total < np.inf)
+    assert u[plain].tobytes() == (w[plain] / total[plain, None]).tobytes()
+    assert not plain.all()
+    msm = fcm_fit(blob_data(), k=2, m=m)
+    assert np.isfinite(msm.memberships).all() and np.isfinite(msm.objective)
+
+
 def test_fit_coincident_point_gets_hard_membership():
     x = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])

@@ -7,12 +7,16 @@ steps. Each subcommand runs in-process twice; a run either exits 0 with
 valid output or exits 1 with a single ``error:`` line, and reruns are
 byte-identical. A self-loop-only label changes no output. ``overlap`` also
 runs with drawn ``--centers`` specs: counts from -1 to n + 2 and label lists
-with repeats or self-loop-only labels.
+with repeats or self-loop-only labels; and with drawn ``--k``, ``--m``,
+``--threshold`` and ``--alpha``, where a value out of range is named in the
+error before any partition runs.
 """
 
 import contextlib
 import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -20,6 +24,7 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import seedclust.pipeline as pipeline
 from seedclust.cli import main
 
 LABELS = 8
@@ -201,3 +206,80 @@ def test_self_loop_only_labels_change_no_output(text):
     finally:
         for graph in graphs:
             Path(graph).unlink()
+
+
+@st.composite
+def overlap_numbers(draw) -> dict:
+    """``--k``, ``--m``, ``--threshold`` and ``--alpha``: in range, with m
+    often just above 1, where FCM's distance powers leave the float range;
+    then a drawn subset of them replaced by any value (NaN and inf included)."""
+    numbers = {
+        "k": draw(st.integers(2, 5)),
+        "m": draw(st.floats(1.0, 1.001, exclude_min=True) | st.floats(1.0, 6.0, exclude_min=True)),
+        "threshold": draw(st.floats(0.0, 0.5, exclude_min=True)),
+        "alpha": draw(st.floats(0.0, 1.0, exclude_max=True)),
+    }
+    anything = {"k": st.integers(-1, LABELS + 2), "m": st.floats()}
+    for name in draw(st.sets(st.sampled_from(sorted(numbers)))):
+        numbers[name] = draw(anything.get(name, st.floats()))
+    return numbers
+
+
+@contextlib.contextmanager
+def counted_partitions():
+    """List that gains one entry per ``partition_graph`` call in the block."""
+    real = pipeline.partition_graph
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    pipeline.partition_graph = counted
+    try:
+        yield calls
+    finally:
+        pipeline.partition_graph = real
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=hostile_edge_lists(), numbers=overlap_numbers())
+@example(
+    text="v0 v1\nv1 v2\nv2 v0\n", numbers={"k": 4, "m": 2.0, "threshold": 0.3, "alpha": 0.04}
+)
+@example(
+    text="v0 v1\nv1 v2\nv2 v0\n", numbers={"k": 3, "m": math.nan, "threshold": 0.9, "alpha": 0.04}
+)
+@example(
+    text="v0 v1\nv1 v2\nv2 v0\n", numbers={"k": 2, "m": 2.0, "threshold": 0.5, "alpha": math.inf}
+)
+@example(  # d2 ** (-1 / (m - 1)) overflows: memberships were NaN
+    text="v0 v1\nv1 v2\nv2 v0\nv2 v3\nv3 v4\nv4 v2\n",
+    numbers={"k": 3, "m": 1.0000001, "threshold": 0.3, "alpha": 0.04},
+)
+def test_overlap_numbers_are_checked_before_any_work(text, numbers):
+    linked = linked_labels(text)
+    valid = {
+        "k": 2 <= numbers["k"] <= len(linked),
+        "m": 1.0 < numbers["m"] < math.inf,
+        "threshold": 0.0 < numbers["threshold"] <= 0.5,
+        "alpha": 0.0 <= numbers["alpha"] < 1.0,
+    }
+    # --name=value, so that a negative value is never read as a flag
+    flags = [f"--{name}={value!r}" for name, value in numbers.items()]
+    graph = write_graph(text)
+    try:
+        with counted_partitions() as calls:
+            rc, out, err, _ = check(["overlap", "--graph", graph, "--centers", "auto:2", *flags])
+    finally:
+        Path(graph).unlink()
+    if not linked:
+        assert rc == 1  # an all-self-loop list has no edge
+    elif not all(valid.values()):
+        assert rc == 1
+        assert any(re.search(rf"\b{name}\b", err) for name, ok in valid.items() if not ok), err
+        assert not calls
+    else:
+        assert rc == 0, err
+        doc = strict_json(out)
+        assert {v for c in doc["clusters"] for v in c["members"]} == linked

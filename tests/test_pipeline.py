@@ -223,3 +223,32 @@ def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monk
     given = overlap_clusters(g, centers=list(centers))
     assert auto.membership.memberships.tobytes() == given.membership.memberships.tobytes()
     assert auto.belongingness.tobytes() == given.belongingness.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"k": 40}, "k"),
+        ({"k": 1}, "k"),
+        ({"fuzzifier": float("nan")}, "m"),
+        ({"fuzzifier": 1.0}, "m"),
+        ({"threshold": 0.9}, "threshold"),
+        ({"threshold": 0.0}, "threshold"),
+        ({"alpha": 1.0}, "alpha"),
+    ],
+)
+def test_overlap_rejects_numbers_before_any_work(karate, monkeypatch, kwargs, name):
+    """``k`` outside 2..n, a fuzzifier that is not finite and > 1, a threshold
+    outside (0, 0.5] and an alpha outside [0, 1) each raise, naming the
+    number, before ``partition_graph`` or any diffusion runs."""
+    import seedclust.fcm as fcm_module
+    import seedclust.pipeline as pipeline_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the numbers were checked")
+
+    monkeypatch.setattr(pipeline_module, "partition_graph", refuse)
+    for module in (pipeline_module, fcm_module):
+        monkeypatch.setattr(module, "run_diffusion", refuse)
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        overlap_clusters(karate, **kwargs)
