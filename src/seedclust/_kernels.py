@@ -67,10 +67,10 @@ def push_plan(indptr, indices, degrees, domain):
     sorted domain and its neighbours, ``at`` the domain's positions in it,
     and term j of a push moves ``mass[sources[j]] / divisors[j]`` to
     position ``targets[j]``: every domain vertex's half-mass first, then
-    its neighbours' shares in row order. A diffusion builds it over its
-    support plus part of the support's frontier, whose mass is 0.0: their
-    terms add 0.0, so every target receives the support's terms in the
-    order a plan over the support alone would give them.
+    its neighbours' shares in row order. A diffusion's domain vertices off
+    its support carry mass 0.0, so their terms add nothing and every target
+    receives the support's terms in the order a plan over the support alone
+    gives them.
     """
     nbrs, lens = gather_rows(indptr, indices, domain)
     reached, targets = sorted_unique_inverse(np.concatenate((domain, nbrs)))
@@ -86,11 +86,10 @@ def diffuse_push(indptr, indices, degrees, support, mass, plan):
     """new[u] = old[u]/2 + sum_{w~u} old[w]/(2 d_w), over the vertices ``support`` reaches.
 
     ``plan`` is ``push_plan`` of the same graph and ``support``, and ``mass``
-    lies over its ``reached`` vertices. A diffusion passes its plan's domain
-    as ``support``, with mass 0.0 on the domain's vertices off the
-    diffusion's own support. The step is one ``bincount`` that adds each
-    vertex's half-mass first and then its neighbours' shares in row order,
-    so it costs the domain's volume plus its one-step reach, never n. Only
+    lies over its ``reached`` vertices; a diffusion passes its plan's domain
+    as ``support``. The step is one ``bincount`` that adds each vertex's
+    half-mass first and then its neighbours' shares in row order, so it
+    costs the domain's volume plus its one-step reach, never n. Only
     ``mass`` and ``plan`` are read; the graph and ``support`` name the work
     the step stands for. A fixed-point solve passes the plan's terms that
     start and land on the support, renumbered over it and rescaled, with

@@ -14,7 +14,8 @@ domain lies inside its closed neighbourhood. That state and the step's plan
 change only when truncation keeps a vertex off the domain, so a support that
 grows into its frontier keeps its plan, one iteration costs O(domain volume),
 and nothing scans all n vertices. Off the support the domain carries mass
-0.0, which changes no sum: the masses are bit for bit those of a plan over
+0.0, which adds nothing to any running sum, and truncation leaves those
+zeros out of its own sum: the masses are bit for bit those of a plan over
 the bare support.
 
 The support stops changing long before the mass does. Once it has stayed the
@@ -174,30 +175,23 @@ class ClusterReport:
 
 
 def truncate(
-    mass: np.ndarray,
-    prev: np.ndarray,
-    live: np.ndarray,
-    reach: np.ndarray,
-    seed_pos: int,
-    alpha: float,
+    mass: np.ndarray, prev: np.ndarray, live: np.ndarray, seed_pos: int, alpha: float
 ) -> tuple[np.ndarray, float]:
     """Truncate one step's ``mass`` in place; return (kept mask, L1 change from ``prev``).
 
-    ``reach`` marks the vertices the pushed-from support reaches in one step;
-    ``mass`` is 0.0 off it, below any positive threshold. (At ``alpha`` 0 a
-    diffusion's domain is its support, so nothing lies off the reach.)
-    Entries of the reach below ``alpha`` times the seed's mass (at
-    ``seed_pos``) are zeroed and their sum, taken in vertex order over the
-    reach alone, is added to the seed: numpy's pairwise sum assigns elements
-    to its lanes by position, so summing zeros from off the reach among them
-    would change the rounding. The L1 change from ``prev``, whose support is
-    ``live``, is summed over the vertices of either support, in vertex order.
+    Positive entries below ``alpha`` times the seed's mass (at ``seed_pos``)
+    are zeroed and their sum, taken in vertex order, is added to the seed.
+    The zeros are left out of that sum: numpy's pairwise sum assigns
+    elements to its lanes by position, so a diffusion's domain, whose zeros
+    lie among the entries, would otherwise change the rounding. The L1
+    change from ``prev``, whose support is ``live``, is summed over the
+    vertices of either support, in vertex order.
     """
     if mass[seed_pos] <= 0.0:
         raise ValueError("seed has zero mass; truncation threshold undefined")
     keep = mass >= alpha * mass[seed_pos]
     keep[seed_pos] = True
-    dropped = reach > keep  # in the reach and not kept
+    dropped = (mass > 0.0) > keep  # positive and not kept
     if np.logical_or.reduce(dropped):
         removed = float(np.add.reduce(mass[dropped]))
         mass[dropped] = 0.0
@@ -317,13 +311,9 @@ def run_diffusion(
     """Alternate diffuse/truncate until the post-truncation L1 change converges.
 
     The state lies over the vertices a push plan's domain reaches in one
-    step. The domain is the support plus the frontier vertices whose mass
-    before truncation was above ``NEAR`` times the threshold, at the step
-    that built the plan; it carries mass 0.0 off the support, and each
-    target still adds the same nonzero terms in the same order, so the
-    masses are those of a plan over the bare support. The plan is rebuilt
-    only when truncation keeps a vertex off its domain, so each iteration
-    costs the domain's volume. Once the support has stayed the same for
+    step (see the module docstring); the plan is rebuilt only when
+    truncation keeps a vertex off its domain, so each iteration costs the
+    domain's volume. Once the support has stayed the same for
     ``SETTLE_STEPS`` steps and has a frontier, its fixed point is solved
     (``solve_fixed_point``) and the next step checks it. Every push is one
     iteration, a solve's steps included, and its record describes the
@@ -337,7 +327,7 @@ def run_diffusion(
     reached = support = np.array([seed], dtype=np.int64)
     mass = np.array([1.0])
     live = near = np.array([True])
-    plan = reach = None
+    plan = None
     support_size, support_volume, settled = 1, int(g.degrees[seed]), 0
     telemetry = DiffusionTelemetry()
     records = telemetry.iterations
@@ -397,10 +387,8 @@ def run_diffusion(
             if solved is not None:
                 mass = solved
         new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, domain, mass, plan)
-        if reach is None:  # the first push from this support
-            reach = new > 0.0
         near = new > NEAR * cfg.alpha * new[seed_pos]
-        keep, l1 = truncate(new, mass, live, reach, seed_pos, cfg.alpha)
+        keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
         mass = new
         record(l1, int(np.add.reduce(keep)))
         if l1 < cfg.convergence_epsilon:
@@ -412,12 +400,13 @@ def run_diffusion(
         if np.logical_or.reduce(keep > inside):  # kept off the domain
             near |= keep  # the next domain holds the support whatever NEAR is
             plan = None
-        live, reach, settled = keep, None, 0
+        live, settled = keep, 0
         support = reached[live]
         support_size = int(support.size)
         support_volume = int(np.add.reduce(g.degrees[support]))
 
-    return SparseMass(reached[live], mass[live], seed), telemetry
+    # the last step's support: a converging step may have changed it
+    return SparseMass(reached[keep], mass[keep], seed), telemetry
 
 
 def sweep_cut(

@@ -393,6 +393,29 @@ def test_run_diffusion_matches_oracle_loop(cfg, solves):
     assert solved == solves
 
 
+def test_run_diffusion_matches_oracle_when_the_converging_step_changes_support():
+    """A step whose L1 change is below ``convergence_epsilon`` ends the run
+    with that step's truncated support, even where truncation has just added
+    or dropped a vertex: e.g. karate from vertex 0 at alpha 0 and epsilon
+    0.5, whose second push moves about 0.38 and grows the support to the
+    2-hop ball."""
+    graphs = [karate_club()] + random_graphs(6)
+    changed = 0
+    for g in graphs:
+        for alpha in (0.0, 0.04):
+            for eps in (0.5, 0.2, 0.05):
+                for seed in sorted({0, g.vertex_count // 2}):
+                    mass, telemetry = assert_same_run(
+                        g, seed, DiffusionConfig(alpha=alpha, convergence_epsilon=eps)
+                    )
+                    last = telemetry.iterations[-1]
+                    kept = last.ops - last.support_size - last.support_volume
+                    changed += not telemetry.solves and kept != last.support_size
+                    assert (mass.masses > 0.0).all()
+                    assert abs(total_mass(mass) - 1.0) < 1e-12
+    assert changed
+
+
 def test_solved_result_is_a_verified_fixed_point():
     """A run that converges after a solve has the truncation certificate (the
     kept entries of one more step are at least alpha times the seed's mass,
