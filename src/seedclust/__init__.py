@@ -10,7 +10,6 @@ from .diffusion import (
     DiffusionConfig,
     SparseMass,
     extract_cluster,
-    find_cluster,
     run_diffusion,
 )
 from .fcm import (
@@ -40,7 +39,6 @@ from .walk import (
     EnergyTable,
     WalkConfig,
     extract_cluster_from_energy,
-    find_cluster_walk,
     init_energies,
     run_walk,
 )
@@ -67,8 +65,6 @@ __all__ = [
     "extract_cluster",
     "extract_cluster_from_energy",
     "fcm_fit",
-    "find_cluster",
-    "find_cluster_walk",
     "from_edges",
     "init_energies",
     "load_edge_list",

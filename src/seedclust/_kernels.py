@@ -118,7 +118,7 @@ def sweep_cutvol(indptr, indices, degrees, order):
     return (deg - 2 * internal).cumsum(), deg.cumsum()
 
 
-def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, memo=None):
+def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, memo):
     """Run one schedule phase of the energy-biased walk.
 
     Each step moves to a neighbor sampled with probability proportional to
@@ -127,20 +127,20 @@ def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, unifor
     in ``visit_counts`` and returns the final current vertex and the phase's
     arrivals per vertex, a dict in ascending vertex order.
 
-    The steps run on Python lists and floats. ``memo`` is a pair of dicts
-    that one walk passes to all its phases: the neighbour list of every
-    vertex the walk has departed from, and, as Python floats, the log energy
-    of those vertices and of every vertex in their lists. A row is fetched
-    from the CSR arrays the first time the walk departs from its vertex. Each
-    step stores the departed vertex's new energy in both ``memo`` and
-    ``log_energy``, so the array is current whenever a row is fetched. A step
-    does the float operations of the reference loop in its order: the
-    log-ratios capped at 0 and their maximum, one ``math.exp`` each, a
-    left-to-right running sum (``accumulate``, not ``sum``, which compensates
-    from Python 3.12 on) and a draw of the first neighbour whose running sum
-    exceeds the uniform times the total, else the last one.
+    The steps run on Python lists and floats. ``memo`` is a pair of dicts,
+    empty when a walk starts, that the walk passes to all its phases: the
+    neighbour list of every vertex the walk has departed from, and, as Python
+    floats, the log energy of those vertices and of every vertex in their
+    lists. A row is fetched from the CSR arrays the first time the walk
+    departs from its vertex. Each step stores the departed vertex's new energy
+    in both ``memo`` and ``log_energy``, so the array is current whenever a
+    row is fetched. A step does the float operations of the reference loop in
+    its order: the log-ratios capped at 0 and their maximum, one ``math.exp``
+    each, a left-to-right running sum (``accumulate``, not ``sum``, which
+    compensates from Python 3.12 on) and a draw of the first neighbour whose
+    running sum exceeds the uniform times the total, else the last one.
     """
-    rows, energies = memo if memo is not None else ({}, {})
+    rows, energies = memo
     exp = math.exp
     arrivals = []
     for uniform in uniforms.tolist():

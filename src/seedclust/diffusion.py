@@ -141,12 +141,17 @@ class DiffusionTelemetry:
 
 @dataclass(eq=False)
 class ClusterReport:
-    """Cluster extracted around a seed, with per-member affinity scores."""
+    """Cluster extracted around a seed, with per-member affinity scores.
+
+    ``belongingness[i]`` is the score of ``members[i]``: its mass relative to
+    the seed's for a diffusion, its energy relative to the top member's for a
+    walk.
+    """
 
     seed: int
     members: np.ndarray
     conductance: float
-    belongingness: dict[int, float]
+    belongingness: np.ndarray
     iterations_used: int = 0
     converged: bool = True
     degenerate: bool = False
@@ -158,8 +163,8 @@ class ClusterReport:
             "seed": g.label_of(self.seed),
             "conductance": self.conductance,
             "members": [
-                {"vertex": g.label_of(int(u)), "belongingness": self.belongingness[int(u)]}
-                for u in self.members
+                {"vertex": g.label_of(u), "belongingness": b}
+                for u, b in zip(self.members.tolist(), self.belongingness.tolist())
             ],
             "iterations": self.iterations_used,
             "converged": self.converged,
@@ -438,9 +443,7 @@ def sweep_cut(
     return members, float(phis[best]), False
 
 
-def extract_cluster(
-    g: Graph, mass: SparseMass, telemetry: DiffusionTelemetry | None = None
-) -> ClusterReport:
+def extract_cluster(g: Graph, mass: SparseMass, telemetry: DiffusionTelemetry) -> ClusterReport:
     """Sweep the support by mass/degree (descending, seed first on ties)."""
     if mass.support_size == 0:
         raise ValueError("cannot extract a cluster from an empty distribution")
@@ -449,20 +452,13 @@ def extract_cluster(
     order = mass.vertices[np.lexsort((mass.vertices, not_seed, -scores))]
 
     members, phi, fallback = sweep_cut(g, order, mass.seed)
-    belong = dict(zip(members.tolist(), mass.relative_masses(members).tolist()))
     return ClusterReport(
         seed=mass.seed,
         members=members,
         conductance=phi,
-        belongingness=belong,
-        iterations_used=telemetry.iterations_used if telemetry else 0,
-        converged=telemetry.converged if telemetry else True,
+        belongingness=mass.relative_masses(members),
+        iterations_used=telemetry.iterations_used,
+        converged=telemetry.converged,
         degenerate=fallback or mass.support_size == g.vertex_count,
         telemetry=telemetry,
     )
-
-
-def find_cluster(g: Graph, seed: int, cfg: DiffusionConfig = DiffusionConfig()) -> ClusterReport:
-    """Convenience wrapper: run the diffusion then extract the sweep cluster."""
-    mass, telemetry = run_diffusion(g, seed, cfg)
-    return extract_cluster(g, mass, telemetry)

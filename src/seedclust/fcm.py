@@ -109,11 +109,13 @@ def check_fit(k: int, m: float, points: int) -> None:
         )
 
 
+FIT_TOLERANCE = 1e-9  # least decrease of the objective that keeps a fit iterating
+
+
 def fcm_fit(
     embedding,
     k: int,
     m: float = 2.0,
-    tol: float = 1e-9,
     max_iters: int = 300,
     rng_seed: int = 0,
     initial_centers: np.ndarray | None = None,
@@ -122,7 +124,7 @@ def fcm_fit(
 
     Centers start at k distinct data rows drawn with ``rng_seed`` unless
     ``initial_centers`` is given. Stops when the objective decreases by less
-    than ``tol`` between iterations.
+    than ``FIT_TOLERANCE`` between iterations.
     """
     x = np.asarray(embedding, dtype=np.float64)
     n = x.shape[0]
@@ -152,7 +154,7 @@ def fcm_fit(
         d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         obj = float((um * d2).sum())
         history.append(obj)
-        if prev - obj < tol:
+        if prev - obj < FIT_TOLERANCE:
             break
         prev = obj
 

@@ -58,7 +58,12 @@ class Partition:
                 ) from None
             if block < 0:
                 raise ValueError(f"partition CSV gives vertex {label!r} negative block id {block}")
-            u = g.index_of(label)
+            if block > np.iinfo(np.int64).max:
+                raise ValueError(f"partition CSV line {line} is {row!r}: block id beyond int64")
+            try:
+                u = g.index_of(label)
+            except KeyError as exc:
+                raise ValueError(f"partition CSV line {line} is {row!r}: {exc.args[0]}") from None
             if u in line_of:
                 raise ValueError(
                     f"partition CSV gives vertex {label!r} on lines {line_of[u]} and {line}"

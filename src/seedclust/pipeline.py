@@ -82,8 +82,7 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
         mass, telemetry = run_diffusion(g, seed, cfg)
         diffusions[seed] = mass
         report = extract_cluster(g, mass, telemetry)
-        m = report.members
-        b = mass.relative_masses(m)
+        m, b = report.members, report.belongingness
         claimed = (assign[m] < 0) | (b > belong[m])
         assign[m[claimed]] = len(blocks)
         belong[m[claimed]] = b[claimed]

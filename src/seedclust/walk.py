@@ -177,7 +177,7 @@ def extract_cluster_from_energy(
             seed=state.seed,
             members=np.array([state.seed], dtype=np.int64),
             conductance=1.0,
-            belongingness={state.seed: 1.0},
+            belongingness=np.array([1.0]),
             converged=False,
             degenerate=True,
         )
@@ -187,7 +187,7 @@ def extract_cluster_from_energy(
     members, phi, fallback = sweep_cut(g, order, state.seed)
     # relative to the top member: a member can outgrow the seed by more than e^709
     top_log = state.log_energies[members].max()
-    belong = {int(u): math.exp(state.log_energies[u] - top_log) for u in members}
+    belong = np.array([math.exp(state.log_energies[u] - top_log) for u in members])
     return ClusterReport(
         seed=state.seed,
         members=members,
@@ -197,9 +197,3 @@ def extract_cluster_from_energy(
         converged=True,
         degenerate=fallback,
     )
-
-
-def find_cluster_walk(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> ClusterReport:
-    """Convenience wrapper: run the walk then extract the energy sweep cluster."""
-    state, telemetry = run_walk(g, seed, cfg)
-    return extract_cluster_from_energy(g, state, telemetry)

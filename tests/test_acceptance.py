@@ -14,12 +14,12 @@ from seedclust import (
     DiffusionConfig,
     WalkConfig,
     extract_cluster,
+    extract_cluster_from_energy,
     fcm_fit,
-    find_cluster,
-    find_cluster_walk,
     overlap_clusters,
     partition_graph,
     run_diffusion,
+    run_walk,
 )
 from seedclust.cli import main
 from seedclust.datasets import (
@@ -101,7 +101,8 @@ def test_criterion_4_planted_recovery_diffusion():
     t0 = time.perf_counter()
     ok = True
     for seed in (0, 1, 2, 3, 6, 7, 8, 9):
-        rep = find_cluster(g, seed, DiffusionConfig(alpha=1e-2))
+        mass, telemetry = run_diffusion(g, seed, DiffusionConfig(alpha=1e-2))
+        rep = extract_cluster(g, mass, telemetry)
         target = list(range(5)) if seed < 5 else list(range(5, 10))
         ok &= rep.members.tolist() == target and rep.conductance == 1 / 21
     elapsed = time.perf_counter() - t0
@@ -111,10 +112,10 @@ def test_criterion_4_planted_recovery_diffusion():
 def test_criterion_5_planted_recovery_walk():
     g = two_clique_bridge(5)
     t0 = time.perf_counter()
-    wins = sum(
-        find_cluster_walk(g, 0, WalkConfig(rng_seed=s)).members.tolist() == [0, 1, 2, 3, 4]
-        for s in range(100)
-    )
+    wins = 0
+    for s in range(100):
+        state, telemetry = run_walk(g, 0, WalkConfig(rng_seed=s))
+        wins += extract_cluster_from_energy(g, state, telemetry).members.tolist() == [0, 1, 2, 3, 4]
     elapsed = time.perf_counter() - t0
     report(5, wins >= 90 and elapsed < 5.0, f"{wins}/100 exact recoveries, {elapsed:.2f}s (< 5s)")
 

@@ -150,6 +150,8 @@ def test_missing_graph_fails_nonzero(capsys):
 def test_unknown_seed_fails_nonzero(karate_path, capsys):
     rc = main(["cluster", "--graph", karate_path, "--seed", "nope"])
     assert rc == 1
+    # the message itself, not the repr a KeyError's str() gives
+    assert capsys.readouterr().err == "error: unknown vertex label 'nope'\n"
 
 
 def test_malformed_graph_fails_nonzero(tmp_path, capsys):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedclust import DiffusionConfig, SparseMass, extract_cluster, find_cluster, run_diffusion
+from seedclust import DiffusionConfig, SparseMass, diffusion, extract_cluster, run_diffusion
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
-from seedclust.diffusion import DENSE_MAX, SOLVE_TOLERANCE
+from seedclust.diffusion import DENSE_MAX, SOLVE_TOLERANCE, DiffusionTelemetry, sweep_cut
 
 from conftest import brute_conductance, dense_transition_matrix, random_graphs
 from diffusion_oracle import (
@@ -90,6 +90,9 @@ def test_truncate_requires_seed_mass():
     mass = sparse_from_dict({1: 1.0}, seed=0)
     with pytest.raises(ValueError):
         truncate(mass, 1e-3)
+    # the program's in-place truncation: seed at position 0
+    with pytest.raises(ValueError, match="seed has zero mass"):
+        diffusion.truncate(np.array([0.0, 1.0]), np.zeros(2), np.array([True, False]), 0, 1e-3)
 
 
 @given(
@@ -320,6 +323,7 @@ def test_records_time_the_run_with_one_clock_read_each(cfg, monkeypatch):
         ({"convergence_epsilon": float("inf")}, "convergence_epsilon"),
         ({"convergence_epsilon": -1e-9}, "convergence_epsilon"),
         ({"alpha": float("nan")}, "alpha"),
+        ({"max_iterations": 0}, "max_iterations"),
     ],
 )
 def test_config_rejects_non_finite_numbers(kwargs, field):
@@ -466,16 +470,34 @@ def test_run_diffusion_matches_oracle_when_support_is_whole_component():
 
 def test_extract_singleton_mass(two_k5):
     mass = sparse_from_dict({0: 1.0}, seed=0)
-    report = extract_cluster(two_k5, mass)
+    report = extract_cluster(two_k5, mass, DiffusionTelemetry())
     assert report.members.tolist() == [0]
     d = two_k5.degree(0)
     assert report.conductance == d / min(d, two_k5.total_degree - d)
 
 
+def test_extract_rejects_an_empty_distribution(two_k5):
+    empty = SparseMass(np.array([], dtype=np.int64), np.array([]), seed=0)
+    with pytest.raises(ValueError, match="empty distribution"):
+        extract_cluster(two_k5, empty, DiffusionTelemetry())
+
+
+def test_sweep_cut_falls_back_to_the_seed_without_an_eligible_prefix(karate):
+    # only the whole vertex set holds the seed, and it is never eligible
+    members, phi, degenerate = sweep_cut(karate, np.array([*range(1, 34), 0]), 0)
+    assert members.tolist() == [0]
+    assert phi == 1.0
+    assert degenerate
+
+
 def test_extract_belongingness_normalized(two_k5):
-    report = find_cluster(two_k5, 1, DiffusionConfig(alpha=1e-2))
-    assert report.belongingness[1] == 1.0
-    assert all(b > 0 for b in report.belongingness.values())
+    mass, telemetry = run_diffusion(two_k5, 1, DiffusionConfig(alpha=1e-2))
+    report = extract_cluster(two_k5, mass, telemetry)
+    belong = report.belongingness
+    assert belong.dtype == np.float64 and belong.shape == report.members.shape
+    assert belong.tolist() == mass.relative_masses(report.members).tolist()
+    assert belong[report.members.tolist().index(1)] == 1.0
+    assert all(b > 0 for b in belong.tolist())
 
 
 def test_relative_masses_match_per_vertex_lookup(two_triangles):
@@ -487,7 +509,8 @@ def test_relative_masses_match_per_vertex_lookup(two_triangles):
 
 
 def test_karate_hub_cluster_beats_singleton(karate):
-    report = find_cluster(karate, 33, DiffusionConfig(alpha=1e-3))
+    mass, telemetry = run_diffusion(karate, 33, DiffusionConfig(alpha=1e-3))
+    report = extract_cluster(karate, mass, telemetry)
     singleton = brute_conductance(karate, [33])
     assert report.conductance <= singleton
 
@@ -517,7 +540,8 @@ def test_full_graph_support_sets_degenerate_flag(karate):
 
 
 def test_whole_component_cluster_degenerate_flag(two_triangles):
-    report = find_cluster(two_triangles, 0, DiffusionConfig(alpha=1e-4))
+    mass, telemetry = run_diffusion(two_triangles, 0, DiffusionConfig(alpha=1e-4))
+    report = extract_cluster(two_triangles, mass, telemetry)
     # support is the seed's triangle, a whole (proper) component: conductance 0
     assert report.members.tolist() == [0, 1, 2]
     assert report.conductance == 0.0

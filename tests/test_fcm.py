@@ -215,6 +215,8 @@ def test_fit_parameter_validation():
             fcm_fit(x, k=2, m=m)
     with pytest.raises(ValueError):
         fcm_fit(x, k=200)
+    with pytest.raises(ValueError, match="initial_centers must have shape"):
+        fcm_fit(x, k=2, initial_centers=np.zeros((3, x.shape[1])))
 
 
 # --- overlap report ----------------------------------------------------------

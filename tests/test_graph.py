@@ -16,6 +16,7 @@ from seedclust import (
     load_edge_list,
     run_diffusion,
 )
+from seedclust.datasets import ring_of_cliques
 
 from conftest import dense_transition_matrix, random_graphs
 
@@ -122,6 +123,12 @@ def test_transition_rows_sum_to_one():
             column = one_step(g, u)
             assert abs(column.sum() - 1.0) < 1e-12
             assert np.array_equal(column, dense[:, u])
+
+
+def test_ring_of_cliques_needs_three_cliques():
+    assert ring_of_cliques(3, 2).edge_count == 6
+    with pytest.raises(ValueError, match="need at least 3 cliques"):
+        ring_of_cliques(2, 5)
 
 
 def test_component_of_connected(karate):

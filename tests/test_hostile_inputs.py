@@ -9,7 +9,10 @@ byte-identical. A self-loop-only label changes no output. ``overlap`` also
 runs with drawn ``--centers`` specs: counts from -1 to n + 2 and label lists
 with repeats or self-loop-only labels; and with drawn ``--k``, ``--m``,
 ``--threshold`` and ``--alpha``, where a value out of range is named in the
-error before any partition runs.
+error before any partition runs. ``eval`` reads drawn partition CSVs, with or
+without a header, with blank lines, repeated, missing and unknown vertices,
+labels with commas or spaces, and block ids that are negative, beyond int64,
+fractional or not numbers; an error names the CSV line or the vertex.
 """
 
 import contextlib
@@ -66,8 +69,8 @@ def linked_labels(text) -> set:
     return {t for pair in pairs if pair[0] != pair[1] for t in pair}
 
 
-def write_graph(text) -> str:
-    with tempfile.NamedTemporaryFile("w", suffix=".edges", delete=False) as f:
+def write_graph(text, suffix=".edges") -> str:
+    with tempfile.NamedTemporaryFile("w", suffix=suffix, delete=False) as f:
         f.write(text)
     return f.name
 
@@ -283,3 +286,69 @@ def test_overlap_numbers_are_checked_before_any_work(text, numbers):
         assert rc == 0, err
         doc = strict_json(out)
         assert {v for c in doc["clusters"] for v in c["members"]} == linked
+
+
+BLOCK_IDS = (st.integers(0, 3) | st.integers(0, 2**63 - 1)).map(str)
+# block cells that are not a block id: negative, beyond int64, fractional, not a number
+BAD_BLOCKS = ("-1", str(2**63), "99999999999999999999999", "1.5", "x", "", "nan")
+# labels that name no vertex: with a comma or a space, self-loop-only or never written
+UNKNOWN_LABELS = ("v0,v1", "v0 v1", "v 0", "z0", "q")
+
+
+@st.composite
+def graphs_with_partition_csvs(draw) -> tuple[str, str, bool]:
+    """An edge list, a partition CSV for it and whether that CSV is valid:
+    every linked vertex on one row, no other label, every block id an
+    integer from 0 to 2**63 - 1."""
+    text = draw(hostile_edge_lists())
+    rows, valid = [], True
+    for label in sorted(linked_labels(text)):
+        copies = draw(st.sampled_from([1, 1, 1, 0, 2]))  # now and then missing or repeated
+        valid &= copies == 1
+        rows += [label] * copies
+    unknown = draw(st.lists(st.sampled_from(UNKNOWN_LABELS), max_size=2))
+    valid &= not unknown
+    lines = []
+    for label in rows + unknown:
+        # a block id three times as often as a cell that is not one
+        block = draw(BLOCK_IDS | BLOCK_IDS | BLOCK_IDS | st.sampled_from(BAD_BLOCKS))
+        valid &= block not in BAD_BLOCKS
+        lines.append(label + draw(st.sampled_from([",", ", "])) + block)
+    lines = [lines[i] for i in draw(st.permutations(range(len(lines))))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    lines[:0] = draw(st.sampled_from([[], ["vertex,block"], ["Vertex , Block"]]))
+    return text, "".join(line + "\n" for line in lines), valid
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=graphs_with_partition_csvs())
+@example(
+    case=("v0 v1\nv1 v2\nv2 v0\n", "vertex,block\nv0,0\nv1,99999999999999999999999\nv2,1\n", False)
+)
+@example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,0\n\nv1, 9223372036854775807\nv2,0\n", True))
+@example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,1\nv0,v1,2\nv1,0\nv2,0\n", False))
+def test_eval_survives_hostile_partition_csvs(case):
+    text, csv, valid = case
+    linked = linked_labels(text)
+    graph, partition = write_graph(text), write_graph(csv, suffix=".csv")
+    try:
+        rc, out, err, _ = check(["eval", "--graph", graph, "--partition", partition])
+    finally:
+        Path(graph).unlink()
+        Path(partition).unlink()
+    if not linked:
+        assert rc == 1  # an all-self-loop list has no edge
+        return
+    assert (rc == 0) == valid, err
+    if rc == 0:
+        [line] = out.splitlines()
+        q, blocks = re.fullmatch(r"modularity=(\S+) blocks=(\d+)", line).groups()
+        assert -0.5 <= float(q) <= 1.0
+        rows = [row for row in csv.splitlines() if row.strip()]
+        if rows[0].startswith(("vertex", "Vertex")):
+            rows = rows[1:]
+        assert int(blocks) == len({int(row.rsplit(",", 1)[1]) for row in rows})
+    else:
+        labels = linked | {row.rsplit(",", 1)[0] for row in csv.splitlines() if "," in row}
+        assert re.search(r"\bline \d+\b", err) or any(repr(label) in err for label in labels), err

@@ -5,7 +5,7 @@ import pytest
 
 import seedclust._kernels as kernels
 
-from seedclust import DiffusionConfig, SparseMass, find_cluster
+from seedclust import DiffusionConfig, SparseMass, extract_cluster, run_diffusion
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
 from seedclust.walk import WalkConfig, extract_cluster_from_energy, run_walk
 
@@ -85,7 +85,8 @@ def test_diffusion_query_enters_few_numpy_frames():
     pushes = 0
     with numpy_frames() as frames:
         for seed in range(0, 3000, 75):
-            pushes += find_cluster(g, seed, DiffusionConfig(alpha=0.04)).iterations_used
+            mass, telemetry = run_diffusion(g, seed, DiffusionConfig(alpha=0.04))
+            pushes += extract_cluster(g, mass, telemetry).iterations_used
     assert frames["fromnumeric.py"] == 0, frames
     assert sum(frames.values()) <= MAX_NUMPY_FRAMES_PER_PUSH * pushes, (frames, pushes)
 

@@ -106,11 +106,15 @@ def test_modularity_relabel_invariant(karate):
     assert modularity(karate, p1) == pytest.approx(modularity(karate, p2))
 
 
-def test_partition_validation():
+def test_partition_validation(karate):
     with pytest.raises(ValueError):
         Partition(np.array([0, 2]))  # gap -> empty block 1
     with pytest.raises(ValueError):
         Partition(np.array([-1, 0]))
+    with pytest.raises(ValueError, match="empty vertex set"):
+        Partition([])
+    with pytest.raises(ValueError, match="partition size does not match graph"):
+        modularity(karate, Partition(np.zeros(33, dtype=np.int64)))
 
 
 def test_partition_csv_roundtrip(karate):
@@ -139,6 +143,20 @@ def test_partition_csv_negative_block_names_label_and_id(karate):
 @pytest.mark.parametrize("row", ["0", "0,a", "0,"])
 def test_partition_csv_malformed_row_names_line_and_text(karate, row):
     with pytest.raises(ValueError, match=f"line 3 is '{row}', not vertex,block"):
+        Partition.from_csv(f"vertex,block\n1,0\n{row}\n", karate)
+
+
+@pytest.mark.parametrize(
+    "row, fault",
+    [
+        ("0,9223372036854775808", "block id beyond int64"),
+        ("0,99999999999999999999999", "block id beyond int64"),
+        ("0,1,2", "unknown vertex label '0,1'"),
+        ("0 ,1", "unknown vertex label '0 '"),
+    ],
+)
+def test_partition_csv_oversized_block_or_unknown_label_names_line_and_text(karate, row, fault):
+    with pytest.raises(ValueError, match=f"^partition CSV line 3 is '{row}': {fault}$"):
         Partition.from_csv(f"vertex,block\n1,0\n{row}\n", karate)
 
 

@@ -235,12 +235,14 @@ def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monk
         ({"threshold": 0.9}, "threshold"),
         ({"threshold": 0.0}, "threshold"),
         ({"alpha": 1.0}, "alpha"),
+        ({"centers": [0, 34]}, "centers"),
     ],
 )
 def test_overlap_rejects_numbers_before_any_work(karate, monkeypatch, kwargs, name):
     """``k`` outside 2..n, a fuzzifier that is not finite and > 1, a threshold
-    outside (0, 0.5] and an alpha outside [0, 1) each raise, naming the
-    number, before ``partition_graph`` or any diffusion runs."""
+    outside (0, 0.5], an alpha outside [0, 1) and a centre out of range each
+    raise, naming the argument, before ``partition_graph`` or any diffusion
+    runs."""
     import seedclust.fcm as fcm_module
     import seedclust.pipeline as pipeline_module
 

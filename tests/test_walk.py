@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ import seedclust.walk
 from seedclust import (
     WalkConfig,
     extract_cluster_from_energy,
-    find_cluster_walk,
     from_edges,
     init_energies,
     run_walk,
@@ -52,6 +54,7 @@ def step(g, state, log_f, uniforms) -> int:
         state.current_vertex,
         log_f,
         np.asarray(uniforms, dtype=np.float64),
+        ({}, {}),
     )
     path = oracle_path(*args)
     state.current_vertex, _ = kernels.walk_phase(*args)
@@ -193,10 +196,10 @@ def test_visits_concentrate_in_seed_clique(two_k5):
 def test_planted_clique_recovery(q, request):
     g = request.getfixturevalue(f"two_k{q}")
     target = list(range(q))
-    wins = sum(
-        find_cluster_walk(g, 0, WalkConfig(rng_seed=s)).members.tolist() == target
-        for s in range(100)
-    )
+    wins = 0
+    for s in range(100):
+        state, telemetry = run_walk(g, 0, WalkConfig(rng_seed=s))
+        wins += extract_cluster_from_energy(g, state, telemetry).members.tolist() == target
     assert wins >= 90
 
 
@@ -204,6 +207,7 @@ def test_no_steps_gives_flagged_singleton(two_k5):
     state, telemetry = run_walk(two_k5, 3, WalkConfig(f_schedule=()))
     report = extract_cluster_from_energy(two_k5, state, telemetry)
     assert report.members.tolist() == [3]
+    assert report.belongingness.tolist() == [1.0]
     assert report.degenerate
 
 
@@ -211,6 +215,9 @@ def test_k4_sweep_matches_exhaustive_prefix_minimum():
     k4 = from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
     state, telemetry = run_walk(k4, 0, WalkConfig(rng_seed=1, expected_size=2))
     report = extract_cluster_from_energy(k4, state, telemetry)
+    belong = report.belongingness
+    assert belong.dtype == np.float64 and belong.shape == report.members.shape
+    assert belong.max() == 1.0 and (belong > 0.0).all()
     visited = np.flatnonzero(state.visit_counts)
     order = visited[np.lexsort((visited, -state.log_energies[visited]))]
     seed_pos = int(np.flatnonzero(order == 0)[0])
@@ -230,6 +237,8 @@ def test_config_validation():
         WalkConfig(f_schedule=((0.9, 10),))
     with pytest.raises(ValueError):
         WalkConfig(expected_size=0)
+    with pytest.raises(ValueError, match="phase step counts must be nonnegative"):
+        WalkConfig(f_schedule=((1.1, 10), (1.3, -1)))
 
 
 @pytest.mark.parametrize(
@@ -392,3 +401,33 @@ def test_walk_sweep_stays_local(monkeypatch):
         results.append((swept[0], members, report.conductance, rows))
     assert ring_of_cliques(20000, 5).vertex_count == 100000
     assert results[0] == results[1]
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, loaded from its file without touching ``sys.path``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_reads_a_karate_walk(karate):
+    """The benchmark's tracer finds every target it wraps and reads the
+    visited set and the step count of a walk from ``EnergyTable.visit_counts``
+    and from the uniforms ``walk_phase`` takes as ``args[6]``."""
+    tracer = load_tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        cfg = WalkConfig(rng_seed=7, expected_size=8)
+        state, telemetry = seedclust.walk.run_walk(karate, 0, cfg)
+        seedclust.walk.extract_cluster_from_energy(karate, state, telemetry)
+    finally:
+        trace.uninstall()
+    assert trace.missing == []
+    metrics = tracer.round_metrics(trace.rounds[0])
+    assert metrics["walk.touched_vertices"] == state.visited.size == 28
+    assert metrics["kernels.walk_phase.steps"] == telemetry.total_steps == 240
+    assert not hasattr(kernels.walk_phase, "__wrapped__")
