@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
+
+# a block id cell: ASCII digits with an optional sign; leading zeros are not
+# part of the digits, so "-0" and "000" are block 0
+BLOCK_ID = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,17 +54,21 @@ class Partition:
         assignments = np.full(g.vertex_count, -1, dtype=np.int64)
         line_of: dict[int, int] = {}
         for line, row in rows:
-            try:
-                label, cell = row.rsplit(",", 1)
-                block = int(cell)
-            except ValueError:
+            label, comma, cell = row.rpartition(",")
+            block_id = BLOCK_ID.fullmatch(cell.strip())
+            if not comma or block_id is None:
                 raise ValueError(
                     f"partition CSV line {line} is {row!r}, not vertex,block (as in 0,1)"
-                ) from None
-            if block < 0:
-                raise ValueError(f"partition CSV gives vertex {label!r} negative block id {block}")
-            if block > np.iinfo(np.int64).max:
+                )
+            sign, digits = block_id.groups()
+            if sign == "-" and digits != "0":
+                raise ValueError(
+                    f"partition CSV gives vertex {label!r} negative block id -{digits}"
+                )
+            # more than 19 digits is beyond int64, and int() refuses 4,300 or more
+            if len(digits) > 19 or int(digits) > np.iinfo(np.int64).max:
                 raise ValueError(f"partition CSV line {line} is {row!r}: block id beyond int64")
+            block = int(digits)
             try:
                 u = g.index_of(label)
             except KeyError as exc:

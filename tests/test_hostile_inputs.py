@@ -12,7 +12,9 @@ with repeats or self-loop-only labels; and with drawn ``--k``, ``--m``,
 error before any partition runs. ``eval`` reads drawn partition CSVs, with or
 without a header, with blank lines, repeated, missing and unknown vertices,
 labels with commas or spaces, and block ids that are negative, beyond int64,
-fractional or not numbers; an error names the CSV line or the vertex.
+fractional, spelled with non-ASCII digits or digit groups, or not numbers;
+an error names the CSV line or the vertex, and a line named malformed or
+beyond int64 is one.
 """
 
 import contextlib
@@ -289,8 +291,12 @@ def test_overlap_numbers_are_checked_before_any_work(text, numbers):
 
 
 BLOCK_IDS = (st.integers(0, 3) | st.integers(0, 2**63 - 1)).map(str)
-# block cells that are not a block id: negative, beyond int64, fractional, not a number
-BAD_BLOCKS = ("-1", str(2**63), "99999999999999999999999", "1.5", "x", "", "nan")
+# block cells that are not a block id: negative, beyond int64 (past int()'s
+# 4,300-digit limit too), fractional, not a number, non-ASCII digits, digit groups
+BAD_BLOCKS = (
+    "-1", str(2**63), "99999999999999999999999", "9" * 5000,
+    "1.5", "x", "", "nan", "\u0661", "1_0",
+)
 # labels that name no vertex: with a comma or a space, self-loop-only or never written
 UNKNOWN_LABELS = ("v0,v1", "v0 v1", "v 0", "z0", "q")
 
@@ -328,6 +334,9 @@ def graphs_with_partition_csvs(draw) -> tuple[str, str, bool]:
 )
 @example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,0\n\nv1, 9223372036854775807\nv2,0\n", True))
 @example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,1\nv0,v1,2\nv1,0\nv2,0\n", False))
+@example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,0\nv1,1_0\nv2,1\n", False))
+@example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,0\nv1,\u0661\nv2,1\n", False))
+@example(case=("v0 v1\nv1 v2\nv2 v0\n", "v0,0\nv1," + "9" * 5000 + "\nv2,1\n", False))
 def test_eval_survives_hostile_partition_csvs(case):
     text, csv, valid = case
     linked = linked_labels(text)
@@ -352,3 +361,10 @@ def test_eval_survives_hostile_partition_csvs(case):
     else:
         labels = linked | {row.rsplit(",", 1)[0] for row in csv.splitlines() if "," in row}
         assert re.search(r"\bline \d+\b", err) or any(repr(label) in err for label in labels), err
+        # a row named malformed has no block id cell; one named beyond int64 has a digit string
+        named = re.search(r"line (\d+) is .*(, not vertex,block|: block id beyond int64)", err)
+        if named:
+            cell = csv.splitlines()[int(named[1]) - 1].rsplit(",", 1)[-1].strip()
+            digits = re.fullmatch(r"\+?0*([0-9]+)", cell)
+            assert (digits is None) == (named[2] != ": block id beyond int64"), err
+            assert digits is None or len(digits[1]) > 19 or int(digits[1]) >= 2**63, err

@@ -140,7 +140,8 @@ def test_partition_csv_negative_block_names_label_and_id(karate):
         Partition.from_csv("vertex,block\n0,-3\n", karate)
 
 
-@pytest.mark.parametrize("row", ["0", "0,a", "0,"])
+# a block id is ASCII digits: not digit groups, not other scripts' digits
+@pytest.mark.parametrize("row", ["0", "0,a", "0,", "0,1_0", "0,\u0661"])
 def test_partition_csv_malformed_row_names_line_and_text(karate, row):
     with pytest.raises(ValueError, match=f"line 3 is '{row}', not vertex,block"):
         Partition.from_csv(f"vertex,block\n1,0\n{row}\n", karate)
@@ -151,6 +152,9 @@ def test_partition_csv_malformed_row_names_line_and_text(karate, row):
     [
         ("0,9223372036854775808", "block id beyond int64"),
         ("0,99999999999999999999999", "block id beyond int64"),
+        # past int()'s 4,300-digit limit
+        pytest.param("0," + "9" * 5000, "block id beyond int64", id="0,9*5000-beyond"),
+        ("0,00009223372036854775808", "block id beyond int64"),
         ("0,1,2", "unknown vertex label '0,1'"),
         ("0 ,1", "unknown vertex label '0 '"),
     ],
