@@ -1,5 +1,9 @@
 """Command-line interface: cluster, walk, partition, overlap, eval, bench.
 
+The library returns reports as data; this module renders every JSON and CSV
+format, each in one function, except the partition CSV, which
+``Partition.to_csv`` writes and ``Partition.from_csv`` reads.
+
 All outputs are deterministic for a fixed rng seed; wall-clock timing columns
 are opt-in (``--wall-clock`` / ``--include-timing``) so default outputs are
 byte-identical across repeated runs.
@@ -10,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, extract_cluster, run_diffusion
+from .diffusion import DiffusionConfig, IterationStats, extract_cluster, run_diffusion
 from .graph import load_edge_list
 from .metrics import Partition, modularity
 from .pipeline import OVERLAP_EMBED_ALPHA, overlap_clusters, partition_graph
@@ -23,6 +28,62 @@ from .walk import WalkConfig, extract_cluster_from_energy, run_walk
 
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _report_doc(g, report, schema: str) -> dict:
+    """A cluster or walk report's JSON fields, members labelled."""
+    return {
+        "schema": schema,
+        "seed": g.label_of(report.seed),
+        "conductance": report.conductance,
+        "members": [
+            {"vertex": g.label_of(u), "belongingness": b}
+            for u, b in zip(report.members.tolist(), report.belongingness.tolist())
+        ],
+        "iterations": report.iterations_used,
+        "converged": report.converged,
+        "degenerate": report.degenerate,
+    }
+
+
+def _telemetry_rows(telemetry, wall_clock: bool) -> list[dict]:
+    """One dict per push: ``iteration`` from 1, then the record's fields in
+    order, ``seconds`` only with ``wall_clock``. Both the cluster JSON's
+    ``telemetry`` list and the bench CSV render these rows."""
+    names = [f.name for f in fields(IterationStats) if wall_clock or f.name != "seconds"]
+    return [
+        {"iteration": i, **{name: getattr(s, name) for name in names}}
+        for i, s in enumerate(telemetry.iterations, 1)
+    ]
+
+
+def _cluster_doc(g, report, telemetry, wall_clock: bool) -> dict:
+    doc = _report_doc(g, report, "seedclust/cluster-report/v1")
+    doc["telemetry"] = _telemetry_rows(telemetry, wall_clock)
+    # a solve's rows carry its bound on the next step's L1 change
+    doc["solves"] = [{"first": steps.start + 1, "last": steps.stop} for steps in telemetry.solves]
+    return doc
+
+
+def _overlap_doc(g, result) -> dict:
+    return {
+        "schema": "seedclust/overlap-report/v1",
+        "threshold": result.report.threshold,
+        "clusters": [
+            {"cluster": j, "members": [g.label_of(int(u)) for u in members]}
+            for j, members in enumerate(result.report.clusters)
+        ],
+        "centers": [g.label_of(c) for c in result.centers],
+        "fuzzifier": result.membership.fuzzifier,
+        "objective": result.membership.objective,
+    }
+
+
+def _memberships_csv(g, memberships: np.ndarray) -> str:
+    lines = ["vertex," + ",".join(f"membership_{j}" for j in range(memberships.shape[1]))]
+    for u, row in enumerate(memberships):
+        lines.append(g.label_of(u) + "," + ",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def _diffusion_config(args) -> DiffusionConfig:
@@ -51,11 +112,10 @@ def _parse_schedule(text: str) -> tuple[tuple[float, int], ...]:
     return tuple(phases)
 
 
-def cmd_cluster(args) -> int:
-    g = load_edge_list(args.graph)
+def cmd_cluster(g, args) -> int:
     mass, telemetry = run_diffusion(g, g.index_of(args.seed), _diffusion_config(args))
     report = extract_cluster(g, mass, telemetry)
-    doc = report.to_json_dict(g, include_timing=args.include_timing)
+    doc = _cluster_doc(g, report, telemetry, args.include_timing)
     _write_or_print(_json_text(doc), args.out)
     print(
         f"cluster seed={args.seed} size={report.members.size} "
@@ -66,8 +126,7 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_walk(args) -> int:
-    g = load_edge_list(args.graph)
+def cmd_walk(g, args) -> int:
     cfg = WalkConfig(
         alpha=args.alpha,
         beta=args.beta,
@@ -77,8 +136,7 @@ def cmd_walk(args) -> int:
     )
     state, telemetry = run_walk(g, g.index_of(args.seed), cfg)
     report = extract_cluster_from_energy(g, state, telemetry)
-    doc = report.to_json_dict(g)
-    doc["schema"] = "seedclust/walk-report/v1"
+    doc = _report_doc(g, report, "seedclust/walk-report/v1")
     doc["phases"] = [
         {
             "f": p.f,
@@ -96,8 +154,7 @@ def cmd_walk(args) -> int:
     return 0
 
 
-def cmd_partition(args) -> int:
-    g = load_edge_list(args.graph)
+def cmd_partition(g, args) -> int:
     result = partition_graph(g, _diffusion_config(args))
     _write_or_print(result.partition.to_csv(g), args.out)
     print(
@@ -107,8 +164,7 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def cmd_overlap(args) -> int:
-    g = load_edge_list(args.graph)
+def cmd_overlap(g, args) -> int:
     if args.centers.startswith("auto:"):
         try:
             centers = int(args.centers.split(":", 1)[1])
@@ -130,12 +186,9 @@ def cmd_overlap(args) -> int:
         threshold=args.threshold,
         rng_seed=args.rng,
     )
-    doc = result.report.to_json_dict(g)
-    doc["centers"] = [g.label_of(c) for c in result.centers]
-    doc["fuzzifier"] = args.m
-    doc["objective"] = result.membership.objective
+    doc = _overlap_doc(g, result)
     if args.memberships_out:
-        Path(args.memberships_out).write_text(result.membership.to_csv(g))
+        Path(args.memberships_out).write_text(_memberships_csv(g, result.membership.memberships))
     _write_or_print(_json_text(doc), args.out)
     print(
         f"overlap centers={doc['centers']} k={args.k} objective={result.membership.objective!r}",
@@ -144,24 +197,22 @@ def cmd_overlap(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    g = load_edge_list(args.graph)
+def cmd_eval(g, args) -> int:
     partition = Partition.from_csv(Path(args.partition).read_text(), g)
     q = modularity(g, partition)
     print(f"modularity={q!r} blocks={partition.block_count}")
     return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(g, args) -> int:
     """One diffusion, written as a telemetry CSV and a summary JSON."""
-    g = load_edge_list(args.graph)
     seed = g.index_of(args.seed) if args.seed is not None else int(np.argmax(g.degrees))
     cfg = _diffusion_config(args)
     mass, telemetry = run_diffusion(g, seed, cfg)
     report = extract_cluster(g, mass, telemetry)
 
     # a run takes at least one step, so rows[0] names the columns
-    rows = telemetry.rows(include_timing=args.wall_clock)
+    rows = _telemetry_rows(telemetry, args.wall_clock)
     lines = [",".join(rows[0])] + [",".join(repr(v) for v in row.values()) for row in rows]
     Path(args.telemetry_out).write_text("\n".join(lines) + "\n")
 
@@ -182,7 +233,7 @@ def cmd_bench(args) -> int:
         summary["unconverged_blocks"] = sum(not info.converged for info in result.blocks)
 
     if args.cluster_out:
-        doc = report.to_json_dict(g, include_timing=args.wall_clock)
+        doc = _cluster_doc(g, report, telemetry, args.wall_clock)
         Path(args.cluster_out).write_text(_json_text(doc))
     if args.summary_out:
         Path(args.summary_out).write_text(_json_text(summary))
@@ -202,17 +253,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="seedclust", description="Seed-centered local graph clustering toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
 
-    p = sub.add_parser("cluster", help="diffusion cluster around one seed")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("cluster", parents=[graph], help="diffusion cluster around one seed")
     p.add_argument("--seed", required=True, help="seed vertex label")
     _add_diffusion_flags(p)
     p.add_argument("--out", default=None, help="cluster report JSON path (default stdout)")
     p.add_argument("--include-timing", action="store_true")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("walk", help="adaptive energy walk cluster around one seed")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser(
+        "walk", parents=[graph], help="adaptive energy walk cluster around one seed"
+    )
     p.add_argument("--seed", required=True)
     p.add_argument("--f-schedule", default=None, help="phases as f:steps,f:steps,...")
     p.add_argument("--alpha", type=float, default=1.0)
@@ -222,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_walk)
 
-    p = sub.add_parser("partition", help="cover the graph with diffusion clusters")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser(
+        "partition", parents=[graph], help="cover the graph with diffusion clusters"
+    )
     _add_diffusion_flags(p)
     p.add_argument("--out", default=None, help="partition CSV path (default stdout)")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("overlap", help="fuzzy overlapping clusters")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("overlap", parents=[graph], help="fuzzy overlapping clusters")
     p.add_argument("--centers", required=True, help="comma-separated labels or auto:k")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--m", type=float, default=2.0)
@@ -240,13 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memberships-out", default=None, help="membership matrix CSV path")
     p.set_defaults(func=cmd_overlap)
 
-    p = sub.add_parser("eval", help="modularity of a stored partition CSV")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("eval", parents=[graph], help="modularity of a stored partition CSV")
     p.add_argument("--partition", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="telemetry benchmark for one diffusion run")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("bench", parents=[graph], help="telemetry benchmark for one diffusion run")
     p.add_argument("--telemetry-out", required=True)
     p.add_argument("--seed", default=None, help="seed label (default: max-degree vertex)")
     _add_diffusion_flags(p)
@@ -262,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, KeyError, IndexError, OSError) as exc:
+        return args.func(load_edge_list(args.graph), args)
+    # MemoryError: numpy refusing an array a flag sized, as for 10**12 walk steps
+    except (ValueError, KeyError, IndexError, OSError, MemoryError) as exc:
         # str() of a KeyError is the repr of its key: print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,15 +129,6 @@ class DiffusionTelemetry:
     def iterations_used(self) -> int:
         return len(self.iterations)
 
-    def rows(self, include_timing: bool = False) -> list[dict]:
-        """One dict per iteration: ``iteration`` from 1, then the record's
-        fields in order, ``seconds`` only when ``include_timing``."""
-        names = [f.name for f in fields(IterationStats) if include_timing or f.name != "seconds"]
-        return [
-            {"iteration": i, **{name: getattr(s, name) for name in names}}
-            for i, s in enumerate(self.iterations, 1)
-        ]
-
 
 @dataclass(eq=False)
 class ClusterReport:
@@ -155,28 +146,6 @@ class ClusterReport:
     iterations_used: int = 0
     converged: bool = True
     degenerate: bool = False
-    telemetry: DiffusionTelemetry | None = None
-
-    def to_json_dict(self, g: Graph, include_timing: bool = False) -> dict:
-        doc = {
-            "schema": "seedclust/cluster-report/v1",
-            "seed": g.label_of(self.seed),
-            "conductance": self.conductance,
-            "members": [
-                {"vertex": g.label_of(u), "belongingness": b}
-                for u, b in zip(self.members.tolist(), self.belongingness.tolist())
-            ],
-            "iterations": self.iterations_used,
-            "converged": self.converged,
-            "degenerate": self.degenerate,
-        }
-        if self.telemetry is not None:
-            doc["telemetry"] = self.telemetry.rows(include_timing)
-            # a solve's rows carry its bound on the next step's L1 change
-            doc["solves"] = [
-                {"first": steps.start + 1, "last": steps.stop} for steps in self.telemetry.solves
-            ]
-        return doc
 
 
 def truncate(
@@ -460,5 +429,4 @@ def extract_cluster(g: Graph, mass: SparseMass, telemetry: DiffusionTelemetry) -
         iterations_used=telemetry.iterations_used,
         converged=telemetry.converged,
         degenerate=fallback or mass.support_size == g.vertex_count,
-        telemetry=telemetry,
     )

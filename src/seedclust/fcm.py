@@ -33,20 +33,15 @@ class MembershipMatrix:
     memberships: np.ndarray
     centers: np.ndarray
     fuzzifier: float
-    objective: float
-    iterations: int
-    objective_history: tuple[float, ...] = ()
+    objective_history: tuple[float, ...]  # one objective per iteration
 
     @property
-    def cluster_count(self) -> int:
-        return int(self.memberships.shape[1])
+    def objective(self) -> float:
+        return self.objective_history[-1]
 
-    def to_csv(self, g: Graph) -> str:
-        k = self.cluster_count
-        lines = ["vertex," + ",".join(f"membership_{j}" for j in range(k))]
-        for u, row in enumerate(self.memberships):
-            lines.append(g.label_of(u) + "," + ",".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)
 
 
 def diffuse_centers(
@@ -110,13 +105,13 @@ def check_fit(k: int, m: float, points: int) -> None:
 
 
 FIT_TOLERANCE = 1e-9  # least decrease of the objective that keeps a fit iterating
+FIT_MAX_ITERATIONS = 300  # iterations after which a fit stops however it is going
 
 
 def fcm_fit(
     embedding,
     k: int,
     m: float = 2.0,
-    max_iters: int = 300,
     rng_seed: int = 0,
     initial_centers: np.ndarray | None = None,
 ) -> MembershipMatrix:
@@ -124,7 +119,8 @@ def fcm_fit(
 
     Centers start at k distinct data rows drawn with ``rng_seed`` unless
     ``initial_centers`` is given. Stops when the objective decreases by less
-    than ``FIT_TOLERANCE`` between iterations.
+    than ``FIT_TOLERANCE`` between iterations, or after
+    ``FIT_MAX_ITERATIONS`` iterations.
     """
     x = np.asarray(embedding, dtype=np.float64)
     n = x.shape[0]
@@ -139,13 +135,10 @@ def fcm_fit(
         centers = x[rng.choice(n, size=k, replace=False)].copy()
 
     prev = np.inf
-    u = None
-    obj = np.inf
-    iterations = 0
     history: list[float] = []
     # each iteration's post-update distances are the next iteration's input
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    for iterations in range(1, max_iters + 1):
+    for _ in range(FIT_MAX_ITERATIONS):
         u = _memberships_from_distances(d2, m)
         um = u ** m
         denom = um.sum(axis=0)
@@ -159,12 +152,7 @@ def fcm_fit(
         prev = obj
 
     return MembershipMatrix(
-        memberships=u,
-        centers=centers,
-        fuzzifier=m,
-        objective=obj,
-        iterations=iterations,
-        objective_history=tuple(history),
+        memberships=u, centers=centers, fuzzifier=m, objective_history=tuple(history)
     )
 
 
@@ -174,16 +162,6 @@ class OverlapReport:
 
     clusters: tuple[np.ndarray, ...]
     threshold: float
-
-    def to_json_dict(self, g: Graph) -> dict:
-        return {
-            "schema": "seedclust/overlap-report/v1",
-            "threshold": self.threshold,
-            "clusters": [
-                {"cluster": j, "members": [g.label_of(int(u)) for u in members]}
-                for j, members in enumerate(self.clusters)
-            ],
-        }
 
 
 def check_threshold(threshold: float) -> None:

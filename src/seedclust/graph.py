@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -92,9 +93,14 @@ class Graph:
         return self.labels[u]
 
     def check_vertex(self, u: int) -> int:
-        if not 0 <= u < self.vertex_count:
-            raise IndexError(f"vertex index {u} out of range [0, {self.vertex_count})")
-        return int(u)
+        """``u`` as a Python int, if it is an integer (numpy's included) in range."""
+        try:
+            v = operator.index(u)
+        except TypeError:
+            raise TypeError(f"vertex index {u!r} is not an integer") from None
+        if not 0 <= v < self.vertex_count:
+            raise IndexError(f"vertex index {v} out of range [0, {self.vertex_count})")
+        return v
 
 
 def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -3,6 +3,7 @@ and the overlap pipeline."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Sequence
@@ -158,16 +159,21 @@ def _check_centers(g: Graph, centers) -> int | list[int]:
                 f"centers count must be from 2 to {n}, the vertex count; got {centers}"
             )
         return int(centers)
-    vertices = list(centers)
-    for u in vertices:
+    vertices = []
+    for u in centers:
+        try:
+            u = operator.index(u)
+        except TypeError:
+            raise ValueError(f"centers vertex {u!r} is not an integer") from None
         if not 0 <= u < n:
             raise ValueError(f"centers vertex {u} is out of range [0, {n})")
+        vertices.append(u)
     if len(vertices) < 2 or len(set(vertices)) < len(vertices):
         raise ValueError(
             f"centers must be at least 2 distinct vertices; got {len(vertices)} vertices, "
             f"{len(set(vertices))} distinct"
         )
-    return [int(u) for u in vertices]
+    return vertices
 
 
 def overlap_clusters(

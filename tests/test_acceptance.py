@@ -15,6 +15,7 @@ from seedclust import (
     WalkConfig,
     extract_cluster,
     extract_cluster_from_energy,
+    fcm,
     fcm_fit,
     overlap_clusters,
     partition_graph,
@@ -181,7 +182,7 @@ def test_criterion_8_locality_scaling():
     )
 
 
-def test_criterion_9_fcm_suite():
+def test_criterion_9_fcm_suite(monkeypatch):
     rng = np.random.default_rng(67)
     ok = True
     for i in range(20):
@@ -197,7 +198,8 @@ def test_criterion_9_fcm_suite():
 
     x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])
-    msm = fcm_fit(x, k=2, m=2.0, initial_centers=centers, max_iters=1)
+    monkeypatch.setattr(fcm, "FIT_MAX_ITERATIONS", 1)
+    msm = fcm_fit(x, k=2, m=2.0, initial_centers=centers)
     ok &= bool(np.allclose(msm.memberships[2], [0.5, 0.5], atol=1e-9))
     report(9, ok, "20 instances: monotone objective, stochastic rows, brute-force match")
 

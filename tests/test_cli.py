@@ -5,6 +5,12 @@ import pytest
 
 from seedclust.cli import main
 
+# the key order of each JSON report
+REPORT_KEYS = ["schema", "seed", "conductance", "members", "iterations", "converged", "degenerate"]
+SUMMARY_KEYS = [
+    "schema", "graph", "seed", "alpha", "iterations", "converged", "cluster_size", "conductance"
+]
+
 
 def test_cluster_subcommand(tmp_path, karate_path, capsys):
     out = tmp_path / "cluster.json"
@@ -39,9 +45,14 @@ def test_cluster_json_marks_solve_rows(tmp_path, karate_path):
     )
     assert rc == 0
     doc = json.loads(out.read_text())
+    assert list(doc) == REPORT_KEYS + ["telemetry", "solves"]
+    assert all(list(m) == ["vertex", "belongingness"] for m in doc["members"])
     rows = doc["telemetry"]
+    fields = ["iteration", "l1_change", "support_size", "support_volume", "ops"]
+    assert all(list(row) == fields for row in rows)
     assert len(rows) == doc["iterations"]
     (solve,) = doc["solves"]
+    assert list(solve) == ["first", "last"]
     # the solve's last row bounds the change of the ordinary step that checks it
     assert 1 <= solve["first"] <= solve["last"] == len(rows) - 1
     assert rows[solve["last"] - 1]["l1_change"] <= 1e-9 * 1e-3
@@ -60,6 +71,9 @@ def test_walk_subcommand(tmp_path, karate_path):
     doc = json.loads(out.read_text())
     assert doc["schema"] == "seedclust/walk-report/v1"
     assert len(doc["phases"]) == 3
+    assert list(doc) == REPORT_KEYS + ["phases"]
+    assert all(list(m) == ["vertex", "belongingness"] for m in doc["members"])
+    assert [list(phase) for phase in doc["phases"]] == [["f", "steps", "visits"]] * 3
     assert doc["phases"][0]["steps"] == 20
     assert doc["iterations"] == sum(phase["steps"] for phase in doc["phases"]) == 60
 
@@ -87,10 +101,13 @@ def test_overlap_subcommand(tmp_path, karate_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "seedclust/overlap-report/v1"
+    assert list(doc) == ["schema", "threshold", "clusters", "centers", "fuzzifier", "objective"]
+    assert [list(c) for c in doc["clusters"]] == [["cluster", "members"]] * 3
     assert doc["centers"] == ["0", "33"]
     assert len(doc["clusters"]) == 3
-    header = members.read_text().splitlines()[0]
+    header, *rows = members.read_text().splitlines()
     assert header == "vertex,membership_0,membership_1,membership_2"
+    assert len(rows) == 34 and all(len(row.split(",")) == 4 for row in rows)
 
 
 def test_overlap_auto_centers(tmp_path, karate_path):
@@ -284,3 +301,30 @@ def test_overlap_with_isolated_vertex_stays_finite(tmp_path, edges, centers):
     assert u.shape[0] == len(linked)  # one row per linked label; "z z" and "y y" are dropped
     assert np.isfinite(u).all()
     assert np.allclose(u.sum(axis=1), 1.0)
+
+
+# --- report layouts -----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "flags, extra", [([], []), (["--partition"], ["blocks", "modularity", "unconverged_blocks"])]
+)
+def test_bench_summary_layout(tmp_path, karate_path, capsys, flags, extra):
+    summary = tmp_path / "summary.json"
+    rc = main(
+        ["bench", "--graph", karate_path, "--telemetry-out", str(tmp_path / "t.csv"),
+         "--alpha", "1e-2", "--summary-out", str(summary), *flags]
+    )
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert summary.read_text() == printed
+    assert list(json.loads(printed)) == SUMMARY_KEYS + extra
+
+
+@pytest.mark.parametrize("command", ["cluster", "walk", "partition", "overlap", "eval", "bench"])
+def test_every_subcommand_help_lists_graph(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: seedclust {command} [-h] --graph GRAPH")
+    assert "  --graph GRAPH\n" in out

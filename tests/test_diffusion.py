@@ -338,6 +338,10 @@ def test_bad_seeds_rejected():
     g = from_edges([(0, 1)])
     with pytest.raises(IndexError):
         run_diffusion(g, 7)
+    # an index is an integer, numpy's included; a float is named, not truncated
+    with pytest.raises(TypeError, match=r"^vertex index 1\.5 is not an integer$"):
+        run_diffusion(g, 1.5)
+    assert run_diffusion(g, np.int64(1))[0].seed == 1
     # no isolated seed can be given: a Graph with an isolated vertex is never built
     with pytest.raises(ValueError, match="vertex 2 \\('c'\\) has no edge"):
         Graph(

@@ -7,6 +7,7 @@ from seedclust import (
     DiffusionConfig,
     MembershipMatrix,
     build_embedding,
+    fcm,
     fcm_fit,
     overlap_report,
 )
@@ -69,8 +70,7 @@ def test_objective_zero_when_coincident():
         memberships=np.array([[1.0, 0.0], [0.0, 1.0]]),
         centers=x.copy(),
         fuzzifier=2.0,
-        objective=0.0,
-        iterations=0,
+        objective_history=(0.0,),
     )
     assert fcm_objective(x, msm) == 0.0
 
@@ -81,8 +81,7 @@ def test_objective_single_point():
         memberships=np.array([[1.0]]),
         centers=np.array([[0.0, 0.0]]),
         fuzzifier=2.0,
-        objective=0.0,
-        iterations=0,
+        objective_history=(0.0,),
     )
     assert fcm_objective(x, msm) == pytest.approx(1.0)
 
@@ -97,7 +96,7 @@ def test_objective_matches_bruteforce(seed):
     u /= u.sum(axis=1, keepdims=True)
     centers = rng.normal(size=(k, d))
     msm = MembershipMatrix(
-        memberships=u, centers=centers, fuzzifier=2.0, objective=0.0, iterations=0
+        memberships=u, centers=centers, fuzzifier=2.0, objective_history=(0.0,)
     )
     assert fcm_objective(x, msm) == pytest.approx(
         brute_objective(x, u, centers, 2.0), abs=1e-12, rel=1e-12
@@ -124,10 +123,11 @@ def test_fit_rows_sum_to_one():
     assert np.allclose(msm.memberships.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_fit_equidistant_point_splits():
+def test_fit_equidistant_point_splits(monkeypatch):
     x = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])
-    msm = fcm_fit(x, k=2, m=2.0, initial_centers=centers, max_iters=1)
+    monkeypatch.setattr(fcm, "FIT_MAX_ITERATIONS", 1)
+    msm = fcm_fit(x, k=2, m=2.0, initial_centers=centers)
     assert msm.memberships[2] == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
@@ -169,10 +169,11 @@ def test_memberships_stay_finite_just_above_m_1(m):
     assert np.isfinite(msm.memberships).all() and np.isfinite(msm.objective)
 
 
-def test_fit_coincident_point_gets_hard_membership():
+def test_fit_coincident_point_gets_hard_membership(monkeypatch):
     x = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
     centers = np.array([[0.0, 0.0], [2.0, 0.0]])
-    msm = fcm_fit(x, k=2, m=2.0, initial_centers=centers, max_iters=1)
+    monkeypatch.setattr(fcm, "FIT_MAX_ITERATIONS", 1)
+    msm = fcm_fit(x, k=2, m=2.0, initial_centers=centers)
     assert msm.memberships[0].tolist() == [1.0, 0.0]
 
 
@@ -188,7 +189,6 @@ def test_fit_objective_non_increasing():
 def test_fit_center_permutation_equivariance():
     x = blob_data(5)
     base = fcm_fit(x, k=2, m=2.0, rng_seed=2)
-    init = fcm_fit(x, k=2, m=2.0, rng_seed=2, max_iters=1)
     # recover the rng-chosen initial centers, permute them, and refit
     rng = np.random.default_rng(2)
     rows = rng.choice(x.shape[0], size=2, replace=False)
@@ -227,8 +227,7 @@ def _msm(rows):
         memberships=u,
         centers=np.zeros((u.shape[1], 1)),
         fuzzifier=2.0,
-        objective=0.0,
-        iterations=0,
+        objective_history=(0.0,),
     )
 
 

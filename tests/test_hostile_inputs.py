@@ -3,7 +3,7 @@
 The lists mix duplicate edges in both orientations, self-loop-only labels
 (dropped at load), many small components and graphs of two or three
 vertices, and the walk runs with drawn schedules of up to a few thousand
-steps. Each subcommand runs in-process twice; a run either exits 0 with
+steps, or with a step count numpy refuses to allocate. Each subcommand runs in-process twice; a run either exits 0 with
 valid output or exits 1 with a single ``error:`` line, and reruns are
 byte-identical. A self-loop-only label changes no output. ``overlap`` also
 runs with drawn ``--centers`` specs: counts from -1 to n + 2 and label lists
@@ -58,6 +58,19 @@ walk_flags = st.one_of(
 )
 
 
+def walk_steps(walk) -> int:
+    """Largest phase step count the walk flags ask for (the default is 5)."""
+    if not walk:
+        return 5
+    if walk[0] == "--expected-size":
+        return int(walk[1])
+    return max(int(phase.split(":")[1]) for phase in walk[1].split(","))
+
+
+# 7.28 TiB of uniforms: numpy refuses at once, without trying to allocate it
+REFUSED_STEPS = 10**12
+
+
 def strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not JSON")
@@ -104,6 +117,8 @@ def check(argv):
 @given(text=hostile_edge_lists(), walk=walk_flags)
 @example(text="v1 v1\nz0 z0\n", walk=[])
 @example(text="v0 v1\nv1 v2\nv2 v0\nv2 v3\n", walk=["--f-schedule", "2.0:3000"])
+@example(text="v0 v1\nv1 v2\nv2 v0\n", walk=["--f-schedule", f"1.1:{REFUSED_STEPS}"])
+@example(text="v0 v1\nv1 v2\nv2 v0\n", walk=["--expected-size", str(REFUSED_STEPS)])
 def test_subcommands_survive_hostile_edge_lists(text, walk):
     graph = write_graph(text)
     try:
@@ -111,8 +126,12 @@ def test_subcommands_survive_hostile_edge_lists(text, walk):
         seed = text.split()[0]
 
         for command, flags in (("cluster", []), ("walk", walk)):
-            rc, out, _, _ = check([command, "--graph", graph, "--seed", seed, *flags])
-            assert (rc == 0) == (seed in linked)  # a self-loop-only seed is unknown
+            rc, out, err, _ = check([command, "--graph", graph, "--seed", seed, *flags])
+            refused = command == "walk" and walk_steps(walk) >= REFUSED_STEPS
+            # a self-loop-only seed is unknown
+            assert (rc == 0) == (seed in linked and not refused)
+            if refused and seed in linked:
+                assert "allocate" in err
             if rc == 0:
                 doc = strict_json(out)
                 assert 0.0 <= doc["conductance"] <= 1.0

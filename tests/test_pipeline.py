@@ -96,6 +96,34 @@ def test_renumber_by_first_vertex_matches_loop():
         assert kept.tolist() == want_kept
 
 
+@pytest.mark.parametrize(
+    "alpha, pushes, diffusions",
+    [(3e-3, 22, {50: 16, 500: 166}), (0.04, 11, {50: 50, 500: 500})],
+    ids=["3e-3", "0.04"],
+)
+def test_partition_pushes_per_diffusion_do_not_grow_with_the_graph(
+    alpha, pushes, diffusions, monkeypatch
+):
+    """A partition of a ring of k 8-cliques runs more diffusions as k grows,
+    but each takes the same number of pushes: its work stays local."""
+    import seedclust.pipeline as pipeline_module
+
+    real = pipeline_module.run_diffusion
+    for k, count in diffusions.items():
+        used = []
+
+        def counted(graph, seed, cfg):
+            mass, telemetry = real(graph, seed, cfg)
+            used.append(telemetry.iterations_used)
+            return mass, telemetry
+
+        monkeypatch.setattr(pipeline_module, "run_diffusion", counted)
+        partition_graph(ring_of_cliques(k, 8), DiffusionConfig(alpha=alpha))
+        monkeypatch.undo()
+        assert len(used) == count
+        assert sum(used) == pushes * count
+
+
 def test_overlap_pipeline_karate(karate):
     result = overlap_clusters(karate, centers=[0, 33], k=3)
     u = result.membership.memberships
@@ -106,6 +134,10 @@ def test_overlap_pipeline_karate(karate):
     assert result.belongingness.shape == (34, 2)
     assert result.belongingness[0, 0] == pytest.approx(1.0)
     assert result.belongingness[33, 1] == pytest.approx(1.0)
+    # numpy integers are vertex indices too
+    again = overlap_clusters(karate, centers=np.array([0, 33]), k=3)
+    assert again.centers == (0, 33)
+    assert again.membership.memberships.tobytes() == u.tobytes()
 
 
 def test_overlap_auto_centers(karate):
@@ -236,6 +268,7 @@ def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monk
         ({"threshold": 0.0}, "threshold"),
         ({"alpha": 1.0}, "alpha"),
         ({"centers": [0, 34]}, "centers"),
+        ({"centers": [0, 33.7]}, "centers"),
     ],
 )
 def test_overlap_rejects_numbers_before_any_work(karate, monkeypatch, kwargs, name):
