@@ -12,6 +12,7 @@ byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import fields
@@ -22,7 +23,7 @@ import numpy as np
 from .diffusion import DiffusionConfig, IterationStats, extract_cluster, run_diffusion
 from .graph import load_edge_list
 from .metrics import Partition, modularity
-from .pipeline import OVERLAP_EMBED_ALPHA, overlap_clusters, partition_graph
+from .pipeline import overlap_clusters, partition_graph
 from .walk import WalkConfig, extract_cluster_from_energy, run_walk
 
 
@@ -268,10 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", required=True)
     p.add_argument("--f-schedule", default=None, help="phases as f:steps,f:steps,...")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=100.0)
-    p.add_argument("--expected-size", type=int, default=5)
-    p.add_argument("--rng", type=int, default=0)
+    walk = WalkConfig()
+    p.add_argument("--alpha", type=float, default=walk.alpha)
+    p.add_argument("--beta", type=float, default=walk.beta)
+    p.add_argument("--expected-size", type=int, default=walk.expected_size)
+    p.add_argument("--rng", type=int, default=walk.rng_seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_walk)
 
@@ -284,11 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("overlap", parents=[graph], help="fuzzy overlapping clusters")
     p.add_argument("--centers", required=True, help="comma-separated labels or auto:k")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=OVERLAP_EMBED_ALPHA)
-    p.add_argument("--threshold", type=float, default=0.3)
-    p.add_argument("--rng", type=int, default=0)
+    overlap = {k: v.default for k, v in inspect.signature(overlap_clusters).parameters.items()}
+    p.add_argument("--k", type=int, default=overlap["k"])
+    p.add_argument("--m", type=float, default=overlap["fuzzifier"])
+    p.add_argument("--alpha", type=float, default=overlap["alpha"])
+    p.add_argument("--threshold", type=float, default=overlap["threshold"])
+    p.add_argument("--rng", type=int, default=overlap["rng_seed"])
     p.add_argument("--out", default=None)
     p.add_argument("--memberships-out", default=None, help="membership matrix CSV path")
     p.set_defaults(func=cmd_overlap)

@@ -29,16 +29,22 @@ OVERLAP_EMBED_ALPHA = 0.04
 
 @dataclass
 class BlockInfo:
+    """One partition block: its seed, its final size, whether the seed's
+    diffusion converged, and the mean belongingness of its final members,
+    each relative to this block's seed diffusion."""
+
     seed: int
-    conductance: float
     size: int
     converged: bool
+    mean_belongingness: float
 
 
 @dataclass
 class PartitionResult:
     """A partition, one ``BlockInfo`` per block in block order, and its
-    modularity.
+    modularity. Each record is built once the blocks are final, so its
+    ``size`` and ``mean_belongingness`` describe the block's members after
+    contested reassignment.
 
     ``diffusions`` maps every seed ``partition_graph`` diffused to its
     diffusion, the seeds of blocks that contested reassignment emptied
@@ -72,8 +78,9 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
     twice stay where their belongingness is higher."""
     n = g.vertex_count
     assign = np.full(n, -1, dtype=np.int64)
+    # each vertex's belongingness under its own block's seed diffusion
     belong = np.zeros(n, dtype=np.float64)
-    blocks: list[BlockInfo] = []
+    runs: list[tuple[int, bool]] = []  # (seed, converged) under each first block id
     diffusions: dict[int, SparseMass] = {}
 
     # a covered vertex is never uncovered, so one order serves every block
@@ -85,23 +92,17 @@ def partition_graph(g: Graph, cfg: DiffusionConfig = DiffusionConfig()) -> Parti
         report = extract_cluster(g, mass, telemetry)
         m, b = report.members, report.belongingness
         claimed = (assign[m] < 0) | (b > belong[m])
-        assign[m[claimed]] = len(blocks)
+        assign[m[claimed]] = len(runs)
         belong[m[claimed]] = b[claimed]
-        blocks.append(
-            BlockInfo(
-                seed=seed,
-                conductance=report.conductance,
-                size=int(m.size),
-                converged=report.converged,
-            )
-        )
+        runs.append((seed, report.converged))
 
     # contested reassignment can empty a block; renumber densely
     dense, kept = renumber_by_first_vertex(assign)
     partition = Partition(dense)
-    blocks = [blocks[b] for b in kept]
-    for info, members in zip(blocks, partition.blocks()):
-        info.size = int(members.size)
+    blocks = [
+        BlockInfo(seed, int(members.size), converged, float(np.mean(belong[members])))
+        for (seed, converged), members in zip([runs[b] for b in kept], partition.blocks())
+    ]
     return PartitionResult(
         partition=partition,
         blocks=blocks,
@@ -119,9 +120,10 @@ class OverlapResult:
 
 
 def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]:
-    """Diffusions of ``count`` centers: the seeds of the highest
-    mean-belongingness partition blocks of more than one vertex, topped up
-    in ``partition_graph``'s seed order if the partition is too coarse.
+    """Diffusions of ``count`` centers: the seeds of the partition blocks of
+    more than one vertex with the highest ``BlockInfo.mean_belongingness``
+    (lowest seed on ties), topped up in ``partition_graph``'s seed order if
+    the partition is too coarse.
 
     A center that ``partition_graph`` diffused, as the seed of a kept or of
     an emptied block, keeps that diffusion; only a top-up center that seeded
@@ -129,18 +131,8 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]
     """
     result = partition_graph(g, cfg)
     diffusions = result.diffusions
-    scored = [
-        (info, members)
-        for info, members in zip(result.blocks, result.partition.blocks())
-        if info.size > 1
-    ]
-
-    def mean_belong(item):
-        info, members = item
-        return float(np.mean(diffusions[info.seed].relative_masses(members)))
-
-    scored.sort(key=lambda item: (-mean_belong(item), item[0].seed))
-    centers = [info.seed for info, _ in scored[:count]]
+    ranked = sorted(result.blocks, key=lambda info: (-info.mean_belongingness, info.seed))
+    centers = [info.seed for info in ranked if info.size > 1][:count]
     if len(centers) < count:
         # at most len(centers) of the first count vertices are centers already
         extra = [u for u in _seed_order(g)[:count].tolist() if u not in centers]
@@ -159,8 +151,12 @@ def _check_centers(g: Graph, centers) -> int | list[int]:
                 f"centers count must be from 2 to {n}, the vertex count; got {centers}"
             )
         return int(centers)
+    try:
+        listed = iter(centers)
+    except TypeError:
+        raise ValueError(f"centers must be a count or vertices, got {centers!r}") from None
     vertices = []
-    for u in centers:
+    for u in listed:
         try:
             u = operator.index(u)
         except TypeError:
@@ -193,7 +189,7 @@ def overlap_clusters(
     a ``centers`` count must be from 2 to n and a sequence must hold at
     least 2 distinct vertices in range; ``k`` must be from 2 to n (one data
     point per vertex), ``fuzzifier`` finite and > 1, ``threshold`` in
-    (0, 0.5] and ``alpha`` in [0, 1).
+    (0, 0.5], ``rng_seed`` nonnegative and ``alpha`` in [0, 1).
 
     Each center is diffused once: auto centers reuse the diffusions of
     ``partition_graph``, given ones are diffused by ``diffuse_centers``. Every
@@ -205,6 +201,8 @@ def overlap_clusters(
     centers = _check_centers(g, centers)
     check_fit(k, fuzzifier, g.vertex_count)
     check_threshold(threshold)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be a nonnegative integer, got {rng_seed}")
     cfg = DiffusionConfig(alpha=alpha)
     if isinstance(centers, int):
         masses = auto_centers(g, centers, cfg)

@@ -20,6 +20,7 @@ over the rest of the graph.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +59,15 @@ class WalkConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        # below the least normal float, alpha / degree can underflow to 0
+        if not sys.float_info.min <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= {sys.float_info.min}, got {self.alpha}")
         if not self.alpha <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and at least alpha, got {self.beta}")
         if self.expected_size < 1:
             raise ValueError("expected_size must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed}")
         for f, steps in self.phases():
             if not 1.0 <= f < math.inf:
                 raise ValueError(f"every f must be finite and >= 1, got {f}")

@@ -8,13 +8,17 @@ valid output or exits 1 with a single ``error:`` line, and reruns are
 byte-identical. A self-loop-only label changes no output. ``overlap`` also
 runs with drawn ``--centers`` specs: counts from -1 to n + 2 and label lists
 with repeats or self-loop-only labels; and with drawn ``--k``, ``--m``,
-``--threshold`` and ``--alpha``, where a value out of range is named in the
-error before any partition runs. ``eval`` reads drawn partition CSVs, with or
-without a header, with blank lines, repeated, missing and unknown vertices,
-labels with commas or spaces, and block ids that are negative, beyond int64,
-fractional, spelled with non-ASCII digits or digit groups, or not numbers;
-an error names the CSV line or the vertex, and a line named malformed or
-beyond int64 is one.
+``--threshold``, ``--alpha`` and ``--rng``, where a value out of range is
+named in the error before any partition runs. ``walk`` runs with drawn
+``--alpha``, ``--beta`` and ``--rng``, and ``cluster``, ``partition`` and
+``bench`` with drawn ``--alpha``, ``--eps`` and ``--max-iters``; numbers
+include negative values, NaN, infinity and rng seeds beyond 2**64, and a
+value out of range is named in the error. ``eval`` reads drawn partition
+CSVs, with or without a header, with blank lines, repeated, missing and
+unknown vertices, labels with commas or spaces, and block ids that are
+negative, beyond int64, fractional, spelled with non-ASCII digits or digit
+groups, or not numbers; an error names the CSV line or the vertex, and a
+line named malformed or beyond int64 is one.
 """
 
 import contextlib
@@ -22,6 +26,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -232,18 +237,25 @@ def test_self_loop_only_labels_change_no_output(text):
             Path(graph).unlink()
 
 
+# rng seeds: numpy takes any nonnegative integer, beyond 2**64 too
+RNG_SEEDS = st.integers(0, 3) | st.integers(0, 2**70)
+ANY_RNG_SEEDS = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+
+
 @st.composite
 def overlap_numbers(draw) -> dict:
-    """``--k``, ``--m``, ``--threshold`` and ``--alpha``: in range, with m
-    often just above 1, where FCM's distance powers leave the float range;
-    then a drawn subset of them replaced by any value (NaN and inf included)."""
+    """``--k``, ``--m``, ``--threshold``, ``--alpha`` and ``--rng``: in range,
+    with m often just above 1, where FCM's distance powers leave the float
+    range; then a drawn subset of them replaced by any value (negative, NaN
+    and inf included)."""
     numbers = {
         "k": draw(st.integers(2, 5)),
         "m": draw(st.floats(1.0, 1.001, exclude_min=True) | st.floats(1.0, 6.0, exclude_min=True)),
         "threshold": draw(st.floats(0.0, 0.5, exclude_min=True)),
         "alpha": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "rng": draw(RNG_SEEDS),
     }
-    anything = {"k": st.integers(-1, LABELS + 2), "m": st.floats()}
+    anything = {"k": st.integers(-1, LABELS + 2), "m": st.floats(), "rng": ANY_RNG_SEEDS}
     for name in draw(st.sets(st.sampled_from(sorted(numbers)))):
         numbers[name] = draw(anything.get(name, st.floats()))
     return numbers
@@ -269,17 +281,28 @@ def counted_partitions():
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=hostile_edge_lists(), numbers=overlap_numbers())
 @example(
-    text="v0 v1\nv1 v2\nv2 v0\n", numbers={"k": 4, "m": 2.0, "threshold": 0.3, "alpha": 0.04}
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    numbers={"k": 4, "m": 2.0, "threshold": 0.3, "alpha": 0.04, "rng": 0},
 )
 @example(
-    text="v0 v1\nv1 v2\nv2 v0\n", numbers={"k": 3, "m": math.nan, "threshold": 0.9, "alpha": 0.04}
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    numbers={"k": 3, "m": math.nan, "threshold": 0.9, "alpha": 0.04, "rng": 0},
 )
 @example(
-    text="v0 v1\nv1 v2\nv2 v0\n", numbers={"k": 2, "m": 2.0, "threshold": 0.5, "alpha": math.inf}
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    numbers={"k": 2, "m": 2.0, "threshold": 0.5, "alpha": math.inf, "rng": 0},
 )
 @example(  # d2 ** (-1 / (m - 1)) overflows: memberships were NaN
     text="v0 v1\nv1 v2\nv2 v0\nv2 v3\nv3 v4\nv4 v2\n",
-    numbers={"k": 3, "m": 1.0000001, "threshold": 0.3, "alpha": 0.04},
+    numbers={"k": 3, "m": 1.0000001, "threshold": 0.3, "alpha": 0.04, "rng": 0},
+)
+@example(  # numpy refused the seed only after the partition and every diffusion ran
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    numbers={"k": 3, "m": 2.0, "threshold": 0.3, "alpha": 0.04, "rng": -1},
+)
+@example(
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    numbers={"k": 3, "m": 2.0, "threshold": 0.3, "alpha": 0.04, "rng": 2**64 + 1},
 )
 def test_overlap_numbers_are_checked_before_any_work(text, numbers):
     linked = linked_labels(text)
@@ -288,6 +311,7 @@ def test_overlap_numbers_are_checked_before_any_work(text, numbers):
         "m": 1.0 < numbers["m"] < math.inf,
         "threshold": 0.0 < numbers["threshold"] <= 0.5,
         "alpha": 0.0 <= numbers["alpha"] < 1.0,
+        "rng_seed": numbers["rng"] >= 0,
     }
     # --name=value, so that a negative value is never read as a flag
     flags = [f"--{name}={value!r}" for name, value in numbers.items()]
@@ -307,6 +331,145 @@ def test_overlap_numbers_are_checked_before_any_work(text, numbers):
         assert rc == 0, err
         doc = strict_json(out)
         assert {v for c in doc["clusters"] for v in c["members"]} == linked
+
+
+@st.composite
+def diffusion_numbers(draw) -> dict:
+    """``--alpha``, ``--eps`` and ``--max-iters`` of ``cluster``,
+    ``partition`` and ``bench``: in range, eps often 0 (no run converges),
+    then a drawn subset replaced by any value (negative, NaN and inf
+    included). At most a few hundred iterations keep eps 0 fast."""
+    numbers = {
+        "alpha": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        "eps": draw(st.just(0.0) | st.floats(0.0, 1.0)),
+        "max-iters": draw(st.integers(1, 300)),
+    }
+    anything = {"max-iters": st.integers(max_value=300)}
+    for name in draw(st.sets(st.sampled_from(sorted(numbers)))):
+        numbers[name] = draw(anything.get(name, st.floats()))
+    return numbers
+
+
+def diffusion_valid(numbers) -> dict:
+    """Whether each diffusion number is in range, by the name an error gives it."""
+    return {
+        "alpha": 0.0 <= numbers["alpha"] < 1.0,
+        "convergence_epsilon": 0.0 <= numbers["eps"] < math.inf,
+        "max_iterations": numbers["max-iters"] >= 1,
+    }
+
+
+@st.composite
+def walk_numbers(draw) -> dict:
+    """``walk``'s ``--alpha``, ``--beta`` and ``--rng``: in range, then a
+    drawn subset replaced by any value (negative, NaN and inf included)."""
+    alpha = draw(st.floats(0.0, 10.0, exclude_min=True))
+    numbers = {
+        "alpha": alpha,
+        "beta": draw(st.floats(alpha, 1e6)),
+        "rng": draw(RNG_SEEDS),
+    }
+    anything = {"rng": ANY_RNG_SEEDS}
+    for name in draw(st.sets(st.sampled_from(sorted(numbers)))):
+        numbers[name] = draw(anything.get(name, st.floats()))
+    return numbers
+
+
+def walk_valid(numbers) -> dict:
+    alpha, beta = numbers["alpha"], numbers["beta"]
+    # below the least normal float, alpha / degree can underflow to 0
+    normal = sys.float_info.min <= alpha < math.inf
+    return {
+        "alpha": normal,
+        "beta": normal and alpha <= beta < math.inf,
+        "rng_seed": numbers["rng"] >= 0,
+    }
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=hostile_edge_lists(),
+    diffusion=diffusion_numbers(),
+    walk=walk_numbers(),
+    with_partition=st.booleans(),
+    bench_seed=st.booleans(),
+)
+@example(  # numpy refused the seed with a message that named no argument
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    diffusion={"alpha": 1e-3, "eps": 0.0, "max-iters": 300},
+    walk={"alpha": 1.0, "beta": 100.0, "rng": -1},
+    with_partition=True,
+    bench_seed=False,
+)
+@example(  # log(alpha / degree) was -inf: a math domain error, or a walk on NaN weights
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    diffusion={"alpha": 0.0, "eps": 0.0, "max-iters": 1},
+    walk={"alpha": 5e-324, "beta": 5e-324, "rng": 0},
+    with_partition=False,
+    bench_seed=True,
+)
+@example(
+    text="v0 v1\nv1 v2\nv2 v0\n",
+    diffusion={"alpha": 0.5, "eps": 1e-9, "max-iters": 1},
+    walk={"alpha": 5e-324, "beta": 1.0, "rng": 0},
+    with_partition=False,
+    bench_seed=False,
+)
+@example(
+    text="v0 v1\nv1 v2\nv2 v0\nv2 v3\n",
+    diffusion={"alpha": 0.0, "eps": math.inf, "max-iters": 0},
+    walk={"alpha": 1.0, "beta": 1.0, "rng": 2**64 + 1},
+    with_partition=False,
+    bench_seed=True,
+)
+def test_numeric_flags_are_checked(text, diffusion, walk, with_partition, bench_seed):
+    """``cluster``, ``partition`` and ``bench`` with drawn ``--alpha``,
+    ``--eps`` and ``--max-iters``, and ``walk`` with drawn ``--alpha``,
+    ``--beta`` and ``--rng``: in range, a run gives valid output; out of
+    range, it exits 1 naming a number that is. ``bench`` runs with and
+    without ``--partition``, and at its default seed or at the drawn one."""
+    linked = linked_labels(text)
+    seed = text.split()[0]
+    # --name=value, so that a negative value is never read as a flag
+    flags = [f"--{name}={value!r}" for name, value in diffusion.items()]
+    bench = ["--telemetry-out", "{tmp}/t.csv"] + ["--partition"] * with_partition
+    bench += ["--seed", seed] * bench_seed
+    runs = {
+        "cluster": (["--seed", seed, *flags], diffusion_valid(diffusion), seed in linked),
+        "partition": (flags, diffusion_valid(diffusion), bool(linked)),
+        "bench": (
+            [*bench, *flags],
+            diffusion_valid(diffusion),
+            bool(linked) and (seed in linked or not bench_seed),
+        ),
+        "walk": (
+            ["--seed", seed, *(f"--{name}={value!r}" for name, value in walk.items())],
+            walk_valid(walk),
+            seed in linked,
+        ),
+    }
+    graph = write_graph(text)
+    try:
+        for command, (argv, valid, runnable) in runs.items():
+            rc, out, err, files = check([command, "--graph", graph, *argv])
+            if not runnable:  # no edge, or a self-loop-only seed
+                assert rc == 1
+            elif not all(valid.values()):
+                assert rc == 1
+                bad = [name for name, ok in valid.items() if not ok]
+                assert any(re.search(rf"\b{name}\b", err) for name in bad), err
+            else:
+                assert rc == 0, (command, err)
+                if command == "partition":
+                    rows = [line.split(",") for line in out.splitlines()[1:]]
+                    assert sorted(label for label, _ in rows) == sorted(linked)
+                else:
+                    doc = strict_json(out)
+                    assert 0.0 <= doc["conductance"] <= 1.0
+                if command == "bench":
+                    assert files["t.csv"].startswith(b"iteration,")
+    finally:
+        Path(graph).unlink()
 
 
 BLOCK_IDS = (st.integers(0, 3) | st.integers(0, 2**63 - 1)).map(str)

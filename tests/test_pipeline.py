@@ -6,13 +6,14 @@ import pytest
 
 from seedclust import (
     DiffusionConfig,
+    SparseMass,
     load_edge_list,
     modularity,
     overlap_clusters,
     partition_graph,
 )
 from seedclust.cli import main
-from seedclust.datasets import ring_of_cliques
+from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
 from seedclust.pipeline import auto_centers, renumber_by_first_vertex
 
 
@@ -122,6 +123,46 @@ def test_partition_pushes_per_diffusion_do_not_grow_with_the_graph(
         monkeypatch.undo()
         assert len(used) == count
         assert sum(used) == pushes * count
+
+
+def partition_inputs():
+    yield "karate", karate_club()
+    for rng_seed in (1, 2, 3):
+        yield f"random{rng_seed}", random_connected_graph(60, 90, rng_seed)
+
+
+@pytest.mark.parametrize("alpha", [3e-3, 0.04])
+def test_block_mean_belongingness_is_the_seed_diffusions_mean(alpha):
+    """Each block's mean belongingness equals, bit for bit, the mean of its
+    final members' masses relative to its seed's diffusion, as auto-centre
+    ranking once recomputed it."""
+    for name, g in partition_inputs():
+        result = partition_graph(g, DiffusionConfig(alpha=alpha))
+        for info, members in zip(result.blocks, result.partition.blocks()):
+            mass = result.diffusions[info.seed]
+            want = float(np.mean(mass.relative_masses(members)))
+            assert info.mean_belongingness == want, (name, info)
+            assert info.size == members.size
+
+
+def test_overlap_reads_each_partition_diffusion_once(monkeypatch):
+    """The overlap flow asks each partition diffusion for relative masses
+    once, when its sweep cluster is extracted; ranking the blocks asks none."""
+    g = random_connected_graph(80, 120, 5)
+    partition_calls = count_diffusions(monkeypatch)
+    partition_graph(g, DiffusionConfig(alpha=0.04))
+    monkeypatch.undo()
+
+    real = SparseMass.relative_masses
+    seeds = []
+
+    def counted(self, vertices):
+        seeds.append(self.seed)
+        return real(self, vertices)
+
+    monkeypatch.setattr(SparseMass, "relative_masses", counted)
+    overlap_clusters(g, centers=2)
+    assert sorted(seeds) == sorted(seed for seed, _ in partition_calls)
 
 
 def test_overlap_pipeline_karate(karate):
@@ -269,11 +310,14 @@ def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monk
         ({"alpha": 1.0}, "alpha"),
         ({"centers": [0, 34]}, "centers"),
         ({"centers": [0, 33.7]}, "centers"),
+        ({"centers": 2.0}, "centers"),
+        ({"rng_seed": -1}, "rng_seed"),
     ],
 )
 def test_overlap_rejects_numbers_before_any_work(karate, monkeypatch, kwargs, name):
     """``k`` outside 2..n, a fuzzifier that is not finite and > 1, a threshold
-    outside (0, 0.5], an alpha outside [0, 1) and a centre out of range each
+    outside (0, 0.5], an alpha outside [0, 1), a centre out of range, a
+    centre count that is not a whole number and a negative rng seed each
     raise, naming the argument, before ``partition_graph`` or any diffusion
     runs."""
     import seedclust.fcm as fcm_module

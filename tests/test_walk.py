@@ -239,6 +239,13 @@ def test_config_validation():
         WalkConfig(expected_size=0)
     with pytest.raises(ValueError, match="phase step counts must be nonnegative"):
         WalkConfig(f_schedule=((1.1, 10), (1.3, -1)))
+    # numpy's generator refused a negative seed only when the walk ran, naming nothing
+    with pytest.raises(ValueError, match="^rng_seed must be"):
+        WalkConfig(rng_seed=-1)
+    # below the least normal float, alpha / degree can round to 0, whose log is -inf
+    WalkConfig(alpha=sys.float_info.min)
+    with pytest.raises(ValueError, match="^alpha must be"):
+        WalkConfig(alpha=5e-324, beta=1.0)
 
 
 @pytest.mark.parametrize(
