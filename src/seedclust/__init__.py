@@ -39,7 +39,6 @@ from .walk import (
     EnergyTable,
     WalkConfig,
     extract_cluster_from_energy,
-    init_energies,
     run_walk,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "extract_cluster_from_energy",
     "fcm_fit",
     "from_edges",
-    "init_energies",
     "load_edge_list",
     "modularity",
     "overlap_clusters",

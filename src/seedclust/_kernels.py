@@ -118,27 +118,26 @@ def sweep_cutvol(indptr, indices, degrees, order):
     return (deg - 2 * internal).cumsum(), deg.cumsum()
 
 
-def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, memo):
+def walk_phase(indptr, indices, degrees, alpha, current, log_f, uniforms, memo):
     """Run one schedule phase of the energy-biased walk.
 
     Each step moves to a neighbor sampled with probability proportional to
     min(energy[v]/energy[u], 1), then multiplies the departed vertex's energy
-    by f. Consumes one uniform per step, counts each vertex a step moves to
-    in ``visit_counts`` and returns the final current vertex and the phase's
-    arrivals per vertex, a dict in ascending vertex order.
+    by f. Consumes one uniform per step and returns the final current vertex
+    and the phase's arrivals per vertex, a dict in ascending vertex order.
 
     The steps run on Python lists and floats. ``memo`` is a pair of dicts,
-    empty when a walk starts, that the walk passes to all its phases: the
-    neighbour list of every vertex the walk has departed from, and, as Python
-    floats, the log energy of those vertices and of every vertex in their
-    lists. A row is fetched from the CSR arrays the first time the walk
-    departs from its vertex. Each step stores the departed vertex's new energy
-    in both ``memo`` and ``log_energy``, so the array is current whenever a
-    row is fetched. A step does the float operations of the reference loop in
-    its order: the log-ratios capped at 0 and their maximum, one ``math.exp``
-    each, a left-to-right running sum (``accumulate``, not ``sum``, which
-    compensates from Python 3.12 on) and a draw of the first neighbour whose
-    running sum exceeds the uniform times the total, else the last one.
+    the walk's only state, that it passes to all its phases: the neighbour
+    list of every vertex the walk has departed from, and, as Python floats,
+    the log energy of the seed, of those vertices and of every vertex in
+    their lists. A row is fetched from the CSR arrays the first time the walk
+    departs from its vertex; a neighbour new to the memo enters it at its
+    background energy, ``math.log(alpha / d)``. A step does the float
+    operations of the reference loop in its order: the log-ratios capped at
+    0 and their maximum, one ``math.exp`` each, a left-to-right running sum
+    (``accumulate``, not ``sum``, which compensates from Python 3.12 on) and
+    a draw of the first neighbour whose running sum exceeds the uniform times
+    the total, else the last one.
     """
     rows, energies = memo
     exp = math.exp
@@ -146,7 +145,7 @@ def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, unifor
     for uniform in uniforms.tolist():
         row = rows.get(current)
         if row is None:
-            row = _fetch_row(indptr, indices, log_energy, current, rows, energies)
+            row = _fetch_row(indptr, indices, degrees, alpha, current, rows, energies)
         lu = energies[current]
         diffs = [energies[v] - lu for v in row]
         mx = max(diffs)
@@ -156,21 +155,19 @@ def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, unifor
         acc = list(accumulate([exp(d - mx) if d < 0.0 else 1.0 for d in diffs]))
         k = bisect_right(acc, uniform * acc[-1])
         chosen = row[k] if k < len(row) else row[-1]
-        log_energy[current] = energies[current] = lu + log_f
+        energies[current] = lu + log_f
         arrivals.append(chosen)
         current = chosen
     tally = Counter(arrivals)
-    visits = {v: tally[v] for v in sorted(tally)}
-    vertices = np.fromiter(visits, np.int64, len(visits))
-    visit_counts[vertices] += np.fromiter(visits.values(), np.int64, len(visits))
-    return current, visits
+    return current, {v: tally[v] for v in sorted(tally)}
 
 
-def _fetch_row(indptr, indices, log_energy, u, rows, energies):
-    """Memoise ``u``'s neighbour list and copy the energies of ``u`` and its
-    neighbours into ``energies``."""
+def _fetch_row(indptr, indices, degrees, alpha, u, rows, energies):
+    """Memoise ``u``'s neighbour list and give each neighbour not yet in
+    ``energies`` its background energy."""
     nbrs = indices[indptr[u] : indptr[u + 1]]
     row = rows[u] = nbrs.tolist()
-    energies[u] = float(log_energy[u])
-    energies.update(zip(row, log_energy[nbrs].tolist()))
+    for v, d in zip(row, degrees[nbrs].tolist()):
+        if v not in energies:
+            energies[v] = math.log(alpha / d)
     return row

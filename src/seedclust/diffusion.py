@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .graph import Graph
+from .graph import Graph, check_integer
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class DiffusionConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.max_iterations < 1:
+        if check_integer("max_iterations", self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 <= self.convergence_epsilon < math.inf:
             raise ValueError("convergence_epsilon must be finite and nonnegative")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .diffusion import DiffusionConfig, SparseMass, run_diffusion
-from .graph import Graph
+from .graph import Graph, check_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +91,11 @@ def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
     return u
 
 
-def check_fit(k: int, m: float, points: int) -> None:
-    """Raise ``ValueError`` naming ``k`` or ``m`` unless k is from 2 to
-    ``points`` and m is finite and > 1."""
-    if not 2 <= k <= points:
+def check_fit(k: int, m: float, rng_seed: int, points: int) -> None:
+    """Raise ``ValueError`` naming ``k``, ``m`` or ``rng_seed`` unless k is an
+    integer from 2 to ``points``, m is finite and > 1 and rng_seed is a
+    nonnegative integer."""
+    if not 2 <= check_integer("cluster count k", k) <= points:
         raise ValueError(
             f"cluster count k must be from 2 to {points}, the number of data points; got {k}"
         )
@@ -102,6 +103,8 @@ def check_fit(k: int, m: float, points: int) -> None:
         raise ValueError(
             f"fuzzifier m must be finite and > 1 (m=1 is the hard-assignment limit), got {m}"
         )
+    if check_integer("rng_seed", rng_seed) < 0:
+        raise ValueError(f"rng_seed must be a nonnegative integer, got {rng_seed}")
 
 
 FIT_TOLERANCE = 1e-9  # least decrease of the objective that keeps a fit iterating
@@ -124,7 +127,7 @@ def fcm_fit(
     """
     x = np.asarray(embedding, dtype=np.float64)
     n = x.shape[0]
-    check_fit(k, m, n)
+    check_fit(k, m, rng_seed, n)
 
     if initial_centers is not None:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()

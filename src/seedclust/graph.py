@@ -103,6 +103,15 @@ class Graph:
         return v
 
 
+def check_integer(name: str, value) -> int:
+    """``value`` as a Python int, if it is an integer (numpy's included);
+    raises ``ValueError`` naming ``name`` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """CSR arrays of the simple undirected graph on ``n`` vertices with edges ``(a[i], b[i])``.
 

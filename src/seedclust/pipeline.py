@@ -187,9 +187,9 @@ def overlap_clusters(
     sequence of center vertices. Every argument is checked before any
     diffusion runs, and a ``ValueError`` names the first one out of range:
     a ``centers`` count must be from 2 to n and a sequence must hold at
-    least 2 distinct vertices in range; ``k`` must be from 2 to n (one data
-    point per vertex), ``fuzzifier`` finite and > 1, ``threshold`` in
-    (0, 0.5], ``rng_seed`` nonnegative and ``alpha`` in [0, 1).
+    least 2 distinct vertices in range; ``k`` must be an integer from 2 to n
+    (one data point per vertex), ``fuzzifier`` finite and > 1, ``threshold``
+    in (0, 0.5], ``rng_seed`` a nonnegative integer and ``alpha`` in [0, 1).
 
     Each center is diffused once: auto centers reuse the diffusions of
     ``partition_graph``, given ones are diffused by ``diffuse_centers``. Every
@@ -199,10 +199,8 @@ def overlap_clusters(
     signal, and small thresholds mix to stationarity on small graphs.
     """
     centers = _check_centers(g, centers)
-    check_fit(k, fuzzifier, g.vertex_count)
+    check_fit(k, fuzzifier, rng_seed, g.vertex_count)
     check_threshold(threshold)
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be a nonnegative integer, got {rng_seed}")
     cfg = DiffusionConfig(alpha=alpha)
     if isinstance(centers, int):
         masses = auto_centers(g, centers, cfg)

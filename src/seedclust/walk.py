@@ -10,24 +10,26 @@ exponentiates capped differences, and a member's belongingness is its energy
 relative to the member of highest energy, so it is at most 1.
 
 A query costs O(steps x degree) float operations plus one row fetch per
-vertex the walk departs from, after one allocation of its two n-length
-arrays: the steps run on Python floats over a memo of the departed vertices'
-rows, each phase's bookkeeping comes from the arrivals it counted, and the
-cluster is the best sweep prefix over the vertices the walk visited, never
-over the rest of the graph.
+vertex the walk departs from, and allocates nothing of length n: the steps
+run on Python floats over a memo of the departed vertices' rows and of the
+energies of the vertices the walk has seen, each phase's bookkeeping comes
+from the arrivals it counted, and the cluster is the best sweep prefix over
+the vertices the walk visited, never over the rest of the graph.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .diffusion import ClusterReport, sweep_cut
-from .graph import Graph, component_of  # noqa: F401 -- perfbench/tracer.py times walk.component_of
+from .graph import Graph, check_integer
+from .graph import component_of  # noqa: F401 -- perfbench/tracer.py times walk.component_of
 
 DEFAULT_F_LADDER = (1.1, 1.3, 2.0)
 DEFAULT_RESTARTS_PER_F = 10
@@ -64,9 +66,9 @@ class WalkConfig:
             raise ValueError(f"alpha must be finite and >= {sys.float_info.min}, got {self.alpha}")
         if not self.alpha <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and at least alpha, got {self.beta}")
-        if self.expected_size < 1:
+        if check_integer("expected_size", self.expected_size) < 1:
             raise ValueError("expected_size must be >= 1")
-        if self.rng_seed < 0:
+        if check_integer("rng_seed", self.rng_seed) < 0:
             raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed}")
         for f, steps in self.phases():
             if not 1.0 <= f < math.inf:
@@ -76,13 +78,15 @@ class WalkConfig:
 
     def phases(self) -> tuple[tuple[float, int], ...]:
         if self.f_schedule is not None:
-            return tuple((float(f), int(s)) for f, s in self.f_schedule)
+            return tuple(
+                (float(f), check_integer("phase step count", s)) for f, s in self.f_schedule
+            )
         return default_schedule(self.expected_size)
 
 
 @dataclass(eq=False)
 class EnergyTable:
-    """Walk state: per-vertex log energies, visit counts, current position.
+    """Walk state: log energies and visit counts aligned with ``visited``, current position.
 
     ``visited`` lists the seed, then each phase's newly reached vertices in
     ascending order; ``run_walk`` builds it from ``PhaseStats.visits``, and no
@@ -114,15 +118,12 @@ class WalkTelemetry:
 
 
 def init_energies(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> EnergyTable:
-    """Background energy alpha/d_w everywhere, beta/d_seed at the seed."""
+    """The seed alone, at energy beta/d_seed with one visit; every other vertex
+    is at its background alpha/d_w, which the walk gives it on first sight."""
     seed = g.check_vertex(seed)
-    log_e = np.log(cfg.alpha / g.degrees.astype(np.float64))
-    log_e[seed] = math.log(cfg.beta / g.degree(seed))
-    visits = np.zeros(g.vertex_count, dtype=np.int64)
-    visits[seed] = 1
     return EnergyTable(
-        log_energies=log_e,
-        visit_counts=visits,
+        log_energies=np.array([math.log(cfg.beta / g.degree(seed))]),
+        visit_counts=np.ones(1, dtype=np.int64),
         current_vertex=seed,
         seed=seed,
         visited=np.array([seed], dtype=np.int64),
@@ -135,16 +136,17 @@ def run_walk(
     """Execute the f-schedule, resetting the walker to the seed at each phase.
 
     A phase's visits are counted once, by the kernel from the arrivals it
-    walked; ``state.visited`` is built from them after the last phase, so no
-    phase reads an n-length array. One memo of departed vertices' rows and
-    energies (see ``_kernels.walk_phase``) serves every phase.
+    walked. One memo of departed vertices' rows and seen vertices' energies
+    (see ``_kernels.walk_phase``) serves every phase; after the last phase
+    the state's arrays are filled from it and from the visits, so no phase
+    reads or writes an n-length array.
     """
     state = init_energies(g, seed, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
-    memo = ({}, {})
-    # insertion-ordered: a key keeps the place of its first visit
-    reached = dict.fromkeys(state.visited.tolist())
+    memo = ({}, dict(zip(state.visited.tolist(), state.log_energies.tolist())))
+    # insertion-ordered: a vertex keeps the place of its first visit
+    counts = Counter(state.visited.tolist())
 
     for f, steps in cfg.phases():
         state.current_vertex = state.seed
@@ -153,16 +155,18 @@ def run_walk(
             state.current_vertex, visits = _kernels.walk_phase(
                 g.indptr,
                 g.indices,
-                state.log_energies,
-                state.visit_counts,
+                g.degrees,
+                cfg.alpha,
                 state.current_vertex,
                 math.log(f),
                 rng.random(steps),
                 memo,
             )
-        reached.update(visits)
+        counts.update(visits)
         telemetry.phases.append(PhaseStats(f=float(f), steps=int(steps), visits=visits))
-    state.visited = np.fromiter(reached, np.int64, len(reached))
+    state.visited = np.fromiter(counts, np.int64, len(counts))
+    state.log_energies = np.array([memo[1][v] for v in counts])
+    state.visit_counts = np.fromiter(counts.values(), np.int64, len(counts))
     return state, telemetry
 
 
@@ -187,11 +191,12 @@ def extract_cluster_from_energy(
         )
 
     visited = state.visited
-    order = visited[np.lexsort((visited, -state.log_energies[visited]))]
+    order = visited[np.lexsort((visited, -state.log_energies))]
     members, phi, fallback = sweep_cut(g, order, state.seed)
+    logs = dict(zip(visited.tolist(), state.log_energies.tolist()))
     # relative to the top member: a member can outgrow the seed by more than e^709
-    top_log = state.log_energies[members].max()
-    belong = np.array([math.exp(state.log_energies[u] - top_log) for u in members])
+    top_log = max(logs[u] for u in members.tolist())
+    belong = np.array([math.exp(logs[u] - top_log) for u in members.tolist()])
     return ClusterReport(
         seed=state.seed,
         members=members,

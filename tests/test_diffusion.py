@@ -324,6 +324,8 @@ def test_records_time_the_run_with_one_clock_read_each(cfg, monkeypatch):
         ({"convergence_epsilon": -1e-9}, "convergence_epsilon"),
         ({"alpha": float("nan")}, "alpha"),
         ({"max_iterations": 0}, "max_iterations"),
+        ({"max_iterations": float("nan")}, "max_iterations"),
+        ({"max_iterations": 2.5}, "max_iterations"),
     ],
 )
 def test_config_rejects_non_finite_numbers(kwargs, field):

@@ -215,6 +215,12 @@ def test_fit_parameter_validation():
             fcm_fit(x, k=2, m=m)
     with pytest.raises(ValueError):
         fcm_fit(x, k=200)
+    # numpy refused these without naming them
+    for rng_seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="^rng_seed must be"):
+            fcm_fit(x, k=2, rng_seed=rng_seed)
+    with pytest.raises(ValueError, match="^cluster count k must be an integer"):
+        fcm_fit(x, k=2.5)
     with pytest.raises(ValueError, match="initial_centers must have shape"):
         fcm_fit(x, k=2, initial_centers=np.zeros((3, x.shape[1])))
 

@@ -1,6 +1,8 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,10 @@ from seedclust import (
     WalkConfig,
     extract_cluster_from_energy,
     from_edges,
-    init_energies,
     run_walk,
 )
 from seedclust.datasets import karate_club, ring_of_cliques
-from seedclust.walk import default_schedule
+from seedclust.walk import default_schedule, init_energies
 
 import walk_oracle
 from conftest import brute_conductance, random_graphs
@@ -29,14 +30,18 @@ def deg4_graph():
     return from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 1)])
 
 
-def oracle_path(indptr, indices, log_energy, visit_counts, current, log_f, uniforms, memo=None):
-    """The vertices a ``walk_phase`` call with these arguments moves to, as
-    the reference loop walks them on copies of the state."""
+def oracle_phase(indptr, indices, degrees, alpha, current, log_f, uniforms, memo):
+    """What a ``walk_phase`` call with these arguments does, as the reference
+    loop walks it over n-length arrays: the background log(alpha / d)
+    overwritten by the energies in ``memo``, and zero visits. Returns the
+    path, the energies after it and the visit counts."""
+    log_e = np.log(alpha / degrees.astype(np.float64))
+    energies = memo[1]
+    log_e[np.fromiter(energies, np.int64, len(energies))] = list(energies.values())
+    visits = np.zeros(degrees.size, dtype=np.int64)
     path = []
-    walk_oracle.walk_phase(
-        indptr, indices, log_energy.copy(), visit_counts.copy(), current, log_f, uniforms, path
-    )
-    return path
+    walk_oracle.walk_phase(indptr, indices, log_e, visits, current, log_f, uniforms, path)
+    return path, log_e, visits
 
 
 def assert_moves_to_neighbours(g, start, path):
@@ -44,37 +49,60 @@ def assert_moves_to_neighbours(g, start, path):
     assert all(v in g.neighbors(u) for u, v in zip(moves[:-1], moves[1:]))
 
 
-def step(g, state, log_f, uniforms) -> int:
-    """Run ``walk_phase`` from the state's current vertex; return the vertex it ends on."""
+def start_memo(state):
+    """The memo a walk from ``state`` starts with: no rows, its energies."""
+    return {}, dict(zip(state.visited.tolist(), state.log_energies.tolist()))
+
+
+def step(g, memo, current, log_f, uniforms, alpha=1.0):
+    """Run ``walk_phase`` from ``current`` on ``memo``; check it against the
+    reference loop: the same moves, and the same energy, bit for bit, at
+    every vertex the memo holds. Returns the vertex it ends on and its
+    visits."""
     args = (
         g.indptr,
         g.indices,
-        state.log_energies,
-        state.visit_counts,
-        state.current_vertex,
+        g.degrees,
+        alpha,
+        current,
         log_f,
         np.asarray(uniforms, dtype=np.float64),
-        ({}, {}),
+        memo,
     )
-    path = oracle_path(*args)
-    state.current_vertex, _ = kernels.walk_phase(*args)
-    assert_moves_to_neighbours(g, args[4], path)
-    assert path[-1] == state.current_vertex
-    return state.current_vertex
+    path, log_e, visits = oracle_phase(*args)
+    end, phase_visits = kernels.walk_phase(*args)
+    assert_moves_to_neighbours(g, current, path)
+    assert path[-1] == end
+    assert phase_visits == {int(v): int(visits[v]) for v in np.flatnonzero(visits)}
+    assert all(e == log_e[v] for v, e in memo[1].items())
+    return end, phase_visits
+
+
+def by_vertex(state, values):
+    """``values``, aligned with ``state.visited``, as a dict by vertex."""
+    return dict(zip(state.visited.tolist(), values.tolist()))
 
 
 def test_init_energy_values(deg4_graph):
-    state = init_energies(deg4_graph, 0, WalkConfig(alpha=1.0, beta=100.0))
+    cfg = WalkConfig(alpha=1.0, beta=100.0)
+    state = init_energies(deg4_graph, 0, cfg)
+    assert state.visited.tolist() == [0]
     assert math.exp(state.log_energies[0]) == pytest.approx(25.0)
-    assert math.exp(state.log_energies[5]) == pytest.approx(0.5)
     assert state.current_vertex == 0
-    assert state.visit_counts[0] == 1
+    assert state.visit_counts.tolist() == [1]
+    # a vertex enters the walk's memo at its background energy alpha / degree
+    memo = start_memo(state)
+    step(deg4_graph, memo, 0, 0.0, [0.5], alpha=cfg.alpha)
+    assert math.exp(memo[1][4]) == pytest.approx(0.5)
+    assert math.exp(memo[1][2]) == pytest.approx(1.0)
 
 
 def test_equal_parameters_on_regular_graph():
     ring = from_edges([(i, (i + 1) % 6) for i in range(6)])
-    state = init_energies(ring, 0, WalkConfig(alpha=1.0, beta=1.0))
-    assert np.allclose(np.exp(state.log_energies), math.exp(state.log_energies[1]))
+    # f = 1 leaves every energy where it starts
+    state, _ = run_walk(ring, 0, WalkConfig(alpha=1.0, beta=1.0, f_schedule=((1.0, 60),)))
+    assert sorted(state.visited.tolist()) == list(range(6))
+    assert np.allclose(np.exp(state.log_energies), math.exp(state.log_energies[0]))
 
 
 def test_acceptance_probability_formula(deg4_graph):
@@ -92,22 +120,22 @@ def test_acceptance_probability_formula(deg4_graph):
     upper = np.cumsum(weights)
     midpoints = (upper - weights / 2) / upper[-1]
     for v, uniform in zip(nbrs, midpoints):
-        state = init_energies(deg4_graph, 0)
-        state.log_energies[:] = np.log([energies[u] for u in range(6)])
-        before = state.log_energies.copy()
-        visits = state.visit_counts.copy()
-        assert step(deg4_graph, state, log_f, [uniform]) == v
-        assert state.log_energies[0] == before[0] + log_f
-        assert np.array_equal(state.log_energies[1:], before[1:])
-        visits[v] += 1
-        assert np.array_equal(state.visit_counts, visits)
+        before = {u: math.log(e) for u, e in energies.items()}
+        memo = ({}, dict(before))
+        assert step(deg4_graph, memo, 0, log_f, [uniform]) == (v, {v: 1})
+        assert memo[1][0] == before[0] + log_f
+        assert {u: e for u, e in memo[1].items() if u != 0} == {
+            u: e for u, e in before.items() if u != 0
+        }
 
 
 def test_acceptance_vanishes_for_large_beta(deg4_graph):
     cfg = WalkConfig(alpha=1.0, beta=1e12)
-    state = init_energies(deg4_graph, 0, cfg)
+    memo = start_memo(init_energies(deg4_graph, 0, cfg))
+    step(deg4_graph, memo, 0, 0.0, [0.5], alpha=cfg.alpha)  # f = 1: the seed's energy stays
+    energies = memo[1]
     # weight min(energy[v] / energy[seed], 1) of every move away from the seed
-    rel = state.log_energies[deg4_graph.neighbors(0)] - state.log_energies[0]
+    rel = np.array([energies[v] - energies[0] for v in deg4_graph.neighbors(0).tolist()])
     away = np.exp(np.minimum(rel, 0.0))
     assert (away < 1e-9).all()
 
@@ -115,21 +143,24 @@ def test_acceptance_vanishes_for_large_beta(deg4_graph):
 def test_walk_step_multiplies_departed_energy(deg4_graph):
     state = init_energies(deg4_graph, 0, WalkConfig(alpha=1.0, beta=2.0))
     before = math.exp(state.log_energies[0])
-    step(deg4_graph, state, math.log(1.3), np.random.default_rng(0).random(1))
-    assert math.exp(state.log_energies[0]) == pytest.approx(before * 1.3)
-    assert state.current_vertex != 0  # moves every step
-    assert state.visit_counts.sum() == 2  # init visit + one arrival
+    memo = start_memo(state)
+    end, visits = step(deg4_graph, memo, 0, math.log(1.3), np.random.default_rng(0).random(1))
+    assert math.exp(memo[1][0]) == pytest.approx(before * 1.3)
+    assert end != 0  # moves every step
+    assert state.visit_counts.sum() + sum(visits.values()) == 2  # init visit + one arrival
 
 
 def test_transition_weights_normalized(deg4_graph):
-    state = init_energies(deg4_graph, 0)
-    nbrs = deg4_graph.neighbors(0)
-    weights = np.exp(np.minimum(state.log_energies[nbrs] - state.log_energies[0], 0.0))
+    memo = start_memo(init_energies(deg4_graph, 0))
+    step(deg4_graph, memo, 0, 0.0, [0.5])  # fetches the seed's row
+    nbrs = deg4_graph.neighbors(0).tolist()
+    energies = memo[1]
+    weights = np.exp(np.minimum([energies[v] - energies[0] for v in nbrs], 0.0))
     grid = (np.arange(1000) + 0.5) / 1000
+    arrivals = Counter()
     for uniform in grid:  # f = 1 leaves the energies as they are
-        state.current_vertex = 0
-        step(deg4_graph, state, 0.0, [uniform])
-    share = state.visit_counts[nbrs] / grid.size
+        arrivals.update(step(deg4_graph, memo, 0, 0.0, [uniform])[1])
+    share = np.array([arrivals[v] for v in nbrs]) / grid.size
     assert share.sum() == 1.0  # every uniform in [0, 1) picks a neighbour
     assert (share > 0).all()
     assert np.abs(share - weights / weights.sum()).max() <= 1 / grid.size
@@ -137,31 +168,35 @@ def test_transition_weights_normalized(deg4_graph):
 
 def test_energies_positive_and_nondecreasing(two_k5):
     cfg = WalkConfig(rng_seed=11)
-    state = init_energies(two_k5, 0, cfg)
-    prev = state.log_energies.copy()
+    memo = start_memo(init_energies(two_k5, 0, cfg))
+    energies = memo[1]
+    prev = dict(energies)
     rng = np.random.default_rng(11)
+    u = 0
     for _ in range(200):
-        u = state.current_vertex
-        v = step(two_k5, state, math.log(1.3), rng.random(1))
-        p = math.exp(min(0.0, state.log_energies[v] - state.log_energies[u]))
+        v, _ = step(two_k5, memo, u, math.log(1.3), rng.random(1), alpha=cfg.alpha)
+        p = math.exp(min(0.0, energies[v] - energies[u]))
         assert 0.0 < p <= 1.0
-        assert (state.log_energies >= prev - 1e-15).all()
-        prev = state.log_energies.copy()
-    assert np.isfinite(state.log_energies).all()
+        assert all(energies[w] >= e - 1e-15 for w, e in prev.items())
+        prev = dict(energies)
+        u = v
+    assert np.isfinite(list(energies.values())).all()
 
 
 def test_visit_count_conservation():
     g = from_edges([("a", "b")])
     state, telemetry = run_walk(g, 0, WalkConfig(f_schedule=((1.3, 25),)))
     # single-edge graph: the walker alternates a, b every step
-    assert state.visit_counts.sum() == telemetry.total_steps + 1
-    assert abs(state.visit_counts[0] - state.visit_counts[1]) <= 1
+    counts = by_vertex(state, state.visit_counts)
+    assert sum(counts.values()) == telemetry.total_steps + 1
+    assert abs(counts[0] - counts[1]) <= 1
 
 
 def test_uniform_visits_on_cycle_with_f_one():
     ring = from_edges([(i, (i + 1) % 8) for i in range(8)])
     cfg = WalkConfig(alpha=1.0, beta=1.0, f_schedule=((1.0, 40000),), rng_seed=3)
     state, telemetry = run_walk(ring, 0, cfg)
+    assert sorted(state.visited.tolist()) == list(range(8))
     freq = state.visit_counts / state.visit_counts.sum()
     assert np.abs(freq - 1 / 8).max() < 0.02
 
@@ -170,6 +205,7 @@ def test_run_walk_deterministic(two_k5):
     cfg = WalkConfig(rng_seed=42)
     s1, t1 = run_walk(two_k5, 0, cfg)
     s2, t2 = run_walk(two_k5, 0, cfg)
+    assert np.array_equal(s1.visited, s2.visited)
     assert np.array_equal(s1.log_energies, s2.log_energies)
     assert np.array_equal(s1.visit_counts, s2.visit_counts)
     assert s1.current_vertex == s2.current_vertex
@@ -187,7 +223,7 @@ def test_visits_concentrate_in_seed_clique(two_k5):
     inside = total = 0
     for s in range(100):
         state, _ = run_walk(two_k5, 0, WalkConfig(rng_seed=s))
-        inside += int(state.visit_counts[:5].sum())
+        inside += int(state.visit_counts[state.visited < 5].sum())
         total += int(state.visit_counts.sum())
     assert inside / total >= 0.90
 
@@ -218,8 +254,8 @@ def test_k4_sweep_matches_exhaustive_prefix_minimum():
     belong = report.belongingness
     assert belong.dtype == np.float64 and belong.shape == report.members.shape
     assert belong.max() == 1.0 and (belong > 0.0).all()
-    visited = np.flatnonzero(state.visit_counts)
-    order = visited[np.lexsort((visited, -state.log_energies[visited]))]
+    visited = state.visited
+    order = visited[np.lexsort((visited, -state.log_energies))]
     seed_pos = int(np.flatnonzero(order == 0)[0])
     best = min(
         brute_conductance(k4, order[: i + 1])
@@ -242,6 +278,16 @@ def test_config_validation():
     # numpy's generator refused a negative seed only when the walk ran, naming nothing
     with pytest.raises(ValueError, match="^rng_seed must be"):
         WalkConfig(rng_seed=-1)
+    # a float seed, size or step count escaped to numpy, or was truncated
+    with pytest.raises(ValueError, match="^rng_seed must be an integer"):
+        WalkConfig(rng_seed=1.5)
+    with pytest.raises(ValueError, match="^expected_size must be an integer"):
+        WalkConfig(expected_size=2.5)
+    with pytest.raises(ValueError, match="^phase step count must be an integer"):
+        WalkConfig(f_schedule=((1.1, 2.7),))
+    assert WalkConfig(rng_seed=np.int64(3), f_schedule=((1.1, np.int64(2)),)).phases() == (
+        (1.1, 2),
+    )
     # below the least normal float, alpha / degree can round to 0, whose log is -inf
     WalkConfig(alpha=sys.float_info.min)
     with pytest.raises(ValueError, match="^alpha must be"):
@@ -267,10 +313,13 @@ def test_config_rejects_non_finite_numbers(field, kwargs):
 def test_visited_lists_first_visits_phase_by_phase_and_report_counts_steps(karate):
     state, telemetry = run_walk(karate, 0, WalkConfig(rng_seed=7, expected_size=8))
     want = [0]
+    counts = Counter({0: 1})
     for phase in telemetry.phases:
         want += [u for u in sorted(phase.visits) if u not in want]
+        counts.update(phase.visits)
     assert state.visited.tolist() == want
-    assert sorted(want) == np.flatnonzero(state.visit_counts).tolist()
+    assert state.visit_counts.tolist() == [counts[u] for u in want]
+    assert state.log_energies.shape == state.visited.shape
     report = extract_cluster_from_energy(karate, state, telemetry)
     assert report.iterations_used == telemetry.total_steps == 30 * 8
 
@@ -298,11 +347,17 @@ def test_run_walk_matches_oracle_loop():
     cases = 0
     for g, seed, cfg in oracle_cases():
         state, telemetry = run_walk(g, seed, cfg)
-        want, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
-        assert state.log_energies.tobytes() == want.log_energies.tobytes()
-        assert state.visit_counts.tobytes() == want.visit_counts.tobytes()
-        assert state.current_vertex == want.current_vertex
-        assert sorted(state.visited.tolist()) == np.flatnonzero(want.visit_counts).tolist()
+        log_e, counts, current, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
+        visited = state.visited
+        assert state.log_energies.tobytes() == log_e[visited].tobytes()
+        assert state.visit_counts.tobytes() == counts[visited].tobytes()
+        assert state.current_vertex == current
+        assert sorted(visited.tolist()) == np.flatnonzero(counts).tolist()
+        # the walk never departed from the rest, so they keep the background
+        background = np.log(cfg.alpha / g.degrees.astype(np.float64))
+        rest = np.ones(g.vertex_count, dtype=bool)
+        rest[visited] = False
+        assert log_e[rest].tobytes() == background[rest].tobytes()
         got = [(p.f, p.steps, list(p.visits.items())) for p in telemetry.phases]
         assert got == [(p.f, p.steps, list(p.visits.items())) for p in want_telemetry.phases]
         cases += 1
@@ -311,48 +366,65 @@ def test_run_walk_matches_oracle_loop():
 
 def test_walk_phase_matches_oracle_step_bit_for_bit():
     """Random, tied and widely spread energies (the last make weights
-    underflow to 0, so the running sum ties), f = 1.3 and f = 1, uniforms at
-    the top of [0, 1] and a degree-60 hub: the same energies, visits and
-    final vertex as the reference loop, whose every move goes to a
-    neighbour. One memo carried over two phases gives what the reference
-    loop gives over both, and holds the rows of the departed vertices only."""
+    underflow to 0, so the running sum ties) preloaded into the memo, and a
+    memo holding only the seed, whose other energies the kernel gives their
+    background; f = 1.3 and f = 1, uniforms at the top of [0, 1] and a
+    degree-60 hub: the same energies, visits and final vertex as the
+    reference loop, whose every move goes to a neighbour. One memo carried
+    over two phases gives what the reference loop gives over both, holds the
+    rows of the departed vertices only and, started from the seed alone, the
+    energies of the departed vertices and of their neighbours only."""
     rng = np.random.default_rng(23)
     hub = from_edges([(0, v) for v in range(1, 61)] + [(v, v + 1) for v in range(1, 60)])
     # the total weight is at least 1, so 1 - 2**-53 times it stays below it;
     # only a uniform of 1.0 overshoots and falls back to the last neighbour
     top = [1 - 2**-53, 1.0]
-    for g in random_graphs(12) + [karate_club(), hub]:
+    alpha = 0.7
+
+    def two_phases(g, want_e, memo, log_f):
+        want_v = np.zeros(g.vertex_count, dtype=np.int64)
+        rows, energies = memo
+        preloaded = len(energies) == g.vertex_count
+        departed = set()
+        for _ in range(2):
+            uniforms = rng.random(300)
+            uniforms[rng.choice(uniforms.size, 20)] = rng.choice(top, 20)
+            path = []
+            before = want_v.copy()
+            cur, visits = kernels.walk_phase(
+                g.indptr, g.indices, g.degrees, alpha, 0, log_f, uniforms, memo
+            )
+            want = walk_oracle.walk_phase(
+                g.indptr, g.indices, want_e, want_v, 0, log_f, uniforms, path
+            )
+            assert cur == want == path[-1]
+            got_e = want_e.copy()
+            got_e[np.fromiter(energies, np.int64, len(energies))] = list(energies.values())
+            assert got_e.tobytes() == want_e.tobytes()
+            arrived = np.flatnonzero(want_v - before)
+            assert list(visits.items()) == list(
+                zip(arrived.tolist(), (want_v - before)[arrived].tolist())
+            )
+            assert_moves_to_neighbours(g, 0, path)
+            departed |= {0, *path[:-1]}
+            assert set(rows) == departed
+            if preloaded:
+                assert len(energies) == g.vertex_count
+            else:
+                reach = departed.union(*(g.neighbors(u).tolist() for u in departed))
+                assert set(energies) == reach
+
+    graphs = random_graphs(12) + [karate_club(), hub]
+    for g in graphs:
         for spread in (0.0, 1.0, 2000.0):
             for log_f in (math.log(1.3), 0.0):
                 log_e = rng.normal(scale=spread, size=g.vertex_count)
-                got_e, got_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
-                want_e, want_v = log_e.copy(), np.zeros(g.vertex_count, dtype=np.int64)
-                memo = ({}, {})
-                departed = set()
-                for _ in range(2):
-                    uniforms = rng.random(300)
-                    uniforms[rng.choice(uniforms.size, 20)] = rng.choice(top, 20)
-                    path = []
-                    before = want_v.copy()
-                    cur, visits = kernels.walk_phase(
-                        g.indptr, g.indices, got_e, got_v, 0, log_f, uniforms, memo
-                    )
-                    want = walk_oracle.walk_phase(
-                        g.indptr, g.indices, want_e, want_v, 0, log_f, uniforms, path
-                    )
-                    assert cur == want == path[-1]
-                    assert got_e.tobytes() == want_e.tobytes()
-                    assert got_v.tobytes() == want_v.tobytes()
-                    arrived = np.flatnonzero(want_v - before)
-                    assert list(visits.items()) == list(
-                        zip(arrived.tolist(), (want_v - before)[arrived].tolist())
-                    )
-                    assert_moves_to_neighbours(g, 0, path)
-                    departed |= {0, *path[:-1]}
-                    rows, energies = memo
-                    assert set(rows) == departed
-                    reach = departed.union(*(g.neighbors(u).tolist() for u in departed))
-                    assert set(energies) == reach
+                two_phases(g, log_e.copy(), ({}, dict(enumerate(log_e.tolist()))), log_f)
+    for g in graphs:
+        for log_f in (math.log(1.3), 0.0):
+            log_e = np.log(alpha / g.degrees.astype(np.float64))
+            log_e[0] = rng.normal(scale=3.0)
+            two_phases(g, log_e, ({}, {0: float(log_e[0])}), log_f)
 
 
 def test_walk_sweep_stays_local(monkeypatch):
@@ -377,7 +449,7 @@ def test_walk_sweep_stays_local(monkeypatch):
     walk_phase = kernels.walk_phase
 
     def recording_phase(*args):
-        path = oracle_path(*args)
+        path, _, _ = oracle_phase(*args)
         result = walk_phase(*args)
         assert result[0] == path[-1]
         memos.append(args[7])
@@ -408,6 +480,25 @@ def test_walk_sweep_stays_local(monkeypatch):
         results.append((swept[0], members, report.conductance, rows))
     assert ring_of_cliques(20000, 5).vertex_count == 100000
     assert results[0] == results[1]
+
+
+def test_walk_state_stays_on_the_visited_set():
+    """On a 100k- and a 200k-vertex ring of cliques a walk and its sweep
+    allocate far less than one n-length array, as the diffusion does: the
+    walk keeps energies and visit counts only for the vertices it has seen."""
+    cfg = WalkConfig(rng_seed=7, expected_size=40)
+    for clique_count in (12500, 25000):
+        g = ring_of_cliques(clique_count, 8)
+        state, telemetry = run_walk(g, 0, cfg)  # warm up imports and caches
+        extract_cluster_from_energy(g, state, telemetry)
+        tracemalloc.start()
+        try:
+            state, telemetry = run_walk(g, 0, cfg)
+            extract_cluster_from_energy(g, state, telemetry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024 < 8 * g.vertex_count
 
 
 def load_tracer():

@@ -2,17 +2,20 @@
 
 Each step scans the current vertex's row three times, recomputing every
 capped log-ratio: once for the maximum, once for the total of the weights and
-once for the draw. Each phase copies the n-length visit counts and diffs them
-afterwards. These are the energies, visits and per-phase records
-``run_walk`` must reproduce bit for bit, in a form with no scratch buffer.
-A phase can also record the path it walks, which the kernel does not keep.
+once for the draw. The state is two n-length arrays, every vertex's log energy
+(background ``np.log(alpha / degree)`` until the walk departs from it) and
+visit count, and each phase copies the visit counts and diffs them afterwards.
+These are the energies, visits and per-phase records ``run_walk`` must
+reproduce bit for bit at the vertices it visited, in a form with no scratch
+buffer and no memo. A phase can also record the path it walks, which the
+kernel does not keep.
 """
 
 import math
 
 import numpy as np
 
-from seedclust import WalkConfig, init_energies
+from seedclust import WalkConfig
 from seedclust.walk import PhaseStats, WalkTelemetry
 
 
@@ -56,26 +59,40 @@ def walk_phase(indptr, indices, log_energy, visit_counts, current, log_f, unifor
     return current
 
 
+def start_state(g, seed: int, cfg: WalkConfig = WalkConfig()):
+    """n-length log energies and visit counts before the first step: the
+    background log(alpha / d) everywhere, log(beta / d_seed) at the seed and
+    one visit at the seed."""
+    log_energies = np.log(cfg.alpha / g.degrees.astype(np.float64))
+    log_energies[seed] = math.log(cfg.beta / g.degree(seed))
+    visit_counts = np.zeros(g.vertex_count, dtype=np.int64)
+    visit_counts[seed] = 1
+    return log_energies, visit_counts
+
+
 def run_oracle(g, seed: int, cfg: WalkConfig = WalkConfig()):
     """The f-schedule as ``run_walk`` runs it, with each phase's visits taken
-    as the difference of the whole visit-count array before and after."""
-    state = init_energies(g, seed, cfg)
+    as the difference of the whole visit-count array before and after.
+    Returns the n-length log energies and visit counts, the final vertex and
+    the telemetry."""
+    log_energies, visit_counts = start_state(g, seed, cfg)
+    current = seed
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
     for f, steps in cfg.phases():
-        state.current_vertex = state.seed
-        before = state.visit_counts.copy()
+        current = seed
+        before = visit_counts.copy()
         if steps > 0:
-            state.current_vertex = walk_phase(
+            current = walk_phase(
                 g.indptr,
                 g.indices,
-                state.log_energies,
-                state.visit_counts,
-                state.current_vertex,
+                log_energies,
+                visit_counts,
+                current,
                 math.log(f),
                 rng.random(steps),
             )
-        delta = state.visit_counts - before
+        delta = visit_counts - before
         visited = np.flatnonzero(delta)
         telemetry.phases.append(
             PhaseStats(
@@ -84,4 +101,4 @@ def run_oracle(g, seed: int, cfg: WalkConfig = WalkConfig()):
                 visits={int(u): int(delta[u]) for u in visited},
             )
         )
-    return state, telemetry
+    return log_energies, visit_counts, current, telemetry
