@@ -78,11 +78,6 @@ def step(g, memo, current, log_f, uniforms, alpha=1.0):
     return end, phase_visits
 
 
-def by_vertex(state, values):
-    """``values``, aligned with ``state.visited``, as a dict by vertex."""
-    return dict(zip(state.visited.tolist(), values.tolist()))
-
-
 def test_init_energy_values(deg4_graph):
     cfg = WalkConfig(alpha=1.0, beta=100.0)
     state = init_energies(deg4_graph, 0, cfg)
@@ -187,7 +182,7 @@ def test_visit_count_conservation():
     g = from_edges([("a", "b")])
     state, telemetry = run_walk(g, 0, WalkConfig(f_schedule=((1.3, 25),)))
     # single-edge graph: the walker alternates a, b every step
-    counts = by_vertex(state, state.visit_counts)
+    counts = dict(zip(state.visited.tolist(), state.visit_counts.tolist()))
     assert sum(counts.values()) == telemetry.total_steps + 1
     assert abs(counts[0] - counts[1]) <= 1
 
