@@ -416,6 +416,11 @@ def extract_cluster(g: Graph, mass: SparseMass, telemetry: DiffusionTelemetry) -
     """Sweep the support by mass/degree (descending, seed first on ties)."""
     if mass.support_size == 0:
         raise ValueError("cannot extract a cluster from an empty distribution")
+    # the seed's mass is found by binary search and divides every belongingness
+    if not np.logical_and.reduce(mass.vertices[1:] > mass.vertices[:-1]):
+        raise ValueError("mass must list its vertices in strictly increasing order")
+    if not mass.seed_mass() > 0.0:
+        raise ValueError(f"mass must hold positive mass at its seed {mass.seed}")
     scores = mass.masses / g.degrees[mass.vertices]
     not_seed = (mass.vertices != mass.seed).astype(np.int8)
     order = mass.vertices[np.lexsort((mass.vertices, not_seed, -scores))]

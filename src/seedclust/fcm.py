@@ -126,6 +126,10 @@ def fcm_fit(
     ``FIT_MAX_ITERATIONS`` iterations.
     """
     x = np.asarray(embedding, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"embedding must be a 2-D array, points x dimensions; got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("embedding must hold finite values only")
     n = x.shape[0]
     check_fit(k, m, rng_seed, n)
 

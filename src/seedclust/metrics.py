@@ -21,10 +21,17 @@ class Partition:
     assignments: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignments, dtype=np.int64)
-        object.__setattr__(self, "assignments", a)
-        if a.size == 0:
+        ids = np.asarray(self.assignments)
+        if ids.ndim != 1:
+            raise ValueError(f"block ids must be one per vertex, a 1-D array; got shape {ids.shape}")
+        if ids.size == 0:
             raise ValueError("partition of an empty vertex set")
+        # NaN, infinities and fractions cast to an id they do not equal
+        with np.errstate(invalid="ignore"):
+            a = ids.astype(np.int64, copy=False)
+        if not (a == ids).all():
+            raise ValueError("block ids must be integers")
+        object.__setattr__(self, "assignments", a)
         if a.min() < 0:
             raise ValueError("negative block id")
         present = np.unique(a)

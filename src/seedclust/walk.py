@@ -86,7 +86,7 @@ class WalkConfig:
 
 @dataclass(eq=False)
 class EnergyTable:
-    """Walk state: log energies and visit counts aligned with ``visited``, current position.
+    """Walk state: log energies and visit counts aligned with ``visited``, and the seed.
 
     ``visited`` lists the seed, then each phase's newly reached vertices in
     ascending order; ``run_walk`` builds it from ``PhaseStats.visits``, and no
@@ -96,7 +96,6 @@ class EnergyTable:
 
     log_energies: np.ndarray
     visit_counts: np.ndarray
-    current_vertex: int
     seed: int
     visited: np.ndarray
 
@@ -124,7 +123,6 @@ def init_energies(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> Energy
     return EnergyTable(
         log_energies=np.array([math.log(cfg.beta / g.degree(seed))]),
         visit_counts=np.ones(1, dtype=np.int64),
-        current_vertex=seed,
         seed=seed,
         visited=np.array([seed], dtype=np.int64),
     )
@@ -149,19 +147,17 @@ def run_walk(
     counts = Counter(state.visited.tolist())
 
     for f, steps in cfg.phases():
-        state.current_vertex = state.seed
-        visits = {}
-        if steps > 0:
-            state.current_vertex, visits = _kernels.walk_phase(
-                g.indptr,
-                g.indices,
-                g.degrees,
-                cfg.alpha,
-                state.current_vertex,
-                math.log(f),
-                rng.random(steps),
-                memo,
-            )
+        # a phase of 0 steps draws no uniforms and walks nothing
+        _, visits = _kernels.walk_phase(
+            g.indptr,
+            g.indices,
+            g.degrees,
+            cfg.alpha,
+            state.seed,
+            math.log(f),
+            rng.random(steps),
+            memo,
+        )
         counts.update(visits)
         telemetry.phases.append(PhaseStats(f=float(f), steps=int(steps), visits=visits))
     state.visited = np.fromiter(counts, np.int64, len(counts))
@@ -178,18 +174,10 @@ def extract_cluster_from_energy(
     Only vertices the walk reached are ranked: an untouched vertex keeps its
     background energy alpha/degree, which says nothing about the seed's
     cluster, so the sweep costs the visited set's volume, not the component's.
-    The report's ``iterations_used`` is the number of steps walked.
+    The report's ``iterations_used`` is the number of steps walked. A walk of
+    no steps visited the seed alone, whose conductance is 1; its report is
+    flagged unconverged and degenerate.
     """
-    if telemetry.total_steps <= 0:
-        return ClusterReport(
-            seed=state.seed,
-            members=np.array([state.seed], dtype=np.int64),
-            conductance=1.0,
-            belongingness=np.array([1.0]),
-            converged=False,
-            degenerate=True,
-        )
-
     visited = state.visited
     order = visited[np.lexsort((visited, -state.log_energies))]
     members, phi, fallback = sweep_cut(g, order, state.seed)
@@ -203,6 +191,6 @@ def extract_cluster_from_energy(
         conductance=phi,
         belongingness=belong,
         iterations_used=telemetry.total_steps,
-        converged=True,
-        degenerate=fallback,
+        converged=telemetry.total_steps > 0,
+        degenerate=fallback or telemetry.total_steps == 0,
     )

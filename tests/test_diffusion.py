@@ -488,6 +488,20 @@ def test_extract_rejects_an_empty_distribution(two_k5):
         extract_cluster(two_k5, empty, DiffusionTelemetry())
 
 
+def test_extract_rejects_a_distribution_without_its_seed(karate):
+    # the belongingness divides by the seed's mass, which is 0 here
+    seedless = SparseMass(np.array([1, 2]), np.array([0.5, 0.5]), seed=0)
+    with pytest.raises(ValueError, match="^mass must hold positive mass at its seed 0$"):
+        extract_cluster(karate, seedless, DiffusionTelemetry())
+
+
+def test_extract_rejects_unsorted_vertices(karate):
+    # the seed's binary search misses in an unsorted list
+    unsorted = SparseMass(np.array([2, 1]), np.array([0.5, 0.5]), seed=1)
+    with pytest.raises(ValueError, match="^mass must list its vertices in strictly increasing"):
+        extract_cluster(karate, unsorted, DiffusionTelemetry())
+
+
 def test_sweep_cut_falls_back_to_the_seed_without_an_eligible_prefix(karate):
     # only the whole vertex set holds the seed, and it is never eligible
     members, phi, degenerate = sweep_cut(karate, np.array([*range(1, 34), 0]), 0)

@@ -225,6 +225,19 @@ def test_fit_parameter_validation():
         fcm_fit(x, k=2, initial_centers=np.zeros((3, x.shape[1])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_a_non_finite_embedding(bad):
+    # a non-finite row would make its memberships and the objective NaN
+    x = np.array([[bad, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ValueError, match="^embedding must hold finite values only$"):
+        fcm_fit(x, k=2)
+
+
+def test_fit_rejects_a_1d_embedding():
+    with pytest.raises(ValueError, match=r"^embedding must be a 2-D array.*got shape \(3,\)$"):
+        fcm_fit(np.array([0.0, 1.0, 2.0]), k=2)
+
+
 # --- overlap report ----------------------------------------------------------
 
 def _msm(rows):

@@ -117,6 +117,18 @@ def test_partition_validation(karate):
         modularity(karate, Partition(np.zeros(33, dtype=np.int64)))
 
 
+@pytest.mark.parametrize("ids", [[0, 1.5, 1], [0, np.nan, 1], [0, np.inf, 1]])
+def test_partition_rejects_non_integer_block_ids(ids):
+    # an int64 cast would make 1.5 block 1
+    with pytest.raises(ValueError, match="^block ids must be integers$"):
+        Partition(np.array(ids))
+
+
+def test_partition_rejects_2d_block_ids():
+    with pytest.raises(ValueError, match=r"^block ids must be one per vertex.*got shape \(17, 2\)$"):
+        Partition(np.zeros((17, 2), dtype=np.int64))
+
+
 def test_partition_csv_roundtrip(karate):
     p = Partition(np.array([0] * 17 + [1] * 17))
     text = p.to_csv(karate)

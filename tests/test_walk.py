@@ -83,7 +83,6 @@ def test_init_energy_values(deg4_graph):
     state = init_energies(deg4_graph, 0, cfg)
     assert state.visited.tolist() == [0]
     assert math.exp(state.log_energies[0]) == pytest.approx(25.0)
-    assert state.current_vertex == 0
     assert state.visit_counts.tolist() == [1]
     # a vertex enters the walk's memo at its background energy alpha / degree
     memo = start_memo(state)
@@ -203,7 +202,6 @@ def test_run_walk_deterministic(two_k5):
     assert np.array_equal(s1.visited, s2.visited)
     assert np.array_equal(s1.log_energies, s2.log_energies)
     assert np.array_equal(s1.visit_counts, s2.visit_counts)
-    assert s1.current_vertex == s2.current_vertex
     assert [p.visits for p in t1.phases] == [p.visits for p in t2.phases]
 
 
@@ -235,11 +233,16 @@ def test_planted_clique_recovery(q, request):
 
 
 def test_no_steps_gives_flagged_singleton(two_k5):
-    state, telemetry = run_walk(two_k5, 3, WalkConfig(f_schedule=()))
-    report = extract_cluster_from_energy(two_k5, state, telemetry)
-    assert report.members.tolist() == [3]
-    assert report.belongingness.tolist() == [1.0]
-    assert report.degenerate
+    # no phases, and phases of 0 steps, walk nothing
+    for schedule in [(), ((1.1, 0),), ((1.1, 0), (2.0, 0))]:
+        state, telemetry = run_walk(two_k5, 3, WalkConfig(f_schedule=schedule))
+        report = extract_cluster_from_energy(two_k5, state, telemetry)
+        assert report.members.tolist() == [3]
+        assert report.belongingness.tolist() == [1.0]
+        assert report.conductance == 1.0
+        assert report.converged is False
+        assert report.degenerate
+        assert report.iterations_used == 0
 
 
 def test_k4_sweep_matches_exhaustive_prefix_minimum():
@@ -342,11 +345,10 @@ def test_run_walk_matches_oracle_loop():
     cases = 0
     for g, seed, cfg in oracle_cases():
         state, telemetry = run_walk(g, seed, cfg)
-        log_e, counts, current, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
+        log_e, counts, _, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
         visited = state.visited
         assert state.log_energies.tobytes() == log_e[visited].tobytes()
         assert state.visit_counts.tobytes() == counts[visited].tobytes()
-        assert state.current_vertex == current
         assert sorted(visited.tolist()) == np.flatnonzero(counts).tolist()
         # the walk never departed from the rest, so they keep the background
         background = np.log(cfg.alpha / g.degrees.astype(np.float64))
