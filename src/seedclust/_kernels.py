@@ -12,7 +12,11 @@ not its arithmetic, so the per-step kernels call array methods and ufuncs
 (``a.cumsum()``, ``a.repeat``, ``a.argsort()``, ``a.searchsorted``) rather
 than numpy's Python-level wrappers (``np.cumsum`` and the like in
 ``fromnumeric.py``, ``np.ones``, ``np.full``), which run the same C kernels
-after about 2 microseconds of argument handling each.
+after about 2 microseconds of argument handling each. A boolean mask on the
+query path is tested or counted with ``mask.nonzero()[0].size``, one C
+method call: a reduction by ``np.logical_or.reduce`` or ``np.add.reduce``
+costs several times more at a few hundred entries, and ``np.count_nonzero``
+enters a Python frame.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -128,32 +132,48 @@ def walk_phase(indptr, indices, degrees, alpha, current, log_f, uniforms, memo):
 
     The steps run on Python lists and floats. ``memo`` is a pair of dicts,
     the walk's only state, that it passes to all its phases: the neighbour
-    list of every vertex the walk has departed from, and, as Python floats,
-    the log energy of the seed, of those vertices and of every vertex in
-    their lists. A row is fetched from the CSR arrays the first time the walk
-    departs from its vertex; a neighbour new to the memo enters it at its
-    background energy, ``math.log(alpha / d)``. A step does the float
-    operations of the reference loop in its order: the log-ratios capped at
-    0 and their maximum, one ``math.exp`` each, a left-to-right running sum
-    (``accumulate``, not ``sum``, which compensates from Python 3.12 on) and
-    a draw of the first neighbour whose running sum exceeds the uniform times
-    the total, else the last one.
+    list of every vertex the walk has departed from, with the
+    ``operator.itemgetter`` that gathers those neighbours' energies in one
+    call, and, as Python floats, the log energy of the seed, of those
+    vertices and of every vertex in their lists. A row is fetched from the
+    CSR arrays the first time the walk departs from its vertex; a neighbour
+    new to the memo enters it at its background energy,
+    ``math.log(alpha / d)``.
+
+    A step gives the floats of the reference loop. Its largest log-ratio
+    ``mx`` is ``max(energies) - lu`` for the walker's log energy ``lu``:
+    rounding ``e - lu`` is monotone in ``e``, so this is the largest of the
+    rounded log-ratios. If ``mx < 0`` no log-ratio is capped and each weight
+    is ``exp(e - lu - mx)``; otherwise the cap makes the maximum 0, and a
+    neighbour weighs ``exp(e - lu)`` if ``e < lu`` and ``exp(0 - 0) = 1``
+    if not. The same loop adds the weights left to right from 0.0 and keeps
+    each running sum, as the reference loop does (``sum`` compensates from
+    Python 3.12 on, and ``accumulate`` over a comprehension costs a frame
+    and a list more). The draw takes the first neighbour whose running sum
+    exceeds the uniform times the total, else the last one.
     """
     rows, energies = memo
     exp = math.exp
     arrivals = []
     for uniform in uniforms.tolist():
-        row = rows.get(current)
-        if row is None:
-            row = _fetch_row(indptr, indices, degrees, alpha, current, rows, energies)
+        fetched = rows.get(current)
+        if fetched is None:
+            fetched = _fetch_row(indptr, indices, degrees, alpha, current, rows, energies)
+        row, gather = fetched
         lu = energies[current]
-        diffs = [energies[v] - lu for v in row]
-        mx = max(diffs)
-        if mx > 0.0:
-            mx = 0.0
-        # a log-ratio at or above 0 is capped to 0 and makes mx 0, so its weight is exp(0 - 0)
-        acc = list(accumulate([exp(d - mx) if d < 0.0 else 1.0 for d in diffs]))
-        k = bisect_right(acc, uniform * acc[-1])
+        es = gather(energies)
+        mx = max(es) - lu
+        acc = []
+        total = 0.0
+        if mx < 0.0:
+            for e in es:
+                total += exp(e - lu - mx)
+                acc.append(total)
+        else:
+            for e in es:
+                total += exp(e - lu) if e < lu else 1.0
+                acc.append(total)
+        k = bisect_right(acc, uniform * total)
         chosen = row[k] if k < len(row) else row[-1]
         energies[current] = lu + log_f
         arrivals.append(chosen)
@@ -163,11 +183,16 @@ def walk_phase(indptr, indices, degrees, alpha, current, log_f, uniforms, memo):
 
 
 def _fetch_row(indptr, indices, degrees, alpha, u, rows, energies):
-    """Memoise ``u``'s neighbour list and give each neighbour not yet in
-    ``energies`` its background energy."""
+    """Memoise ``u``'s neighbour list and the ``itemgetter`` that reads its
+    neighbours' energies, and give each neighbour not yet in ``energies`` its
+    background energy. A row of one neighbour is gathered twice, since
+    ``itemgetter`` of one key returns the bare value, not a 1-tuple; every
+    draw from it picks that neighbour."""
     nbrs = indices[indptr[u] : indptr[u + 1]]
-    row = rows[u] = nbrs.tolist()
+    row = nbrs.tolist()
+    gather = itemgetter(*row) if len(row) > 1 else itemgetter(*row, *row)
+    rows[u] = fetched = row, gather
     for v, d in zip(row, degrees[nbrs].tolist()):
         if v not in energies:
             energies[v] = math.log(alpha / d)
-    return row
+    return fetched

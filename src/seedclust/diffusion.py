@@ -166,7 +166,7 @@ def truncate(
     keep = mass >= alpha * mass[seed_pos]
     keep[seed_pos] = True
     dropped = (mass > 0.0) > keep  # positive and not kept
-    if np.logical_or.reduce(dropped):
+    if dropped.nonzero()[0].size:
         removed = float(np.add.reduce(mass[dropped]))
         mass[dropped] = 0.0
         mass[seed_pos] += removed
@@ -364,14 +364,14 @@ def run_diffusion(
         near = new > NEAR * cfg.alpha * new[seed_pos]
         keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
         mass = new
-        record(l1, int(np.add.reduce(keep)))
+        record(l1, keep.nonzero()[0].size)
         if l1 < cfg.convergence_epsilon:
             telemetry.converged = True
             break
-        if np.logical_and.reduce(keep == live):
+        if not (keep != live).nonzero()[0].size:
             settled += 1
             continue
-        if np.logical_or.reduce(keep > inside):  # kept off the domain
+        if (keep > inside).nonzero()[0].size:  # kept off the domain
             near |= keep  # the next domain holds the support whatever NEAR is
             plan = None
         live, settled = keep, 0
@@ -401,7 +401,7 @@ def sweep_cut(
 
     sizes = np.arange(1, order.size + 1)
     eligible = (sizes > seed_pos) & (sizes < g.vertex_count)
-    if not np.logical_or.reduce(eligible):
+    if not eligible.nonzero()[0].size:
         return np.array([seed], dtype=np.int64), 1.0, True
 
     small_side = np.minimum(vols, twice_m - vols)
@@ -417,7 +417,7 @@ def extract_cluster(g: Graph, mass: SparseMass, telemetry: DiffusionTelemetry) -
     if mass.support_size == 0:
         raise ValueError("cannot extract a cluster from an empty distribution")
     # the seed's mass is found by binary search and divides every belongingness
-    if not np.logical_and.reduce(mass.vertices[1:] > mass.vertices[:-1]):
+    if (mass.vertices[1:] > mass.vertices[:-1]).nonzero()[0].size < mass.support_size - 1:
         raise ValueError("mass must list its vertices in strictly increasing order")
     if not mass.seed_mass() > 0.0:
         raise ValueError(f"mass must hold positive mass at its seed {mass.seed}")

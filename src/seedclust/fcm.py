@@ -137,6 +137,8 @@ def fcm_fit(
         centers = np.asarray(initial_centers, dtype=np.float64).copy()
         if centers.shape != (k, x.shape[1]):
             raise ValueError("initial_centers must have shape (k, D)")
+        if not np.isfinite(centers).all():
+            raise ValueError("initial_centers must hold finite values only")
     else:
         rng = np.random.default_rng(rng_seed)
         centers = x[rng.choice(n, size=k, replace=False)].copy()

@@ -233,6 +233,14 @@ def test_fit_rejects_a_non_finite_embedding(bad):
         fcm_fit(x, k=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_initial_centers(bad):
+    # a non-finite centre would make memberships and the objective NaN
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    with pytest.raises(ValueError, match="^initial_centers must hold finite values only$"):
+        fcm_fit(x, k=2, initial_centers=[[bad, 0.0], [1.0, 1.0]])
+
+
 def test_fit_rejects_a_1d_embedding():
     with pytest.raises(ValueError, match=r"^embedding must be a 2-D array.*got shape \(3,\)$"):
         fcm_fit(np.array([0.0, 1.0, 2.0]), k=2)

@@ -3,6 +3,7 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -345,7 +346,7 @@ def test_run_walk_matches_oracle_loop():
     cases = 0
     for g, seed, cfg in oracle_cases():
         state, telemetry = run_walk(g, seed, cfg)
-        log_e, counts, _, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
+        log_e, counts, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
         visited = state.visited
         assert state.log_energies.tobytes() == log_e[visited].tobytes()
         assert state.visit_counts.tobytes() == counts[visited].tobytes()
@@ -370,7 +371,12 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
     reference loop, whose every move goes to a neighbour. One memo carried
     over two phases gives what the reference loop gives over both, holds the
     rows of the departed vertices only and, started from the seed alone, the
-    energies of the departed vertices and of their neighbours only."""
+    energies of the departed vertices and of their neighbours only. Single
+    steps with uniforms at and one ulp either side of each running-sum
+    boundary, where a weight one bit off moves the draw, pin the step's two
+    cases: neighbours all strictly below the walker, and one exactly at its
+    energy or some above it; and a leaf, whose one neighbour is gathered
+    twice."""
     rng = np.random.default_rng(23)
     hub = from_edges([(0, v) for v in range(1, 61)] + [(v, v + 1) for v in range(1, 60)])
     # the total weight is at least 1, so 1 - 2**-53 times it stays below it;
@@ -411,7 +417,9 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
                 reach = departed.union(*(g.neighbors(u).tolist() for u in departed))
                 assert set(energies) == reach
 
-    graphs = random_graphs(12) + [karate_club(), hub]
+    # walks from the centre of a star depart from its leaves
+    star = from_edges([(0, v) for v in range(1, 6)] + [(1, 2)])
+    graphs = random_graphs(12) + [karate_club(), hub, star]
     for g in graphs:
         for spread in (0.0, 1.0, 2000.0):
             for log_f in (math.log(1.3), 0.0):
@@ -422,6 +430,35 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
             log_e = np.log(alpha / g.degrees.astype(np.float64))
             log_e[0] = rng.normal(scale=3.0)
             two_phases(g, log_e, ({}, {0: float(log_e[0])}), log_f)
+
+    # vertex 0's neighbours 1-4, then vertex 5, a leaf on 4
+    g = from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5)])
+    below = [0.1, -0.1, -0.2, -0.7, -40.0, 1.5]
+    level = [0.1, -0.1, 0.1, -0.7, -40.0, 1.5]
+    above = [0.1, -0.1, 0.7, -0.7, 1.2, 1.5]
+    for log_e, u in ((below, 0), (level, 0), (above, 0), (below, 5), (above, 4)):
+        for uniform in boundary_uniforms(g, log_e, u):
+            for log_f in (math.log(1.3), 0.0):
+                step(g, ({}, dict(enumerate(log_e))), u, log_f, [uniform], alpha)
+
+
+def boundary_uniforms(g, log_e, u):
+    """The reference loop's draws from ``u`` change at each neighbour's
+    running-sum boundary: the least uniform that passes it and the float
+    below. A weight or a total one bit off moves a boundary and changes a
+    draw at one of them."""
+    lw = [min(log_e[v] - log_e[u], 0.0) for v in g.neighbors(u).tolist()]
+    mx = max(lw)
+    acc = list(accumulate(math.exp(w - mx) for w in lw))
+    out = []
+    for edge in acc:
+        x = edge / acc[-1]
+        while x < 1.0 and x * acc[-1] < edge:
+            x = math.nextafter(x, 2.0)
+        while x * acc[-1] >= edge and math.nextafter(x, 0.0) * acc[-1] >= edge:
+            x = math.nextafter(x, 0.0)
+        out += [math.nextafter(x, 0.0), x]
+    return out
 
 
 def test_walk_sweep_stays_local(monkeypatch):

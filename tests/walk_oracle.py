@@ -73,22 +73,19 @@ def start_state(g, seed: int, cfg: WalkConfig = WalkConfig()):
 def run_oracle(g, seed: int, cfg: WalkConfig = WalkConfig()):
     """The f-schedule as ``run_walk`` runs it, with each phase's visits taken
     as the difference of the whole visit-count array before and after.
-    Returns the n-length log energies and visit counts, the final vertex and
-    the telemetry."""
+    Returns the n-length log energies and visit counts and the telemetry."""
     log_energies, visit_counts = start_state(g, seed, cfg)
-    current = seed
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
     for f, steps in cfg.phases():
-        current = seed
         before = visit_counts.copy()
         if steps > 0:
-            current = walk_phase(
+            walk_phase(
                 g.indptr,
                 g.indices,
                 log_energies,
                 visit_counts,
-                current,
+                seed,
                 math.log(f),
                 rng.random(steps),
             )
@@ -101,4 +98,4 @@ def run_oracle(g, seed: int, cfg: WalkConfig = WalkConfig()):
                 visits={int(u): int(delta[u]) for u in visited},
             )
         )
-    return log_energies, visit_counts, current, telemetry
+    return log_energies, visit_counts, telemetry
