@@ -127,8 +127,8 @@ def walk_phase(indptr, indices, degrees, alpha, current, log_f, uniforms, memo):
 
     Each step moves to a neighbor sampled with probability proportional to
     min(energy[v]/energy[u], 1), then multiplies the departed vertex's energy
-    by f. Consumes one uniform per step and returns the final current vertex
-    and the phase's arrivals per vertex, a dict in ascending vertex order.
+    by f. Consumes one uniform per step and returns the phase's arrivals per
+    vertex, a dict in ascending vertex order.
 
     The steps run on Python lists and floats. ``memo`` is a pair of dicts,
     the walk's only state, that it passes to all its phases: the neighbour
@@ -179,7 +179,7 @@ def walk_phase(indptr, indices, degrees, alpha, current, log_f, uniforms, memo):
         arrivals.append(chosen)
         current = chosen
     tally = Counter(arrivals)
-    return current, {v: tally[v] for v in sorted(tally)}
+    return {v: tally[v] for v in sorted(tally)}
 
 
 def _fetch_row(indptr, indices, degrees, alpha, u, rows, energies):

@@ -76,24 +76,49 @@ class DiffusionConfig:
 
 @dataclass(frozen=True, eq=False)
 class SparseMass:
-    """Sparse probability distribution over vertices; only positive entries stored."""
+    """Sparse distribution over vertices, seeded at ``seed``.
+
+    ``vertices`` is a 1-D integer array, nonnegative and strictly
+    increasing, and ``masses`` holds one finite, nonnegative mass per vertex;
+    the seed is among the vertices, with positive mass. The constructor
+    checks these rules, and that every mass over the seed's is a finite
+    float, so every function that takes a ``SparseMass`` can rely on them;
+    a ``ValueError`` that names ``mass`` refuses the rest. A mass may be
+    0.0: a long run without truncation can underflow an entry.
+    """
 
     vertices: np.ndarray
     masses: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        vertices, masses = self.vertices, self.masses
+        if not (isinstance(vertices, np.ndarray) and vertices.ndim == 1):
+            raise ValueError(f"mass vertices must be a 1-D array, got {vertices!r}")
+        if not (isinstance(masses, np.ndarray) and masses.shape == vertices.shape):
+            raise ValueError(f"mass must hold one mass per vertex, got {masses!r}")
+        # one mass per diffusion: a mask is counted by nonzero(), as in _kernels
+        if vertices.dtype.kind not in "iu" or (vertices[1:] <= vertices[:-1]).nonzero()[0].size:
+            raise ValueError("mass must list its vertices in strictly increasing order")
+        seed = check_integer("mass seed", self.seed)
+        k = vertices.searchsorted(seed)
+        if not (k < vertices.size and vertices[k] == seed and masses[k] > 0.0):
+            raise ValueError(f"mass must hold positive mass at its seed {seed}")
+        if vertices[0] < 0:
+            raise ValueError(f"mass vertices must be nonnegative, got {vertices[0]}")
+        # NaN passes neither comparison; Python's division overflows to inf, warning nothing
+        low, high = float(np.minimum.reduce(masses)), float(np.maximum.reduce(masses))
+        if not (low >= 0.0 and high < math.inf):
+            raise ValueError("mass must hold finite, nonnegative masses")
+        if high / float(masses[k]) == math.inf:
+            raise ValueError(f"mass must hold masses whose ratios to its seed {seed}'s are finite")
+
     @property
     def support_size(self) -> int:
         return int(self.vertices.size)
 
-    def mass_of(self, u: int) -> float:
-        k = self.vertices.searchsorted(u)
-        if k < self.vertices.size and self.vertices[k] == u:
-            return float(self.masses[k])
-        return 0.0
-
     def seed_mass(self) -> float:
-        return self.mass_of(self.seed)
+        return float(self.masses[self.vertices.searchsorted(self.seed)])
 
     def relative_masses(self, vertices: np.ndarray) -> np.ndarray:
         """Mass of each of ``vertices`` over the seed's, by one binary search."""
@@ -413,14 +438,12 @@ def sweep_cut(
 
 
 def extract_cluster(g: Graph, mass: SparseMass, telemetry: DiffusionTelemetry) -> ClusterReport:
-    """Sweep the support by mass/degree (descending, seed first on ties)."""
-    if mass.support_size == 0:
-        raise ValueError("cannot extract a cluster from an empty distribution")
-    # the seed's mass is found by binary search and divides every belongingness
-    if (mass.vertices[1:] > mass.vertices[:-1]).nonzero()[0].size < mass.support_size - 1:
-        raise ValueError("mass must list its vertices in strictly increasing order")
-    if not mass.seed_mass() > 0.0:
-        raise ValueError(f"mass must hold positive mass at its seed {mass.seed}")
+    """Sweep the support by mass/degree (descending, seed first on ties).
+
+    ``SparseMass`` checked its own rules when it was built; the support's
+    largest vertex must also be a vertex of ``g``.
+    """
+    g.check_vertex(mass.vertices[-1])
     scores = mass.masses / g.degrees[mass.vertices]
     not_seed = (mass.vertices != mass.seed).astype(np.int8)
     order = mass.vertices[np.lexsort((mass.vertices, not_seed, -scores))]

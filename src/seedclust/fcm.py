@@ -48,7 +48,16 @@ def diffuse_centers(
     g: Graph, centers, cfg: DiffusionConfig = DiffusionConfig()
 ) -> list[SparseMass]:
     """One converged diffusion per center, in the given order."""
-    return [run_diffusion(g, g.check_vertex(c), cfg)[0] for c in centers]
+    return [run_diffusion(g, c, cfg)[0] for c in centers]
+
+
+def _check_center_set(centers: list[int]) -> None:
+    """Raise ``ValueError`` naming ``centers`` unless they are at least 2 distinct vertices."""
+    if len(centers) < 2 or len(set(centers)) < len(centers):
+        raise ValueError(
+            f"centers must be at least 2 distinct vertices; got {len(centers)}, "
+            f"{len(set(centers))} distinct"
+        )
 
 
 def build_embedding(g: Graph, masses: Sequence[SparseMass]) -> EmbeddingMatrix:
@@ -57,37 +66,26 @@ def build_embedding(g: Graph, masses: Sequence[SparseMass]) -> EmbeddingMatrix:
     ``masses`` are converged diffusions, one per center, each seeded at its
     center; the embedding needs at least two of them, with distinct seeds.
     """
-    centers = [g.check_vertex(mass.seed) for mass in masses]
-    if len(centers) < 2:
-        raise ValueError("need at least 2 centers for an embedding")
-    if len(set(centers)) != len(centers):
-        raise ValueError("centers must be distinct")
+    for mass in masses:
+        g.check_vertex(mass.vertices[-1])  # the largest, so the whole support
+    centers = [int(mass.seed) for mass in masses]
+    _check_center_set(centers)
     matrix = np.stack([mass.to_dense(g.vertex_count) for mass in masses], axis=1)
     return EmbeddingMatrix(matrix=matrix, centers=tuple(centers))
 
 
 def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
-    n, k = d2.shape
-    u = np.zeros((n, k), dtype=np.float64)
-    zero = d2 <= 0.0
-    zero_rows = zero.any(axis=1)
-    # a row at distance 0 from a center is one-hot at its first such center
-    u[zero_rows, np.argmax(zero[zero_rows], axis=1)] = 1.0
-    rest = ~zero_rows
-    if rest.any():
-        d = d2[rest]
-        power = -1.0 / (m - 1.0)
-        with np.errstate(over="ignore"):
-            w = d**power
-        total = w.sum(axis=1, keepdims=True)
-        # just above m = 1 the powers leave the float range; relative to the
-        # row's nearest center they lie in [0, 1], and the nearest one is 1
-        lost = ~(total[:, 0] < math.inf) | (total[:, 0] == 0.0)
-        if lost.any():
-            far = d[lost]
-            w[lost] = (far / far.min(axis=1, keepdims=True)) ** power
-            total[lost] = w[lost].sum(axis=1, keepdims=True)
-        u[rest] = w / total
+    """Bezdek's update relative to each row's nearest center: u_ij is proportional
+    to (min_l d2_il / d2_ij) ** (1 / (m - 1)), whose base lies in (0, 1], so it
+    stays in the float range for every m > 1. A row at distance 0 from a center
+    is one-hot at its first such center."""
+    u = np.zeros(d2.shape, dtype=np.float64)
+    nearest = d2.min(axis=1)
+    hit = nearest <= 0.0
+    u[hit, (d2[hit] <= 0.0).argmax(axis=1)] = 1.0
+    rest = ~hit
+    w = (nearest[rest, None] / d2[rest]) ** (1.0 / (m - 1.0))
+    u[rest] = w / w.sum(axis=1, keepdims=True)
     return u
 
 

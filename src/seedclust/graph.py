@@ -93,9 +93,10 @@ class Graph:
         return self.labels[u]
 
     def check_vertex(self, u: int) -> int:
-        """``u`` as a Python int, if it is an integer (numpy's included) in range."""
+        """``u`` as a Python int, if it is an integer (``_as_int``) in range;
+        the only code that turns an argument into a vertex."""
         try:
-            v = operator.index(u)
+            v = _as_int(u)
         except TypeError:
             raise TypeError(f"vertex index {u!r} is not an integer") from None
         if not 0 <= v < self.vertex_count:
@@ -103,11 +104,19 @@ class Graph:
         return v
 
 
+def _as_int(value) -> int:
+    """``value`` as a Python int, if it is an integer, numpy's included; a
+    ``bool`` is a flag, not a number, so it raises ``TypeError`` as a float does."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    return operator.index(value)
+
+
 def check_integer(name: str, value) -> int:
-    """``value`` as a Python int, if it is an integer (numpy's included);
-    raises ``ValueError`` naming ``name`` otherwise."""
+    """``value`` as a Python int, if it is an integer (``_as_int``); raises
+    ``ValueError`` naming ``name`` otherwise."""
     try:
-        return operator.index(value)
+        return _as_int(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 

@@ -3,9 +3,7 @@ and the overlap pipeline."""
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +12,7 @@ from .diffusion import DiffusionConfig, SparseMass, extract_cluster, run_diffusi
 from .fcm import (
     MembershipMatrix,
     OverlapReport,
+    _check_center_set,
     build_embedding,
     check_fit,
     check_threshold,
@@ -21,7 +20,7 @@ from .fcm import (
     fcm_fit,
     overlap_report,
 )
-from .graph import Graph
+from .graph import Graph, check_integer
 from .metrics import Partition, modularity
 
 OVERLAP_EMBED_ALPHA = 0.04
@@ -142,33 +141,21 @@ def auto_centers(g: Graph, count: int, cfg: DiffusionConfig) -> list[SparseMass]
 
 def _check_centers(g: Graph, centers) -> int | list[int]:
     """``centers`` as a count of auto centers from 2 to n, or as a list of at
-    least 2 distinct vertices in range; raises ``ValueError`` naming
-    ``centers`` otherwise."""
+    least 2 distinct vertices (``Graph.check_vertex``); raises ``ValueError``
+    naming ``centers`` otherwise."""
     n = g.vertex_count
-    if isinstance(centers, Integral):
-        if not 2 <= centers <= n:
-            raise ValueError(
-                f"centers count must be from 2 to {n}, the vertex count; got {centers}"
-            )
-        return int(centers)
     try:
-        listed = iter(centers)
+        listed = list(centers)
     except TypeError:
-        raise ValueError(f"centers must be a count or vertices, got {centers!r}") from None
-    vertices = []
-    for u in listed:
-        try:
-            u = operator.index(u)
-        except TypeError:
-            raise ValueError(f"centers vertex {u!r} is not an integer") from None
-        if not 0 <= u < n:
-            raise ValueError(f"centers vertex {u} is out of range [0, {n})")
-        vertices.append(u)
-    if len(vertices) < 2 or len(set(vertices)) < len(vertices):
-        raise ValueError(
-            f"centers must be at least 2 distinct vertices; got {len(vertices)} vertices, "
-            f"{len(set(vertices))} distinct"
-        )
+        count = check_integer("centers count", centers)
+        if not 2 <= count <= n:
+            raise ValueError(f"centers count must be from 2 to {n}, the vertex count; got {count}")
+        return count
+    try:
+        vertices = [g.check_vertex(u) for u in listed]
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"centers: {exc}") from None
+    _check_center_set(vertices)
     return vertices
 
 

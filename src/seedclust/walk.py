@@ -75,6 +75,9 @@ class WalkConfig:
                 raise ValueError(f"every f must be finite and >= 1, got {f}")
             if steps < 0:
                 raise ValueError("phase step counts must be nonnegative")
+            # numpy refuses more float64 uniforms than this, naming no argument
+            if steps > sys.maxsize // 8:
+                raise ValueError(f"phase step counts must be at most {sys.maxsize // 8}")
 
     def phases(self) -> tuple[tuple[float, int], ...]:
         if self.f_schedule is not None:
@@ -84,7 +87,7 @@ class WalkConfig:
         return default_schedule(self.expected_size)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EnergyTable:
     """Walk state: log energies and visit counts aligned with ``visited``, and the seed.
 
@@ -92,12 +95,38 @@ class EnergyTable:
     ascending order; ``run_walk`` builds it from ``PhaseStats.visits``, and no
     program code reads ``visit_counts``. The sweep orders ``visited`` by
     energy and index, so nothing reads its order.
+
+    The constructor checks the table's rules, and a ``ValueError`` that names
+    ``state`` refuses the rest: ``visited`` is a 1-D array of distinct
+    nonnegative integers that holds the seed, and the other two arrays are
+    aligned with it, the log energies finite.
     """
 
     log_energies: np.ndarray
     visit_counts: np.ndarray
     seed: int
     visited: np.ndarray
+
+    def __post_init__(self):
+        visited = self.visited
+        if not (isinstance(visited, np.ndarray) and visited.ndim == 1):
+            raise ValueError(f"state visited must be a 1-D array, got {visited!r}")
+        for name in ("log_energies", "visit_counts"):
+            array = getattr(self, name)
+            if not (isinstance(array, np.ndarray) and array.shape == visited.shape):
+                raise ValueError(f"state {name} must be aligned with visited, got {array!r}")
+        ordered = np.sort(visited)
+        if (
+            visited.dtype.kind not in "iu"
+            or (ordered[:1] < 0).any()
+            or (ordered[1:] == ordered[:-1]).any()
+        ):
+            raise ValueError("state visited must list distinct nonnegative integers")
+        if not np.isfinite(self.log_energies).all():
+            raise ValueError("state log_energies must be finite")
+        seed = check_integer("state seed", self.seed)
+        if not (visited == seed).any():
+            raise ValueError(f"state visited must hold its seed {seed}")
 
 
 @dataclass
@@ -136,33 +165,36 @@ def run_walk(
     A phase's visits are counted once, by the kernel from the arrivals it
     walked. One memo of departed vertices' rows and seen vertices' energies
     (see ``_kernels.walk_phase``) serves every phase; after the last phase
-    the state's arrays are filled from it and from the visits, so no phase
-    reads or writes an n-length array.
+    the table is built once, from it and from the visits, so no phase reads
+    or writes an n-length array.
     """
-    state = init_energies(g, seed, cfg)
+    start = init_energies(g, seed, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
-    memo = ({}, dict(zip(state.visited.tolist(), state.log_energies.tolist())))
+    memo = ({}, dict(zip(start.visited.tolist(), start.log_energies.tolist())))
     # insertion-ordered: a vertex keeps the place of its first visit
-    counts = Counter(state.visited.tolist())
+    counts = Counter(start.visited.tolist())
 
     for f, steps in cfg.phases():
         # a phase of 0 steps draws no uniforms and walks nothing
-        _, visits = _kernels.walk_phase(
+        visits = _kernels.walk_phase(
             g.indptr,
             g.indices,
             g.degrees,
             cfg.alpha,
-            state.seed,
+            start.seed,
             math.log(f),
             rng.random(steps),
             memo,
         )
         counts.update(visits)
         telemetry.phases.append(PhaseStats(f=float(f), steps=int(steps), visits=visits))
-    state.visited = np.fromiter(counts, np.int64, len(counts))
-    state.log_energies = np.array([memo[1][v] for v in counts])
-    state.visit_counts = np.fromiter(counts.values(), np.int64, len(counts))
+    state = EnergyTable(
+        log_energies=np.array([memo[1][v] for v in counts]),
+        visit_counts=np.fromiter(counts.values(), np.int64, len(counts)),
+        seed=start.seed,
+        visited=np.fromiter(counts, np.int64, len(counts)),
+    )
     return state, telemetry
 
 
@@ -176,9 +208,11 @@ def extract_cluster_from_energy(
     cluster, so the sweep costs the visited set's volume, not the component's.
     The report's ``iterations_used`` is the number of steps walked. A walk of
     no steps visited the seed alone, whose conductance is 1; its report is
-    flagged unconverged and degenerate.
+    flagged unconverged and degenerate. ``EnergyTable`` checked its own
+    rules when it was built; its largest vertex must also be a vertex of ``g``.
     """
     visited = state.visited
+    g.check_vertex(visited.max())
     order = visited[np.lexsort((visited, -state.log_energies))]
     members, phi, fallback = sweep_cut(g, order, state.seed)
     logs = dict(zip(visited.tolist(), state.log_energies.tolist()))

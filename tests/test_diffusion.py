@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seedclust import DiffusionConfig, SparseMass, diffusion, extract_cluster, run_diffusion
+from seedclust import (
+    DiffusionConfig,
+    SparseMass,
+    diffusion,
+    extract_cluster,
+    from_edges,
+    run_diffusion,
+)
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
 from seedclust.diffusion import DENSE_MAX, SOLVE_TOLERANCE, DiffusionTelemetry, sweep_cut
 
@@ -38,8 +45,8 @@ def test_star_step_against_dense_oracle(star4):
     out = diffuse_step(star4, mass)
     expect = dense_transition_matrix(star4) @ mass.to_dense(4)
     assert np.allclose(out.to_dense(4), expect, atol=1e-15)
-    assert out.mass_of(0) == 0.5
-    assert abs(out.mass_of(1) - 1 / 6) < 1e-15
+    assert as_dict(out)[0] == 0.5
+    assert abs(as_dict(out)[1] - 1 / 6) < 1e-15
 
 
 def test_star_stationary_point(star4):
@@ -87,9 +94,9 @@ def test_truncate_seed_only():
 
 
 def test_truncate_requires_seed_mass():
-    mass = sparse_from_dict({1: 1.0}, seed=0)
-    with pytest.raises(ValueError):
-        truncate(mass, 1e-3)
+    # a seedless distribution is refused when it is built
+    with pytest.raises(ValueError, match="^mass must hold positive mass at its seed 0$"):
+        truncate(sparse_from_dict({1: 1.0}, seed=0), 1e-3)
     # the program's in-place truncation: seed at position 0
     with pytest.raises(ValueError, match="seed has zero mass"):
         diffusion.truncate(np.array([0.0, 1.0]), np.zeros(2), np.array([True, False]), 0, 1e-3)
@@ -108,7 +115,7 @@ def test_truncate_conserves_and_floors(masses, alpha):
     assert abs(total_mass(out) - 1.0) < 1e-12
     # the threshold is computed once from the pre-truncation seed mass
     non_seed = out.masses[out.vertices != 0]
-    assert (non_seed >= alpha * mass.mass_of(0)).all()
+    assert (non_seed >= alpha * mass.seed_mass()).all()
 
 
 # --- run_diffusion ----------------------------------------------------------
@@ -354,6 +361,17 @@ def test_bad_seeds_rejected():
         )
 
 
+def test_run_diffusion_refuses_a_bool_seed(karate):
+    # operator.index(True) is 1: a bool seeded vertex 1
+    with pytest.raises(TypeError, match="^vertex index True is not an integer$"):
+        run_diffusion(karate, True)
+
+
+def test_config_refuses_a_bool_max_iterations():
+    with pytest.raises(ValueError, match="^max_iterations must be an integer, got True$"):
+        DiffusionConfig(max_iterations=True)
+
+
 # --- run_diffusion against the oracle loop -----------------------------------
 
 def assert_same_run(g, seed, cfg):
@@ -452,7 +470,7 @@ def test_solved_result_is_a_verified_fixed_point():
             assert abs(total_mass(mass) - 1.0) < 1e-12
             assert np.abs(mass.masses - fixed_point(g, mass.vertices, seed)).sum() <= 1e-12
             stepped = diffuse_step(g, mass)
-            threshold = alpha * stepped.mass_of(seed)
+            threshold = alpha * stepped.seed_mass()
             kept = np.isin(stepped.vertices, mass.vertices)
             assert (stepped.masses[kept & (stepped.vertices != seed)] >= threshold).all()
             assert (stepped.masses[~kept] < threshold).all()
@@ -483,23 +501,59 @@ def test_extract_singleton_mass(two_k5):
 
 
 def test_extract_rejects_an_empty_distribution(two_k5):
-    empty = SparseMass(np.array([], dtype=np.int64), np.array([]), seed=0)
-    with pytest.raises(ValueError, match="empty distribution"):
+    # an empty distribution holds no seed; SparseMass refuses it when it is built
+    with pytest.raises(ValueError, match="^mass must hold positive mass at its seed 0$"):
+        empty = SparseMass(np.array([], dtype=np.int64), np.array([]), seed=0)
         extract_cluster(two_k5, empty, DiffusionTelemetry())
 
 
 def test_extract_rejects_a_distribution_without_its_seed(karate):
     # the belongingness divides by the seed's mass, which is 0 here
-    seedless = SparseMass(np.array([1, 2]), np.array([0.5, 0.5]), seed=0)
     with pytest.raises(ValueError, match="^mass must hold positive mass at its seed 0$"):
+        seedless = SparseMass(np.array([1, 2]), np.array([0.5, 0.5]), seed=0)
         extract_cluster(karate, seedless, DiffusionTelemetry())
 
 
 def test_extract_rejects_unsorted_vertices(karate):
     # the seed's binary search misses in an unsorted list
-    unsorted = SparseMass(np.array([2, 1]), np.array([0.5, 0.5]), seed=1)
     with pytest.raises(ValueError, match="^mass must list its vertices in strictly increasing"):
+        unsorted = SparseMass(np.array([2, 1]), np.array([0.5, 0.5]), seed=1)
         extract_cluster(karate, unsorted, DiffusionTelemetry())
+
+
+def test_sparse_mass_refuses_masses_misaligned_with_its_vertices(karate):
+    # extract_cluster failed later, with a numpy broadcast error naming nothing
+    with pytest.raises(ValueError, match="^mass must hold one mass per vertex"):
+        mass = SparseMass(np.array([0, 1, 2]), np.array([0.5, 0.5]), seed=0)
+        extract_cluster(karate, mass, DiffusionTelemetry())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_extract_refuses_a_non_finite_or_negative_mass(karate, bad):
+    """Seed 0's diffusion on karate with one entry spoiled. A NaN at vertex 3
+    dropped 3 from the cluster and added 8 and 17, and a negative mass
+    dropped its vertex, with no error."""
+    mass, telemetry = run_diffusion(karate, 0, DiffusionConfig(alpha=1e-3))
+    masses = mass.masses.copy()
+    masses[mass.vertices.searchsorted(3)] = bad
+    with pytest.raises(ValueError, match="^mass must hold finite, nonnegative masses$"):
+        spoiled = SparseMass(mass.vertices, masses, mass.seed)
+        extract_cluster(karate, spoiled, telemetry)
+
+
+def test_sparse_mass_keeps_an_entry_that_underflowed_to_zero():
+    # without truncation the front of a long path underflows to 0.0 and stays
+    g = from_edges([(i, i + 1) for i in range(700)])
+    mass, telemetry = run_diffusion(g, 0, steps(0.0, 600))
+    assert 0.0 in mass.masses.tolist()
+    assert mass.seed_mass() > 0.0
+    assert extract_cluster(g, mass, telemetry).members[0] == 0
+
+
+def test_extract_refuses_a_mass_beyond_the_graph(karate):
+    mass = SparseMass(np.array([0, 34]), np.array([0.5, 0.5]), seed=0)
+    with pytest.raises(IndexError, match=r"^vertex index 34 out of range \[0, 34\)$"):
+        extract_cluster(karate, mass, DiffusionTelemetry())
 
 
 def test_sweep_cut_falls_back_to_the_seed_without_an_eligible_prefix(karate):
@@ -523,7 +577,8 @@ def test_extract_belongingness_normalized(two_k5):
 def test_relative_masses_match_per_vertex_lookup(two_triangles):
     mass, _ = run_diffusion(two_triangles, 0, DiffusionConfig(alpha=1e-2))
     every = np.arange(two_triangles.vertex_count)
-    want = [mass.mass_of(int(u)) / mass.seed_mass() for u in every]
+    entries = as_dict(mass)
+    want = [entries.get(u, 0.0) / mass.seed_mass() for u in every.tolist()]
     assert mass.relative_masses(every).tolist() == want
     assert 0.0 in want  # vertices off the support read 0
 

@@ -131,40 +131,42 @@ def test_fit_equidistant_point_splits(monkeypatch):
     assert msm.memberships[2] == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
+def relative_memberships(d2, m):
+    """Bezdek's update row by row, relative to the row's nearest center: one-hot
+    at the first zero distance, else (min d2 / d2) ** (1 / (m - 1)) normalised."""
+    u = np.zeros(d2.shape)
+    for row, out in zip(d2, u):
+        if (row <= 0.0).any():
+            out[np.flatnonzero(row <= 0.0)[0]] = 1.0
+        else:
+            w = (row.min() / row) ** (1.0 / (m - 1.0))
+            out[:] = w / w.sum()
+    return u
+
+
 def test_memberships_match_the_per_row_loop():
     """Rows with a zero distance are one-hot at their first zero; the rest
-    follow the fuzzy update, as in a loop over the rows."""
+    follow the fuzzy update, bit for bit as in a loop over the rows."""
     rng = np.random.default_rng(0)
     d2 = rng.integers(0, 3, size=(200, 4)) * rng.random((200, 4))
     for m in (1.5, 2.0, 3.0):
         u = _memberships_from_distances(d2, m)
-        for row, got in zip(d2, u):
-            want = np.zeros(4)
-            if (row <= 0.0).any():
-                want[np.flatnonzero(row <= 0.0)[0]] = 1.0
-            else:
-                w = row ** (-1.0 / (m - 1.0))
-                want = w / w.sum()
-            assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == relative_memberships(d2, m).tobytes()
+        assert np.allclose(u.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1.001, 1.0 + 1e-9, float(np.nextafter(1.0, 2.0))])
 def test_memberships_stay_finite_just_above_m_1(m):
-    """Where d2 ** (-1 / (m - 1)) leaves the float range, a row is taken
-    relative to its nearest center: finite, stochastic, largest at that
-    center. Rows whose powers stay finite keep the plain formula's bits."""
+    """Where d2 ** (-1 / (m - 1)) would leave the float range, the update
+    relative to the nearest center stays finite and stochastic, largest at
+    that center, and bit for bit the per-row loop's."""
     rng = np.random.default_rng(1)
     d2 = rng.random((200, 4)) * rng.choice([1e-3, 1.0, 1e3], size=(200, 1))
     u = _memberships_from_distances(d2, m)
     assert np.isfinite(u).all()
     assert np.allclose(u.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     assert (u.argmax(axis=1) == d2.argmin(axis=1)).all()
-    with np.errstate(over="ignore"):
-        w = d2 ** (-1.0 / (m - 1.0))
-    total = w.sum(axis=1)
-    plain = (total > 0.0) & (total < np.inf)
-    assert u[plain].tobytes() == (w[plain] / total[plain, None]).tobytes()
-    assert not plain.all()
+    assert u.tobytes() == relative_memberships(d2, m).tobytes()
     msm = fcm_fit(blob_data(), k=2, m=m)
     assert np.isfinite(msm.memberships).all() and np.isfinite(msm.objective)
 

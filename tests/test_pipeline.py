@@ -333,3 +333,9 @@ def test_overlap_rejects_numbers_before_any_work(karate, monkeypatch, kwargs, na
         monkeypatch.setattr(module, "run_diffusion", refuse)
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         overlap_clusters(karate, **kwargs)
+
+
+def test_overlap_refuses_a_bool_center(karate):
+    # operator.index(True) is 1: centers=[True, 0] gave centers (1, 0)
+    with pytest.raises(ValueError, match="^centers: vertex index True is not an integer$"):
+        overlap_clusters(karate, centers=[True, 0])

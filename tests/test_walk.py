@@ -13,6 +13,7 @@ import seedclust._kernels as kernels
 import seedclust.graph
 import seedclust.walk
 from seedclust import (
+    EnergyTable,
     WalkConfig,
     extract_cluster_from_energy,
     from_edges,
@@ -57,9 +58,9 @@ def start_memo(state):
 
 def step(g, memo, current, log_f, uniforms, alpha=1.0):
     """Run ``walk_phase`` from ``current`` on ``memo``; check it against the
-    reference loop: the same moves, and the same energy, bit for bit, at
-    every vertex the memo holds. Returns the vertex it ends on and its
-    visits."""
+    reference loop: the same visits, and the same energy, bit for bit, at
+    every vertex the memo holds. Returns the vertex the reference loop ends
+    on and the visits."""
     args = (
         g.indptr,
         g.indices,
@@ -71,12 +72,11 @@ def step(g, memo, current, log_f, uniforms, alpha=1.0):
         memo,
     )
     path, log_e, visits = oracle_phase(*args)
-    end, phase_visits = kernels.walk_phase(*args)
+    phase_visits = kernels.walk_phase(*args)
     assert_moves_to_neighbours(g, current, path)
-    assert path[-1] == end
     assert phase_visits == {int(v): int(visits[v]) for v in np.flatnonzero(visits)}
     assert all(e == log_e[v] for v, e in memo[1].items())
-    return end, phase_visits
+    return path[-1], phase_visits
 
 
 def test_init_energy_values(deg4_graph):
@@ -293,6 +293,59 @@ def test_config_validation():
         WalkConfig(alpha=5e-324, beta=1.0)
 
 
+def test_run_walk_refuses_a_bool_seed(karate):
+    # operator.index(True) is 1: a bool seeded vertex 1
+    with pytest.raises(TypeError, match="^vertex index True is not an integer$"):
+        run_walk(karate, True)
+
+
+def test_walk_config_refuses_a_bool_rng_seed():
+    with pytest.raises(ValueError, match="^rng_seed must be an integer, got True$"):
+        WalkConfig(rng_seed=True)
+
+
+def karate_table(karate, **changes):
+    """The table of a karate walk from vertex 0, with ``changes`` to its fields."""
+    state, _ = run_walk(karate, 0, WalkConfig(rng_seed=7, expected_size=8))
+    fields = dict(
+        log_energies=state.log_energies,
+        visit_counts=state.visit_counts,
+        seed=state.seed,
+        visited=state.visited,
+    )
+    return EnergyTable(**{**fields, **changes})
+
+
+def test_energy_table_refuses_non_finite_log_energies(karate):
+    # NaN log energies gave NaN belongingness
+    logs = karate_table(karate).log_energies.copy()
+    logs[1] = np.nan
+    with pytest.raises(ValueError, match="^state log_energies must be finite$"):
+        karate_table(karate, log_energies=logs)
+
+
+def test_energy_table_refuses_a_table_without_its_seed(karate):
+    """Dropping the seed from the table gave an 18-member cluster without the
+    seed, not flagged degenerate."""
+    state = karate_table(karate)
+    rest = state.visited != 0
+    with pytest.raises(ValueError, match="^state visited must hold its seed 0$"):
+        karate_table(
+            karate,
+            log_energies=state.log_energies[rest],
+            visit_counts=state.visit_counts[rest],
+            visited=state.visited[rest],
+        )
+
+
+def test_energy_table_refuses_arrays_misaligned_with_visited(karate):
+    logs = karate_table(karate).log_energies
+    with pytest.raises(ValueError, match="^state log_energies must be aligned with visited"):
+        karate_table(karate, log_energies=logs[:-1])
+    with pytest.raises(ValueError, match="^state visited must be a 1-D array"):
+        karate_table(karate, visited=karate_table(karate).visited[:, None])
+
+
 @pytest.mark.parametrize(
     "field, kwargs",
     [
@@ -367,11 +420,11 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
     underflow to 0, so the running sum ties) preloaded into the memo, and a
     memo holding only the seed, whose other energies the kernel gives their
     background; f = 1.3 and f = 1, uniforms at the top of [0, 1] and a
-    degree-60 hub: the same energies, visits and final vertex as the
-    reference loop, whose every move goes to a neighbour. One memo carried
-    over two phases gives what the reference loop gives over both, holds the
-    rows of the departed vertices only and, started from the seed alone, the
-    energies of the departed vertices and of their neighbours only. Single
+    degree-60 hub: the same energies and visits as the reference loop, whose
+    every move goes to a neighbour. One memo carried over two phases gives
+    what the reference loop gives over both, holds the rows of the departed
+    vertices only and, started from the seed alone, the energies of the
+    departed vertices and of their neighbours only. Single
     steps with uniforms at and one ulp either side of each running-sum
     boundary, where a weight one bit off moves the draw, pin the step's two
     cases: neighbours all strictly below the walker, and one exactly at its
@@ -394,13 +447,10 @@ def test_walk_phase_matches_oracle_step_bit_for_bit():
             uniforms[rng.choice(uniforms.size, 20)] = rng.choice(top, 20)
             path = []
             before = want_v.copy()
-            cur, visits = kernels.walk_phase(
+            visits = kernels.walk_phase(
                 g.indptr, g.indices, g.degrees, alpha, 0, log_f, uniforms, memo
             )
-            want = walk_oracle.walk_phase(
-                g.indptr, g.indices, want_e, want_v, 0, log_f, uniforms, path
-            )
-            assert cur == want == path[-1]
+            walk_oracle.walk_phase(g.indptr, g.indices, want_e, want_v, 0, log_f, uniforms, path)
             got_e = want_e.copy()
             got_e[np.fromiter(energies, np.int64, len(energies))] = list(energies.values())
             assert got_e.tobytes() == want_e.tobytes()
@@ -483,9 +533,9 @@ def test_walk_sweep_stays_local(monkeypatch):
     walk_phase = kernels.walk_phase
 
     def recording_phase(*args):
-        path, _, _ = oracle_phase(*args)
+        path, _, visits = oracle_phase(*args)
         result = walk_phase(*args)
-        assert result[0] == path[-1]
+        assert result == {int(v): int(visits[v]) for v in np.flatnonzero(visits)}
         memos.append(args[7])
         departed.update([args[4], *path[:-1]])
         return result
