@@ -3,8 +3,9 @@
 The evolving distribution starts as a point mass on the seed. Each iteration
 applies one lazy-walk step, then zeroes every entry below ``alpha`` times the
 seed's mass and returns the removed mass to the seed. The converged
-distribution is turned into a cluster by sweeping prefixes of the
-degree-normalized ordering and keeping the minimum-conductance prefix.
+distribution is turned into a cluster by ``sweep_cut``, the walk's sweep
+too: it ranks the support by mass/degree and keeps the minimum-conductance
+prefix that holds the seed.
 
 A run keeps its state on the vertices a push plan's domain reaches in one
 step: the mass over them, zero off the support, and a mask of the support.
@@ -74,17 +75,38 @@ class DiffusionConfig:
             raise ValueError("convergence_epsilon must be finite and nonnegative")
 
 
+def check_vertices(owner: str, field: str, vertices, seed, **aligned) -> int:
+    """The seed's position in ``vertices``, the ``field`` of a ``SparseMass``
+    or ``EnergyTable``: a 1-D integer array, strictly increasing and
+    nonnegative, that holds the integer ``seed``, and each ``aligned`` array
+    of its shape. A ``ValueError`` that names ``owner`` refuses the rest."""
+    if not (isinstance(vertices, np.ndarray) and vertices.ndim == 1):
+        raise ValueError(f"{owner} {field} must be a 1-D array of integers, got {vertices!r}")
+    for name, array in aligned.items():
+        if not (isinstance(array, np.ndarray) and array.shape == vertices.shape):
+            raise ValueError(f"{owner} {name} must be aligned with {field}, got {array!r}")
+    # checked once per query: a mask is counted by nonzero(), as in _kernels
+    if vertices.dtype.kind not in "iu" or (vertices[1:] <= vertices[:-1]).nonzero()[0].size:
+        raise ValueError(f"{owner} {field} must be strictly increasing integers")
+    seed = check_integer(f"{owner} seed", seed)
+    k = int(vertices.searchsorted(seed))
+    if not (k < vertices.size and vertices[k] == seed):
+        raise ValueError(f"{owner} {field} must hold its seed {seed}")
+    if vertices[0] < 0:
+        raise ValueError(f"{owner} {field} must be nonnegative, got {vertices[0]}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class SparseMass:
     """Sparse distribution over vertices, seeded at ``seed``.
 
-    ``vertices`` is a 1-D integer array, nonnegative and strictly
-    increasing, and ``masses`` holds one finite, nonnegative mass per vertex;
-    the seed is among the vertices, with positive mass. The constructor
-    checks these rules, and that every mass over the seed's is a finite
-    float, so every function that takes a ``SparseMass`` can rely on them;
-    a ``ValueError`` that names ``mass`` refuses the rest. A mass may be
-    0.0: a long run without truncation can underflow an entry.
+    ``vertices`` follows ``check_vertices`` and ``masses`` holds one finite,
+    nonnegative mass per vertex, positive at the seed and with every ratio
+    to the seed's a finite float. The constructor checks these rules, so
+    every function that takes a ``SparseMass`` can rely on them; a
+    ``ValueError`` that names ``mass`` refuses the rest. A mass may be 0.0:
+    a long run without truncation can underflow an entry.
     """
 
     vertices: np.ndarray
@@ -92,26 +114,16 @@ class SparseMass:
     seed: int
 
     def __post_init__(self):
-        vertices, masses = self.vertices, self.masses
-        if not (isinstance(vertices, np.ndarray) and vertices.ndim == 1):
-            raise ValueError(f"mass vertices must be a 1-D array, got {vertices!r}")
-        if not (isinstance(masses, np.ndarray) and masses.shape == vertices.shape):
-            raise ValueError(f"mass must hold one mass per vertex, got {masses!r}")
-        # one mass per diffusion: a mask is counted by nonzero(), as in _kernels
-        if vertices.dtype.kind not in "iu" or (vertices[1:] <= vertices[:-1]).nonzero()[0].size:
-            raise ValueError("mass must list its vertices in strictly increasing order")
-        seed = check_integer("mass seed", self.seed)
-        k = vertices.searchsorted(seed)
-        if not (k < vertices.size and vertices[k] == seed and masses[k] > 0.0):
-            raise ValueError(f"mass must hold positive mass at its seed {seed}")
-        if vertices[0] < 0:
-            raise ValueError(f"mass vertices must be nonnegative, got {vertices[0]}")
+        masses = self.masses
+        k = check_vertices("mass", "vertices", self.vertices, self.seed, masses=masses)
+        if not masses[k] > 0.0:
+            raise ValueError(f"mass must hold positive mass at its seed {self.seed}")
         # NaN passes neither comparison; Python's division overflows to inf, warning nothing
         low, high = float(np.minimum.reduce(masses)), float(np.maximum.reduce(masses))
         if not (low >= 0.0 and high < math.inf):
             raise ValueError("mass must hold finite, nonnegative masses")
         if high / float(masses[k]) == math.inf:
-            raise ValueError(f"mass must hold masses whose ratios to its seed {seed}'s are finite")
+            raise ValueError(f"mass must hold finite ratios to its seed {self.seed}'s mass")
 
     @property
     def support_size(self) -> int:
@@ -119,12 +131,6 @@ class SparseMass:
 
     def seed_mass(self) -> float:
         return float(self.masses[self.vertices.searchsorted(self.seed)])
-
-    def relative_masses(self, vertices: np.ndarray) -> np.ndarray:
-        """Mass of each of ``vertices`` over the seed's, by one binary search."""
-        k = self.vertices.searchsorted(vertices)
-        found = self.vertices.take(k, mode="clip") == vertices
-        return np.where(found, self.masses.take(k, mode="clip"), 0.0) / self.seed_mass()
 
     def to_dense(self, n: int) -> np.ndarray:
         out = np.zeros(n, dtype=np.float64)
@@ -409,51 +415,54 @@ def run_diffusion(
 
 
 def sweep_cut(
-    g: Graph, order: np.ndarray, seed: int
+    g: Graph, vertices: np.ndarray, scores: np.ndarray, seed: int
 ) -> tuple[np.ndarray, float, bool]:
-    """Minimum-conductance prefix of ``order`` that contains the seed.
+    """Minimum-conductance prefix, holding the seed, of ``vertices`` ranked by ``scores``.
 
-    Prefixes equal to the whole vertex set are skipped: their conductance is
-    undefined. Every vertex has an edge, so every other prefix has a positive
-    small side; the whole set's is 0, and it is divided by 1 instead so that
-    the ineligible prefix never evaluates 0/0. Returns (members, conductance,
-    degenerate); degenerate marks the no-eligible-prefix fallback to a
-    singleton.
+    The one sweep of both local methods. ``vertices`` (of ``g``, strictly
+    increasing, the seed among them) are ranked by their aligned ``scores``,
+    highest first, the seed first among equal scores, then the lower vertex.
+    The whole vertex set is never a prefix: its conductance is undefined,
+    and its small side, 0, is divided by 1 so that it never evaluates 0/0.
+    Returns (picked, conductance, degenerate): ``picked`` are the members'
+    positions in ``vertices``, ascending; degenerate marks the fallback to
+    the seed alone when no prefix is eligible.
     """
-    cuts, vols = _kernels.sweep_cutvol(g.indptr, g.indices, g.degrees, order)
+    seed_at = int(vertices.searchsorted(seed))
+    # lexsort is stable: equal keys keep the increasing vertex order
+    ranked = np.lexsort((vertices != seed, -scores))
+    cuts, vols = _kernels.sweep_cutvol(g.indptr, g.indices, g.degrees, vertices[ranked])
     twice_m = g.total_degree
-    seed_pos = int((order == seed).argmax())
+    seed_pos = int((ranked == seed_at).argmax())
 
-    sizes = np.arange(1, order.size + 1)
+    sizes = np.arange(1, vertices.size + 1)
     eligible = (sizes > seed_pos) & (sizes < g.vertex_count)
     if not eligible.nonzero()[0].size:
-        return np.array([seed], dtype=np.int64), 1.0, True
+        return np.array([seed_at]), 1.0, True
 
     small_side = np.minimum(vols, twice_m - vols)
     phis = np.where(eligible, cuts / np.maximum(small_side, 1), np.inf)
     best = int(phis.argmin())
-    members = order[: best + 1].copy()
-    members.sort()
-    return members, float(phis[best]), False
+    picked = ranked[: best + 1]
+    picked.sort()
+    return picked, float(phis[best]), False
 
 
 def extract_cluster(g: Graph, mass: SparseMass, telemetry: DiffusionTelemetry) -> ClusterReport:
-    """Sweep the support by mass/degree (descending, seed first on ties).
+    """Sweep the support by mass/degree (``sweep_cut``); a member's
+    belongingness is its mass over the seed's.
 
     ``SparseMass`` checked its own rules when it was built; the support's
     largest vertex must also be a vertex of ``g``.
     """
-    g.check_vertex(mass.vertices[-1])
-    scores = mass.masses / g.degrees[mass.vertices]
-    not_seed = (mass.vertices != mass.seed).astype(np.int8)
-    order = mass.vertices[np.lexsort((mass.vertices, not_seed, -scores))]
-
-    members, phi, fallback = sweep_cut(g, order, mass.seed)
+    vertices, masses = mass.vertices, mass.masses
+    g.check_vertex(vertices[-1])
+    picked, phi, fallback = sweep_cut(g, vertices, masses / g.degrees[vertices], mass.seed)
     return ClusterReport(
         seed=mass.seed,
-        members=members,
+        members=vertices[picked],
         conductance=phi,
-        belongingness=mass.relative_masses(members),
+        belongingness=masses[picked] / mass.seed_mass(),
         iterations_used=telemetry.iterations_used,
         converged=telemetry.converged,
         degenerate=fallback or mass.support_size == g.vertex_count,

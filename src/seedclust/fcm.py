@@ -26,14 +26,40 @@ class EmbeddingMatrix:
     centers: tuple[int, ...]
 
 
+ROW_SUM_TOLERANCE = 1e-9  # how far a membership row's sum may lie from 1
+
+
 @dataclass(frozen=True, eq=False)
 class MembershipMatrix:
-    """Row-stochastic fuzzy memberships (n x k) plus the k cluster centers."""
+    """Row-stochastic fuzzy memberships (n x k) plus the k cluster centers.
+
+    The constructor refuses, with a ``ValueError`` that names the field,
+    ``memberships`` that are not a finite 2-D array of numbers with at least
+    one column and nonnegative rows summing to 1 within
+    ``ROW_SUM_TOLERANCE``, ``centers`` without k rows and an empty
+    ``objective_history``.
+    """
 
     memberships: np.ndarray
     centers: np.ndarray
     fuzzifier: float
     objective_history: tuple[float, ...]  # one objective per iteration
+
+    def __post_init__(self):
+        u = self.memberships
+        if not (isinstance(u, np.ndarray) and u.ndim == 2 and u.dtype.kind in "fiu"):
+            raise ValueError(f"memberships must be a 2-D array of numbers, got {u!r}")
+        k = u.shape[1]
+        # NaN fails both comparisons
+        if not (k and (u >= 0.0).all() and (u < math.inf).all()):
+            raise ValueError("memberships must have a column per cluster, finite and nonnegative")
+        if (np.abs(u.sum(axis=1) - 1.0) > ROW_SUM_TOLERANCE).any():
+            raise ValueError(f"memberships must have rows summing to 1 within {ROW_SUM_TOLERANCE}")
+        centers = self.centers
+        if not (isinstance(centers, np.ndarray) and centers.ndim == 2 and len(centers) == k):
+            raise ValueError(f"centers must be a 2-D array of {k} rows, got {centers!r}")
+        if not len(self.objective_history):
+            raise ValueError("objective_history must hold at least one objective")
 
     @property
     def objective(self) -> float:
@@ -105,6 +131,16 @@ def check_fit(k: int, m: float, rng_seed: int, points: int) -> None:
         raise ValueError(f"rng_seed must be a nonnegative integer, got {rng_seed}")
 
 
+def _sums_overflow(points: np.ndarray, n: int) -> bool:
+    """Whether a fit over ``n`` points whose centers stay in the bounding box
+    of ``points`` could overflow: no squared distance exceeds the box's
+    squared diagonal, and no objective or center sum exceeds n times that or
+    n times the largest coordinate."""
+    with np.errstate(over="ignore"):
+        diagonal = float(np.square(points.max(axis=0) - points.min(axis=0)).sum())
+    return not n * max(diagonal, float(np.abs(points).max(initial=0.0))) < math.inf
+
+
 FIT_TOLERANCE = 1e-9  # least decrease of the objective that keeps a fit iterating
 FIT_MAX_ITERATIONS = 300  # iterations after which a fit stops however it is going
 
@@ -130,6 +166,8 @@ def fcm_fit(
         raise ValueError("embedding must hold finite values only")
     n = x.shape[0]
     check_fit(k, m, rng_seed, n)
+    if _sums_overflow(x, n):
+        raise ValueError("embedding is too large: its squared distances overflow when summed")
 
     if initial_centers is not None:
         centers = np.asarray(initial_centers, dtype=np.float64).copy()
@@ -137,6 +175,8 @@ def fcm_fit(
             raise ValueError("initial_centers must have shape (k, D)")
         if not np.isfinite(centers).all():
             raise ValueError("initial_centers must hold finite values only")
+        if _sums_overflow(np.concatenate((x, centers)), n):
+            raise ValueError("initial_centers lie too far out: squared distances overflow")
     else:
         rng = np.random.default_rng(rng_seed)
         centers = x[rng.choice(n, size=k, replace=False)].copy()
@@ -179,7 +219,8 @@ def check_threshold(threshold: float) -> None:
 
 def overlap_report(msm: MembershipMatrix, threshold: float = 0.3) -> OverlapReport:
     """Vertex u joins every cluster with membership >= threshold; its argmax
-    cluster is always included so no vertex is left unassigned."""
+    cluster is always included so no vertex is left unassigned.
+    ``MembershipMatrix`` checked its rows when it was built."""
     check_threshold(threshold)
     u = msm.memberships
     chosen = u >= threshold

@@ -26,16 +26,21 @@ class Partition:
             raise ValueError(f"block ids must be one per vertex, a 1-D array; got shape {ids.shape}")
         if ids.size == 0:
             raise ValueError("partition of an empty vertex set")
-        # NaN, infinities and fractions cast to an id they do not equal
-        with np.errstate(invalid="ignore"):
-            a = ids.astype(np.int64, copy=False)
+        # NaN, infinities and fractions cast to an id they do not equal; an
+        # object array's ints beyond int64, and other objects, do not cast
+        try:
+            with np.errstate(invalid="ignore"):
+                a = ids.astype(np.int64, copy=False)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("block ids must be integers") from None
         if not (a == ids).all():
             raise ValueError("block ids must be integers")
         object.__setattr__(self, "assignments", a)
         if a.min() < 0:
             raise ValueError("negative block id")
-        present = np.unique(a)
-        if present.size != a.max() + 1:
+        # a count per id, not a hashing np.unique (see _kernels); dense ids
+        # are below n, so a larger one never sizes the count array
+        if not (a.max() < a.size and np.bincount(a).all()):
             raise ValueError("block ids must be dense 0..k-1 with no empty blocks")
 
     @property

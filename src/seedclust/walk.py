@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .diffusion import ClusterReport, sweep_cut
+from .diffusion import ClusterReport, check_vertices, sweep_cut
 from .graph import Graph, check_integer
 from .graph import component_of  # noqa: F401 -- perfbench/tracer.py times walk.component_of
 
@@ -91,15 +91,11 @@ class WalkConfig:
 class EnergyTable:
     """Walk state: log energies and visit counts aligned with ``visited``, and the seed.
 
-    ``visited`` lists the seed, then each phase's newly reached vertices in
-    ascending order; ``run_walk`` builds it from ``PhaseStats.visits``, and no
-    program code reads ``visit_counts``. The sweep orders ``visited`` by
-    energy and index, so nothing reads its order.
-
-    The constructor checks the table's rules, and a ``ValueError`` that names
-    ``state`` refuses the rest: ``visited`` is a 1-D array of distinct
-    nonnegative integers that holds the seed, and the other two arrays are
-    aligned with it, the log energies finite.
+    ``visited`` holds the vertices the walk visited in increasing order, as
+    ``SparseMass.vertices`` does; no program code reads ``visit_counts``.
+    The constructor refuses, with a ``ValueError`` that names ``state``, a
+    table that breaks ``diffusion.check_vertices`` or has a log energy that
+    is not finite.
     """
 
     log_energies: np.ndarray
@@ -108,25 +104,10 @@ class EnergyTable:
     visited: np.ndarray
 
     def __post_init__(self):
-        visited = self.visited
-        if not (isinstance(visited, np.ndarray) and visited.ndim == 1):
-            raise ValueError(f"state visited must be a 1-D array, got {visited!r}")
-        for name in ("log_energies", "visit_counts"):
-            array = getattr(self, name)
-            if not (isinstance(array, np.ndarray) and array.shape == visited.shape):
-                raise ValueError(f"state {name} must be aligned with visited, got {array!r}")
-        ordered = np.sort(visited)
-        if (
-            visited.dtype.kind not in "iu"
-            or (ordered[:1] < 0).any()
-            or (ordered[1:] == ordered[:-1]).any()
-        ):
-            raise ValueError("state visited must list distinct nonnegative integers")
+        aligned = dict(log_energies=self.log_energies, visit_counts=self.visit_counts)
+        check_vertices("state", "visited", self.visited, self.seed, **aligned)
         if not np.isfinite(self.log_energies).all():
             raise ValueError("state log_energies must be finite")
-        seed = check_integer("state seed", self.seed)
-        if not (visited == seed).any():
-            raise ValueError(f"state visited must hold its seed {seed}")
 
 
 @dataclass
@@ -145,16 +126,12 @@ class WalkTelemetry:
         return sum(p.steps for p in self.phases)
 
 
-def init_energies(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> EnergyTable:
-    """The seed alone, at energy beta/d_seed with one visit; every other vertex
-    is at its background alpha/d_w, which the walk gives it on first sight."""
+def init_energies(g: Graph, seed: int, cfg: WalkConfig = WalkConfig()) -> dict[int, float]:
+    """The walk's starting energy memo, ``{seed: log(beta/d_seed)}``: every
+    other vertex enters it at its background log(alpha/d_w), which the walk
+    gives it on first sight."""
     seed = g.check_vertex(seed)
-    return EnergyTable(
-        log_energies=np.array([math.log(cfg.beta / g.degree(seed))]),
-        visit_counts=np.ones(1, dtype=np.int64),
-        seed=seed,
-        visited=np.array([seed], dtype=np.int64),
-    )
+    return {seed: math.log(cfg.beta / g.degree(seed))}
 
 
 def run_walk(
@@ -164,16 +141,16 @@ def run_walk(
 
     A phase's visits are counted once, by the kernel from the arrivals it
     walked. One memo of departed vertices' rows and seen vertices' energies
-    (see ``_kernels.walk_phase``) serves every phase; after the last phase
-    the table is built once, from it and from the visits, so no phase reads
-    or writes an n-length array.
+    (see ``_kernels.walk_phase``), started by ``init_energies``, serves every
+    phase; after the last phase the table is built once, from it and from
+    the visits, so no phase reads or writes an n-length array.
     """
-    start = init_energies(g, seed, cfg)
+    energies = init_energies(g, seed, cfg)
+    (seed,) = energies  # the checked seed, the memo's one vertex
     rng = np.random.default_rng(cfg.rng_seed)
     telemetry = WalkTelemetry()
-    memo = ({}, dict(zip(start.visited.tolist(), start.log_energies.tolist())))
-    # insertion-ordered: a vertex keeps the place of its first visit
-    counts = Counter(start.visited.tolist())
+    memo = ({}, energies)
+    counts = Counter([seed])
 
     for f, steps in cfg.phases():
         # a phase of 0 steps draws no uniforms and walks nothing
@@ -182,18 +159,19 @@ def run_walk(
             g.indices,
             g.degrees,
             cfg.alpha,
-            start.seed,
+            seed,
             math.log(f),
             rng.random(steps),
             memo,
         )
         counts.update(visits)
         telemetry.phases.append(PhaseStats(f=float(f), steps=int(steps), visits=visits))
+    visited = sorted(counts)
     state = EnergyTable(
-        log_energies=np.array([memo[1][v] for v in counts]),
-        visit_counts=np.fromiter(counts.values(), np.int64, len(counts)),
-        seed=start.seed,
-        visited=np.fromiter(counts, np.int64, len(counts)),
+        log_energies=np.array([energies[v] for v in visited]),
+        visit_counts=np.array([counts[v] for v in visited], dtype=np.int64),
+        seed=seed,
+        visited=np.array(visited, dtype=np.int64),
     )
     return state, telemetry
 
@@ -201,29 +179,28 @@ def run_walk(
 def extract_cluster_from_energy(
     g: Graph, state: EnergyTable, telemetry: WalkTelemetry
 ) -> ClusterReport:
-    """Sweep the visited vertices ordered by final energy (descending, then by index).
+    """Sweep the visited vertices by final energy (``diffusion.sweep_cut``).
 
     Only vertices the walk reached are ranked: an untouched vertex keeps its
     background energy alpha/degree, which says nothing about the seed's
     cluster, so the sweep costs the visited set's volume, not the component's.
-    The report's ``iterations_used`` is the number of steps walked. A walk of
+    A member's belongingness is its energy over the top member's. The
+    report's ``iterations_used`` is the number of steps walked. A walk of
     no steps visited the seed alone, whose conductance is 1; its report is
     flagged unconverged and degenerate. ``EnergyTable`` checked its own
     rules when it was built; its largest vertex must also be a vertex of ``g``.
     """
-    visited = state.visited
-    g.check_vertex(visited.max())
-    order = visited[np.lexsort((visited, -state.log_energies))]
-    members, phi, fallback = sweep_cut(g, order, state.seed)
-    logs = dict(zip(visited.tolist(), state.log_energies.tolist()))
+    visited, logs = state.visited, state.log_energies
+    g.check_vertex(visited[-1])
+    picked, phi, fallback = sweep_cut(g, visited, logs, state.seed)
+    member_logs = logs[picked].tolist()
     # relative to the top member: a member can outgrow the seed by more than e^709
-    top_log = max(logs[u] for u in members.tolist())
-    belong = np.array([math.exp(logs[u] - top_log) for u in members.tolist()])
+    top_log = max(member_logs)
     return ClusterReport(
         seed=state.seed,
-        members=members,
+        members=visited[picked],
         conductance=phi,
-        belongingness=belong,
+        belongingness=np.array([math.exp(e - top_log) for e in member_logs]),
         iterations_used=telemetry.total_steps,
         converged=telemetry.total_steps > 0,
         degenerate=fallback or telemetry.total_steps == 0,

@@ -95,7 +95,7 @@ def test_truncate_seed_only():
 
 def test_truncate_requires_seed_mass():
     # a seedless distribution is refused when it is built
-    with pytest.raises(ValueError, match="^mass must hold positive mass at its seed 0$"):
+    with pytest.raises(ValueError, match="^mass vertices must hold its seed 0$"):
         truncate(sparse_from_dict({1: 1.0}, seed=0), 1e-3)
     # the program's in-place truncation: seed at position 0
     with pytest.raises(ValueError, match="seed has zero mass"):
@@ -502,28 +502,28 @@ def test_extract_singleton_mass(two_k5):
 
 def test_extract_rejects_an_empty_distribution(two_k5):
     # an empty distribution holds no seed; SparseMass refuses it when it is built
-    with pytest.raises(ValueError, match="^mass must hold positive mass at its seed 0$"):
+    with pytest.raises(ValueError, match="^mass vertices must hold its seed 0$"):
         empty = SparseMass(np.array([], dtype=np.int64), np.array([]), seed=0)
         extract_cluster(two_k5, empty, DiffusionTelemetry())
 
 
 def test_extract_rejects_a_distribution_without_its_seed(karate):
     # the belongingness divides by the seed's mass, which is 0 here
-    with pytest.raises(ValueError, match="^mass must hold positive mass at its seed 0$"):
+    with pytest.raises(ValueError, match="^mass vertices must hold its seed 0$"):
         seedless = SparseMass(np.array([1, 2]), np.array([0.5, 0.5]), seed=0)
         extract_cluster(karate, seedless, DiffusionTelemetry())
 
 
 def test_extract_rejects_unsorted_vertices(karate):
     # the seed's binary search misses in an unsorted list
-    with pytest.raises(ValueError, match="^mass must list its vertices in strictly increasing"):
+    with pytest.raises(ValueError, match="^mass vertices must be strictly increasing integers$"):
         unsorted = SparseMass(np.array([2, 1]), np.array([0.5, 0.5]), seed=1)
         extract_cluster(karate, unsorted, DiffusionTelemetry())
 
 
 def test_sparse_mass_refuses_masses_misaligned_with_its_vertices(karate):
     # extract_cluster failed later, with a numpy broadcast error naming nothing
-    with pytest.raises(ValueError, match="^mass must hold one mass per vertex"):
+    with pytest.raises(ValueError, match="^mass masses must be aligned with vertices"):
         mass = SparseMass(np.array([0, 1, 2]), np.array([0.5, 0.5]), seed=0)
         extract_cluster(karate, mass, DiffusionTelemetry())
 
@@ -539,6 +539,13 @@ def test_extract_refuses_a_non_finite_or_negative_mass(karate, bad):
     with pytest.raises(ValueError, match="^mass must hold finite, nonnegative masses$"):
         spoiled = SparseMass(mass.vertices, masses, mass.seed)
         extract_cluster(karate, spoiled, telemetry)
+
+
+def test_sparse_mass_refuses_masses_whose_ratio_to_the_seed_overflows(karate):
+    # the belongingness of vertex 1 would be 1.0 / 5e-324, infinite
+    with pytest.raises(ValueError, match="^mass must hold finite ratios to its seed 0's mass$"):
+        mass = SparseMass(np.array([0, 1]), np.array([5e-324, 1.0]), seed=0)
+        extract_cluster(karate, mass, DiffusionTelemetry())
 
 
 def test_sparse_mass_keeps_an_entry_that_underflowed_to_zero():
@@ -558,10 +565,22 @@ def test_extract_refuses_a_mass_beyond_the_graph(karate):
 
 def test_sweep_cut_falls_back_to_the_seed_without_an_eligible_prefix(karate):
     # only the whole vertex set holds the seed, and it is never eligible
-    members, phi, degenerate = sweep_cut(karate, np.array([*range(1, 34), 0]), 0)
-    assert members.tolist() == [0]
+    scores = np.ones(34)
+    scores[0] = 0.0
+    picked, phi, degenerate = sweep_cut(karate, np.arange(34), scores, 0)
+    assert picked.tolist() == [0]
     assert phi == 1.0
     assert degenerate
+
+
+def test_sweep_cut_ranks_the_seed_first_among_equal_scores(path4):
+    """On the path a-b-c-d with equal scores, the seed c comes first and
+    {c} (conductance 1) is the first best prefix; ranking by vertex alone
+    would put a and b before it and give {a, b, c}."""
+    picked, phi, degenerate = sweep_cut(path4, np.arange(4), np.ones(4), 2)
+    assert picked.tolist() == [2]
+    assert phi == 1.0
+    assert not degenerate
 
 
 def test_extract_belongingness_normalized(two_k5):
@@ -569,18 +588,10 @@ def test_extract_belongingness_normalized(two_k5):
     report = extract_cluster(two_k5, mass, telemetry)
     belong = report.belongingness
     assert belong.dtype == np.float64 and belong.shape == report.members.shape
-    assert belong.tolist() == mass.relative_masses(report.members).tolist()
+    entries = as_dict(mass)
+    assert belong.tolist() == [entries[u] / mass.seed_mass() for u in report.members.tolist()]
     assert belong[report.members.tolist().index(1)] == 1.0
     assert all(b > 0 for b in belong.tolist())
-
-
-def test_relative_masses_match_per_vertex_lookup(two_triangles):
-    mass, _ = run_diffusion(two_triangles, 0, DiffusionConfig(alpha=1e-2))
-    every = np.arange(two_triangles.vertex_count)
-    entries = as_dict(mass)
-    want = [entries.get(u, 0.0) / mass.seed_mass() for u in every.tolist()]
-    assert mass.relative_masses(every).tolist() == want
-    assert 0.0 in want  # vertices off the support read 0
 
 
 def test_karate_hub_cluster_beats_singleton(karate):

@@ -283,3 +283,60 @@ def test_overlap_argmax_always_included():
 def test_overlap_threshold_validation():
     with pytest.raises(ValueError):
         overlap_report(_msm([[1.0, 0.0]]), threshold=0.6)
+
+
+# --- hand-built and oversized inputs ----------------------------------------
+
+@pytest.mark.parametrize("scale", [1e200, 1e154])
+def test_fit_refuses_an_embedding_whose_squared_distances_overflow(monkeypatch, scale):
+    """At 1e200 the fit gave a NaN membership row and a NaN objective, at
+    1e154 finite memberships and a NaN objective, each after all its
+    iterations, since a NaN objective never passes the tolerance test."""
+    x = np.array([[0.0, 0.0], [scale, 0.0], [2 * scale, 1.0], [3.0, 3.0]])
+
+    def no_iteration(*args):
+        raise AssertionError("fit iterated")
+
+    monkeypatch.setattr(fcm, "_memberships_from_distances", no_iteration)
+    with pytest.raises(ValueError, match="^embedding is too large"):
+        fcm_fit(x, k=2)
+
+
+def test_fit_refuses_initial_centers_whose_squared_distances_overflow():
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="^initial_centers lie too far out"):
+        fcm_fit(x, k=2, initial_centers=np.array([[1e200, 0.0], [0.0, 0.0]]))
+
+
+def test_fit_keeps_a_large_embedding_whose_sums_stay_finite():
+    x = np.array([[0.0, 0.0], [1e150, 0.0], [2e150, 1.0], [3.0, 3.0]])
+    msm = fcm_fit(x, k=2)
+    assert np.isfinite(msm.memberships).all() and np.isfinite(msm.objective)
+
+
+def test_fit_counts_its_iterations(monkeypatch):
+    x = np.random.default_rng(0).random((20, 3))
+    assert fcm_fit(x, k=3).iterations > 3  # the fit takes more than 3 iterations
+    monkeypatch.setattr(fcm, "FIT_MAX_ITERATIONS", 3)
+    msm = fcm_fit(x, k=3)
+    assert msm.iterations == len(msm.objective_history) == 3
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5], [3.0, -2.0], [0.5, 0.4]])
+def test_overlap_report_refuses_rows_that_are_not_stochastic(row):
+    """A NaN row and a row [3, -2] were assigned to cluster 0 by the argmax."""
+    with pytest.raises(ValueError, match="^memberships must"):
+        overlap_report(_msm([[0.5, 0.5], row]))
+
+
+def test_membership_matrix_refuses_an_empty_objective_history():
+    # .objective raised a bare IndexError
+    with pytest.raises(ValueError, match="^objective_history must hold at least one objective$"):
+        MembershipMatrix(np.array([[1.0, 0.0]]), np.zeros((2, 1)), 2.0, ())
+
+
+def test_membership_matrix_refuses_centers_of_another_count():
+    with pytest.raises(ValueError, match="^centers must be a 2-D array of 2 rows"):
+        MembershipMatrix(np.array([[1.0, 0.0]]), np.zeros((3, 1)), 2.0, (0.0,))
+    with pytest.raises(ValueError, match="^memberships must be a 2-D array"):
+        MembershipMatrix(np.array([1.0, 0.0]), np.zeros((2, 1)), 2.0, (0.0,))

@@ -4,14 +4,17 @@ or a finite and valid result.
 One hypothesis property draws a call to a function or type that
 ``seedclust.__all__`` exports, with one hostile argument: a vertex or integer
 argument drawn from bools (Python's and numpy's), floats, NaN, infinities,
-negatives and integers beyond the graph or beyond int64; or a ``SparseMass``
-or ``EnergyTable`` built by hand from such values, with arrays of the wrong
-type, shape, order or length. The call either raises a ``ValueError`` or
-``TypeError`` whose message names the argument before any diffusion push or
-walk step runs, or returns a result that is finite and valid: the seed in its
-cluster, belongingness finite and nonnegative (at most 1 for a walk),
-membership rows stochastic. A vertex index out of range raises the
-``IndexError`` that ``Graph.check_vertex`` documents, also before any work.
+negatives and integers beyond the graph or beyond int64; a ``SparseMass``,
+``EnergyTable``, ``Partition`` or ``MembershipMatrix`` built by hand from
+such values, with arrays of the wrong type, shape, order or length; or an
+``fcm_fit`` embedding with coordinates up to the float range. The call
+either raises a ``ValueError`` or ``TypeError`` whose message names the
+argument before any diffusion push or walk step runs, or returns a result
+that is finite and valid: the seed in its cluster, belongingness finite and
+nonnegative (at most 1 for a walk), membership rows stochastic, every vertex
+in a cluster, a modularity in [-1/2, 1]. A vertex index out of range raises
+the ``IndexError`` that ``Graph.check_vertex`` documents, also before any
+work.
 """
 
 import math
@@ -26,6 +29,8 @@ import seedclust._kernels as kernels
 from seedclust import (
     DiffusionConfig,
     EnergyTable,
+    MembershipMatrix,
+    Partition,
     SparseMass,
     WalkConfig,
     build_embedding,
@@ -33,7 +38,9 @@ from seedclust import (
     extract_cluster,
     extract_cluster_from_energy,
     fcm_fit,
+    modularity,
     overlap_clusters,
+    overlap_report,
     run_diffusion,
     run_walk,
 )
@@ -206,15 +213,14 @@ SPOILS = ("none", "empty", "order", "range", "type", "shape", "length", "value",
 
 
 @st.composite
-def hand_built_arrays(draw, good, hostile, ordered):
+def hand_built_arrays(draw, good, hostile):
     """(vertices, values, seed) for a table built by hand: 1 to 6 distinct
-    vertices of the graph, sorted if ``ordered``, a ``good`` value per vertex
+    vertices of the graph in increasing order, a ``good`` value per vertex
     and a seed among them, with at most one part spoilt: no vertex at all, a
     repeated or misordered vertex, one out of range, an array of another
     integer, float or bool type, a 2-D array, a value too many or too few,
     one ``hostile`` value, or a hostile seed."""
-    vertices = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=6, unique=True))
-    vertices = sorted(vertices) if ordered else vertices
+    vertices = sorted(draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=6, unique=True)))
     values = draw(st.lists(good, min_size=len(vertices), max_size=len(vertices)))
     seed = draw(st.sampled_from(vertices))
     spoil = draw(st.sampled_from(SPOILS))
@@ -225,7 +231,7 @@ def hand_built_arrays(draw, good, hostile, ordered):
         vertices, values = vertices[::-1] + vertices[:1], values[::-1] + values[:1]
     elif spoil == "range":
         vertices[at] = draw(st.sampled_from([-2, -1, N, N + 1]))
-        vertices = sorted(vertices) if ordered else vertices
+        vertices = sorted(vertices)
     elif spoil == "length":
         values = values[:-1] if draw(st.booleans()) else values + values[:1]
     elif spoil == "value":
@@ -294,6 +300,100 @@ def table_case(drawn):
     )
 
 
+@st.composite
+def partition_case(draw):
+    """``modularity`` of a hand-built ``Partition``: dense block ids for the
+    graph's vertices, with at most one part spoilt: no id at all, an id too
+    many or too few, a 2-D array, a gap, or one hostile id."""
+    ids = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
+    ids = np.unique(ids, return_inverse=True)[1].tolist()  # dense
+    spoil = draw(st.sampled_from(("none", "empty", "length", "shape", "gap", "value")))
+    at = draw(st.integers(0, N - 1))
+    if spoil == "empty":
+        ids = []
+    elif spoil == "length":
+        ids = ids[:-1] if draw(st.booleans()) else ids + [0]
+    elif spoil == "gap":
+        ids = [b + (b > 0) for b in ids]
+    elif spoil == "value":
+        ids[at] = draw(st.one_of(hostile_floats, hostile_integers, st.just(2**62)))
+    array = np.array(ids)
+    if spoil == "shape":
+        array = array[:, None]
+
+    def check(q):
+        assert -0.5 <= q <= 1.0
+
+    return Case(
+        f"modularity(g, Partition({array!r}))",
+        lambda: modularity(KARATE, Partition(array)),
+        ("block id", "partition"),
+        check,
+    )
+
+
+@st.composite
+def membership_case(draw):
+    """``overlap_report`` of a hand-built ``MembershipMatrix``: 1 to 5 rows
+    of 1 to 3 memberships each that sum to 1, with at most one part spoilt:
+    one hostile membership, a row scaled off 1, a 1-D or an integer array,
+    centers of another count, or no objective."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k), min_size=n, max_size=n))
+    u = np.array(rows)
+    u /= u.sum(axis=1, keepdims=True)
+    centers, history = np.zeros((k, 2)), (1.0,)
+    spoil = draw(st.sampled_from(("none", "value", "sum", "shape", "onehot", "centers", "history")))
+    at = draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))
+    if spoil == "value":
+        u[at] = draw(hostile_floats)
+    elif spoil == "sum":
+        u[at[0]] *= draw(st.sampled_from([0.0, 0.5, 3.0]))
+    elif spoil == "shape":
+        u = u[0]
+    elif spoil == "onehot":
+        u = (u == u.max(axis=1, keepdims=True)).astype(np.int64)
+    elif spoil == "centers":
+        centers = np.zeros((draw(st.sampled_from([0, k + 1])), 2))
+    elif spoil == "history":
+        history = ()
+
+    def call():
+        return overlap_report(MembershipMatrix(u, centers, 2.0, history))
+
+    def check(report):
+        assert len(report.clusters) == u.shape[1]
+        assert np.unique(np.concatenate(report.clusters)).tolist() == list(range(u.shape[0]))
+
+    return Case(
+        f"overlap_report(MembershipMatrix({u!r}, {centers!r}, 2.0, {history!r}))",
+        call,
+        ("memberships", "centers", "objective_history"),
+        check,
+    )
+
+
+coordinates = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1e308, -1e308, 1e200, 2e154, 1e154, 1e150, 5e-324]),
+)
+
+
+@st.composite
+def embedding_case(draw):
+    """``fcm_fit`` of 2 to 6 points in 1 to 3 dimensions, some coordinates
+    near the float range."""
+    dims = draw(st.integers(1, 3))
+    point = st.lists(coordinates, min_size=dims, max_size=dims)
+    x = np.array(draw(st.lists(point, min_size=2, max_size=6)))
+
+    def check(msm):
+        check_memberships(msm.memberships, 2)
+        assert math.isfinite(msm.objective)
+
+    return Case(f"fcm_fit({x!r}, k=2)", lambda: fcm_fit(x, k=2), ("embedding",), check)
+
+
 @contextmanager
 def counting_work():
     """The diffusion pushes and walk steps taken while the block runs."""
@@ -318,8 +418,11 @@ def counting_work():
 cases = st.one_of(
     hostile_integers.flatmap(vertex_cases),
     hostile_integers.flatmap(integer_cases),
-    hand_built_arrays(st.floats(0.0, 1.0), hostile_floats, True).flatmap(mass_cases),
-    hand_built_arrays(st.floats(-50.0, 50.0), hostile_floats, False).flatmap(table_case),
+    hand_built_arrays(st.floats(0.0, 1.0), hostile_floats).flatmap(mass_cases),
+    hand_built_arrays(st.floats(-50.0, 50.0), hostile_floats).flatmap(table_case),
+    partition_case(),
+    membership_case(),
+    embedding_case(),
 )
 
 

@@ -117,6 +117,19 @@ def test_partition_validation(karate):
         modularity(karate, Partition(np.zeros(33, dtype=np.int64)))
 
 
+@pytest.mark.parametrize("ids", [[2**64, 0], [2**70, 0], [None, 0]])
+def test_partition_refuses_block_ids_that_do_not_cast(ids):
+    # an object array's int beyond int64 raised a bare OverflowError
+    with pytest.raises(ValueError, match="^block ids must be integers$"):
+        Partition(np.array(ids, dtype=object))
+
+
+def test_partition_refuses_a_block_id_beyond_its_size_before_counting():
+    # a count array up to 2**62 would not fit in memory
+    with pytest.raises(ValueError, match="^block ids must be dense"):
+        Partition(np.array([0, 2**62]))
+
+
 @pytest.mark.parametrize("ids", [[0, 1.5, 1], [0, np.nan, 1], [0, np.inf, 1]])
 def test_partition_rejects_non_integer_block_ids(ids):
     # an int64 cast would make 1.5 block 1

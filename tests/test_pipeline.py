@@ -140,27 +140,28 @@ def test_block_mean_belongingness_is_the_seed_diffusions_mean(alpha):
         result = partition_graph(g, DiffusionConfig(alpha=alpha))
         for info, members in zip(result.blocks, result.partition.blocks()):
             mass = result.diffusions[info.seed]
-            want = float(np.mean(mass.relative_masses(members)))
+            at = mass.vertices.searchsorted(members)
+            want = float(np.mean(mass.masses[at] / mass.seed_mass()))
             assert info.mean_belongingness == want, (name, info)
             assert info.size == members.size
 
 
 def test_overlap_reads_each_partition_diffusion_once(monkeypatch):
-    """The overlap flow asks each partition diffusion for relative masses
+    """The overlap flow asks each partition diffusion for its seed's mass
     once, when its sweep cluster is extracted; ranking the blocks asks none."""
     g = random_connected_graph(80, 120, 5)
     partition_calls = count_diffusions(monkeypatch)
     partition_graph(g, DiffusionConfig(alpha=0.04))
     monkeypatch.undo()
 
-    real = SparseMass.relative_masses
+    real = SparseMass.seed_mass
     seeds = []
 
-    def counted(self, vertices):
+    def counted(self):
         seeds.append(self.seed)
-        return real(self, vertices)
+        return real(self)
 
-    monkeypatch.setattr(SparseMass, "relative_masses", counted)
+    monkeypatch.setattr(SparseMass, "seed_mass", counted)
     overlap_clusters(g, centers=2)
     assert sorted(seeds) == sorted(seed for seed, _ in partition_calls)
 

@@ -51,9 +51,10 @@ def assert_moves_to_neighbours(g, start, path):
     assert all(v in g.neighbors(u) for u, v in zip(moves[:-1], moves[1:]))
 
 
-def start_memo(state):
-    """The memo a walk from ``state`` starts with: no rows, its energies."""
-    return {}, dict(zip(state.visited.tolist(), state.log_energies.tolist()))
+def start_memo(energies):
+    """The memo a walk from ``init_energies``' ``energies`` starts with: no
+    rows, those energies."""
+    return {}, dict(energies)
 
 
 def step(g, memo, current, log_f, uniforms, alpha=1.0):
@@ -81,12 +82,11 @@ def step(g, memo, current, log_f, uniforms, alpha=1.0):
 
 def test_init_energy_values(deg4_graph):
     cfg = WalkConfig(alpha=1.0, beta=100.0)
-    state = init_energies(deg4_graph, 0, cfg)
-    assert state.visited.tolist() == [0]
-    assert math.exp(state.log_energies[0]) == pytest.approx(25.0)
-    assert state.visit_counts.tolist() == [1]
+    energies = init_energies(deg4_graph, 0, cfg)
+    assert list(energies) == [0]
+    assert math.exp(energies[0]) == pytest.approx(25.0)
     # a vertex enters the walk's memo at its background energy alpha / degree
-    memo = start_memo(state)
+    memo = start_memo(energies)
     step(deg4_graph, memo, 0, 0.0, [0.5], alpha=cfg.alpha)
     assert math.exp(memo[1][4]) == pytest.approx(0.5)
     assert math.exp(memo[1][2]) == pytest.approx(1.0)
@@ -136,13 +136,13 @@ def test_acceptance_vanishes_for_large_beta(deg4_graph):
 
 
 def test_walk_step_multiplies_departed_energy(deg4_graph):
-    state = init_energies(deg4_graph, 0, WalkConfig(alpha=1.0, beta=2.0))
-    before = math.exp(state.log_energies[0])
-    memo = start_memo(state)
+    energies = init_energies(deg4_graph, 0, WalkConfig(alpha=1.0, beta=2.0))
+    before = math.exp(energies[0])
+    memo = start_memo(energies)
     end, visits = step(deg4_graph, memo, 0, math.log(1.3), np.random.default_rng(0).random(1))
     assert math.exp(memo[1][0]) == pytest.approx(before * 1.3)
     assert end != 0  # moves every step
-    assert state.visit_counts.sum() + sum(visits.values()) == 2  # init visit + one arrival
+    assert sum(visits.values()) == 1  # one arrival
 
 
 def test_transition_weights_normalized(deg4_graph):
@@ -246,6 +246,21 @@ def test_no_steps_gives_flagged_singleton(two_k5):
         assert report.iterations_used == 0
 
 
+def test_walk_sweep_ranks_the_seed_first_among_equal_energies():
+    """With alpha == beta and f = 1 on K2 both vertices keep one energy: the
+    seed 1 is ranked first, so its singleton is an eligible prefix and the
+    report is not degenerate. Ranking vertex 0 first left no eligible
+    prefix and flagged the same singleton degenerate."""
+    k2 = from_edges([(0, 1)])
+    cfg = WalkConfig(alpha=0.5, beta=0.5, f_schedule=((1.0, 5),), rng_seed=3)
+    state, telemetry = run_walk(k2, 1, cfg)
+    assert state.log_energies[0] == state.log_energies[1]
+    report = extract_cluster_from_energy(k2, state, telemetry)
+    assert report.members.tolist() == [1]
+    assert report.conductance == 1.0
+    assert not report.degenerate
+
+
 def test_k4_sweep_matches_exhaustive_prefix_minimum():
     k4 = from_edges([(a, b) for a in range(4) for b in range(a + 1, 4)])
     state, telemetry = run_walk(k4, 0, WalkConfig(rng_seed=1, expected_size=2))
@@ -253,8 +268,9 @@ def test_k4_sweep_matches_exhaustive_prefix_minimum():
     belong = report.belongingness
     assert belong.dtype == np.float64 and belong.shape == report.members.shape
     assert belong.max() == 1.0 and (belong > 0.0).all()
+    # by energy, highest first, the seed first among equal energies
     visited = state.visited
-    order = visited[np.lexsort((visited, -state.log_energies))]
+    order = visited[np.lexsort((visited, visited != 0, -state.log_energies))]
     seed_pos = int(np.flatnonzero(order == 0)[0])
     best = min(
         brute_conductance(k4, order[: i + 1])
@@ -362,13 +378,12 @@ def test_config_rejects_non_finite_numbers(field, kwargs):
         WalkConfig(**kwargs)
 
 
-def test_visited_lists_first_visits_phase_by_phase_and_report_counts_steps(karate):
+def test_visited_lists_visited_vertices_in_order_and_report_counts_steps(karate):
     state, telemetry = run_walk(karate, 0, WalkConfig(rng_seed=7, expected_size=8))
-    want = [0]
     counts = Counter({0: 1})
     for phase in telemetry.phases:
-        want += [u for u in sorted(phase.visits) if u not in want]
         counts.update(phase.visits)
+    want = sorted(counts)
     assert state.visited.tolist() == want
     assert state.visit_counts.tolist() == [counts[u] for u in want]
     assert state.log_energies.shape == state.visited.shape
