@@ -77,16 +77,17 @@ class DiffusionConfig:
 
 def check_vertices(owner: str, field: str, vertices, seed, **aligned) -> int:
     """The seed's position in ``vertices``, the ``field`` of a ``SparseMass``
-    or ``EnergyTable``: a 1-D integer array, strictly increasing and
+    or ``EnergyTable``: a 1-D int64 array, strictly increasing and
     nonnegative, that holds the integer ``seed``, and each ``aligned`` array
-    of its shape. A ``ValueError`` that names ``owner`` refuses the rest."""
-    if not (isinstance(vertices, np.ndarray) and vertices.ndim == 1):
-        raise ValueError(f"{owner} {field} must be a 1-D array of integers, got {vertices!r}")
+    of its shape. A ``ValueError`` that names ``owner`` refuses the rest, a
+    narrower type too, in which the kernels' ``vertices + 1`` can wrap."""
+    if not (isinstance(vertices, np.ndarray) and vertices.ndim == 1 and vertices.dtype == np.int64):
+        raise ValueError(f"{owner} {field} must be a 1-D array of int64, got {vertices!r}")
     for name, array in aligned.items():
         if not (isinstance(array, np.ndarray) and array.shape == vertices.shape):
             raise ValueError(f"{owner} {name} must be aligned with {field}, got {array!r}")
     # checked once per query: a mask is counted by nonzero(), as in _kernels
-    if vertices.dtype.kind not in "iu" or (vertices[1:] <= vertices[:-1]).nonzero()[0].size:
+    if (vertices[1:] <= vertices[:-1]).nonzero()[0].size:
         raise ValueError(f"{owner} {field} must be strictly increasing integers")
     seed = check_integer(f"{owner} seed", seed)
     k = int(vertices.searchsorted(seed))
@@ -131,11 +132,6 @@ class SparseMass:
 
     def seed_mass(self) -> float:
         return float(self.masses[self.vertices.searchsorted(self.seed)])
-
-    def to_dense(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=np.float64)
-        out[self.vertices] = self.masses
-        return out
 
 
 @dataclass

@@ -87,16 +87,17 @@ def _check_center_set(centers: list[int]) -> None:
 
 
 def build_embedding(g: Graph, masses: Sequence[SparseMass]) -> EmbeddingMatrix:
-    """Stack the densified diffusion distributions, one column per center.
+    """One n x D array, zero off each support, with mass j in column j.
 
     ``masses`` are converged diffusions, one per center, each seeded at its
     center; the embedding needs at least two of them, with distinct seeds.
     """
-    for mass in masses:
+    matrix = np.zeros((g.vertex_count, len(masses)), dtype=np.float64)
+    for j, mass in enumerate(masses):
         g.check_vertex(mass.vertices[-1])  # the largest, so the whole support
+        matrix[mass.vertices, j] = mass.masses
     centers = [int(mass.seed) for mass in masses]
     _check_center_set(centers)
-    matrix = np.stack([mass.to_dense(g.vertex_count) for mass in masses], axis=1)
     return EmbeddingMatrix(matrix=matrix, centers=tuple(centers))
 
 
@@ -132,13 +133,17 @@ def check_fit(k: int, m: float, rng_seed: int, points: int) -> None:
 
 
 def _sums_overflow(points: np.ndarray, n: int) -> bool:
-    """Whether a fit over ``n`` points whose centers stay in the bounding box
-    of ``points`` could overflow: no squared distance exceeds the box's
-    squared diagonal, and no objective or center sum exceeds n times that or
-    n times the largest coordinate."""
-    with np.errstate(over="ignore"):
-        diagonal = float(np.square(points.max(axis=0) - points.min(axis=0)).sum())
-    return not n * max(diagonal, float(np.abs(points).max(initial=0.0))) < math.inf
+    """Whether 9 n D M^2 overflows, M the largest |coordinate| of ``points``,
+    the data or the initial centers. Every center is an initial one or a
+    weighted mean of the data, so even rounded it lies within 3M of a point
+    in each dimension for the larger M: no sum of the fit exceeds n 9 D M^2."""
+    m = float(np.abs(points).max(initial=0.0))
+    return not 9.0 * n * points.shape[1] * m * m < math.inf
+
+
+def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """n x k squared distances, one center at a time: n x D scratch, not n x k x D."""
+    return np.stack([np.square(x - c).sum(axis=1) for c in centers], axis=1)
 
 
 FIT_TOLERANCE = 1e-9  # least decrease of the objective that keeps a fit iterating
@@ -175,7 +180,7 @@ def fcm_fit(
             raise ValueError("initial_centers must have shape (k, D)")
         if not np.isfinite(centers).all():
             raise ValueError("initial_centers must hold finite values only")
-        if _sums_overflow(np.concatenate((x, centers)), n):
+        if _sums_overflow(centers, n):  # the data passed its own check
             raise ValueError("initial_centers lie too far out: squared distances overflow")
     else:
         rng = np.random.default_rng(rng_seed)
@@ -184,14 +189,14 @@ def fcm_fit(
     prev = np.inf
     history: list[float] = []
     # each iteration's post-update distances are the next iteration's input
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = _squared_distances(x, centers)
     for _ in range(FIT_MAX_ITERATIONS):
         u = _memberships_from_distances(d2, m)
         um = u ** m
         denom = um.sum(axis=0)
         occupied = denom > 0.0
         centers[occupied] = (um.T[occupied] @ x) / denom[occupied, None]
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(x, centers)
         obj = float((um * d2).sum())
         history.append(obj)
         if prev - obj < FIT_TOLERANCE:

@@ -226,11 +226,6 @@ def _on_edge_lines(text: str, codes, newline, starts) -> np.ndarray:
     return np.repeat(~comment, counts)
 
 
-# labels are sliced from the text this many at a time, so that the Python
-# ints of their bounds never outnumber one batch
-LABEL_BATCH = 1024
-
-
 def _intern(
     text: str, codes: np.ndarray, starts: np.ndarray, lens: np.ndarray
 ) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -272,11 +267,8 @@ def _intern(
     rank[by_first] = np.arange(first.size)
     at = starts[first[by_first]]
     ends = at + lens[first[by_first]]
-    labels = []
-    for i in range(0, at.size, LABEL_BATCH):
-        bounds = map(slice, at[i : i + LABEL_BATCH].tolist(), ends[i : i + LABEL_BATCH].tolist())
-        labels += map(text.__getitem__, bounds)
-    return np.take(rank, group, out=group), tuple(labels)
+    labels = tuple(map(text.__getitem__, map(slice, at.tolist(), ends.tolist())))
+    return np.take(rank, group, out=group), labels
 
 
 def _graph_from_ids(ids: np.ndarray, labels: tuple[str, ...]) -> Graph:

@@ -27,13 +27,14 @@ class Partition:
         if ids.size == 0:
             raise ValueError("partition of an empty vertex set")
         # NaN, infinities and fractions cast to an id they do not equal; an
-        # object array's ints beyond int64, and other objects, do not cast
+        # object array's ints beyond int64, and other objects, do not cast;
+        # a bool is no id, as graph.check_integer holds
         try:
             with np.errstate(invalid="ignore"):
                 a = ids.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("block ids must be integers") from None
-        if not (a == ids).all():
+        if ids.dtype.kind == "b" or not (a == ids).all():
             raise ValueError("block ids must be integers")
         object.__setattr__(self, "assignments", a)
         if a.min() < 0:

@@ -87,6 +87,13 @@ def random_graphs(count: int, n_max: int = 64):
     return graphs
 
 
+def dense(mass, n: int) -> np.ndarray:
+    """``mass`` as a length-``n`` array, zero off its support."""
+    out = np.zeros(n)
+    out[mass.vertices] = mass.masses
+    return out
+
+
 def dense_transition_matrix(g: Graph) -> np.ndarray:
     """Dense lazy-walk operator: new = M @ old, M = (I + A D^-1) / 2."""
     n = g.vertex_count

@@ -5,16 +5,19 @@ from hypothesis import strategies as st
 
 from seedclust import (
     DiffusionConfig,
+    EnergyTable,
     SparseMass,
     diffusion,
     extract_cluster,
+    extract_cluster_from_energy,
     from_edges,
     run_diffusion,
 )
 from seedclust.datasets import karate_club, random_connected_graph, ring_of_cliques
 from seedclust.diffusion import DENSE_MAX, SOLVE_TOLERANCE, DiffusionTelemetry, sweep_cut
+from seedclust.walk import WalkTelemetry
 
-from conftest import brute_conductance, dense_transition_matrix, random_graphs
+from conftest import brute_conductance, dense, dense_transition_matrix, random_graphs
 from diffusion_oracle import (
     as_dict,
     diffuse_step,
@@ -43,8 +46,8 @@ def steps(alpha, count):
 def test_star_step_against_dense_oracle(star4):
     mass = from_seed(star4, 0)
     out = diffuse_step(star4, mass)
-    expect = dense_transition_matrix(star4) @ mass.to_dense(4)
-    assert np.allclose(out.to_dense(4), expect, atol=1e-15)
+    expect = dense_transition_matrix(star4) @ dense(mass, 4)
+    assert np.allclose(dense(out, 4), expect, atol=1e-15)
     assert as_dict(out)[0] == 0.5
     assert abs(as_dict(out)[1] - 1 / 6) < 1e-15
 
@@ -52,7 +55,7 @@ def test_star_step_against_dense_oracle(star4):
 def test_star_stationary_point(star4):
     mass = sparse_from_dict({0: 0.5, 1: 1 / 6, 2: 1 / 6, 3: 1 / 6}, seed=0)
     out = diffuse_step(star4, mass)
-    assert np.allclose(out.to_dense(4), mass.to_dense(4), atol=1e-15)
+    assert np.allclose(dense(out, 4), dense(mass, 4), atol=1e-15)
 
 
 def test_single_edge_splits_mass():
@@ -66,12 +69,12 @@ def test_single_edge_splits_mass():
 def test_dense_oracle_equivalence_alpha_zero():
     for g in random_graphs(5, n_max=48):
         m = dense_transition_matrix(g)
-        dense = np.zeros(g.vertex_count)
-        dense[0] = 1.0
+        exact = np.zeros(g.vertex_count)
+        exact[0] = 1.0
         for _ in range(30):
-            dense = m @ dense
+            exact = m @ exact
         mass, _ = run_diffusion(g, 0, steps(0.0, 30))
-        assert np.abs(mass.to_dense(g.vertex_count) - dense).max() < 1e-12
+        assert np.abs(dense(mass, g.vertex_count) - exact).max() < 1e-12
 
 
 # --- truncate (the oracle's) ------------------------------------------------
@@ -133,7 +136,7 @@ def test_alpha_zero_reaches_stationary():
     cfg = DiffusionConfig(alpha=0.0, max_iterations=100000, convergence_epsilon=1e-14)
     mass, telemetry = run_diffusion(g, 0, cfg)
     stationary = g.degrees / g.total_degree
-    assert np.abs(mass.to_dense(g.vertex_count) - stationary).max() < 1e-10
+    assert np.abs(dense(mass, g.vertex_count) - stationary).max() < 1e-10
 
 
 def test_two_vertex_component():
@@ -561,6 +564,37 @@ def test_extract_refuses_a_mass_beyond_the_graph(karate):
     mass = SparseMass(np.array([0, 34]), np.array([0.5, 0.5]), seed=0)
     with pytest.raises(IndexError, match=r"^vertex index 34 out of range \[0, 34\)$"):
         extract_cluster(karate, mass, DiffusionTelemetry())
+
+
+PATH_300 = from_edges([(i, i + 1) for i in range(299)])
+
+
+def extract_table(kind, vertices, seed):
+    """The cluster of a hand-built ``SparseMass`` or ``EnergyTable`` over
+    ``vertices`` on a 300-vertex path, every vertex scored alike."""
+    if kind == "mass":
+        mass = SparseMass(vertices, np.full(vertices.size, 0.5), seed)
+        return extract_cluster(PATH_300, mass, DiffusionTelemetry())
+    ones = np.ones(vertices.size, dtype=np.int64)
+    table = EnergyTable(np.full(vertices.size, -1.0), ones, seed, vertices)
+    return extract_cluster_from_energy(PATH_300, table, WalkTelemetry())
+
+
+@pytest.mark.parametrize("kind, field", [("mass", "vertices"), ("state", "visited")])
+def test_tables_refuse_vertices_narrower_than_int64(kind, field):
+    """uint8 vertices [254, 255] wrapped 255 + 1 to 0 in the kernels' row
+    gather, and extraction failed with numpy's unnamed "repeats may not
+    contain negative values"; as int64 they give members [254, 255]."""
+    vertices = np.array([254, 255], dtype=np.int64)
+    assert extract_table(kind, vertices, 255).members.tolist() == [254, 255]
+    with pytest.raises(ValueError, match=f"^{kind} {field} must be a 1-D array of int64"):
+        extract_table(kind, vertices.astype(np.uint8), 255)
+
+
+@pytest.mark.parametrize("kind, field", [("mass", "vertices"), ("state", "visited")])
+def test_tables_refuse_a_negative_vertex(kind, field):
+    with pytest.raises(ValueError, match=f"^{kind} {field} must be nonnegative, got -1$"):
+        extract_table(kind, np.array([-1, 0]), 0)
 
 
 def test_sweep_cut_falls_back_to_the_seed_without_an_eligible_prefix(karate):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,20 @@ def test_fit_refuses_an_embedding_whose_squared_distances_overflow(monkeypatch, 
         fcm_fit(x, k=2)
 
 
+def test_fit_refuses_an_embedding_whose_centers_round_out_of_its_box(monkeypatch):
+    """The points' bounding box has a squared diagonal of 1e300, but the
+    first center update rounded the third coordinate off 1e200, and the
+    squared distance overflowed to an infinite objective."""
+    x = np.array([[0.0, 0.0, 1e200], [0.0, 1e150, 1e200], [0.0, 1e150, 1e200]])
+
+    def no_iteration(*args):
+        raise AssertionError("fit iterated")
+
+    monkeypatch.setattr(fcm, "_memberships_from_distances", no_iteration)
+    with pytest.raises(ValueError, match="^embedding is too large"):
+        fcm_fit(x, k=2)
+
+
 def test_fit_refuses_initial_centers_whose_squared_distances_overflow():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="^initial_centers lie too far out"):
@@ -312,6 +328,20 @@ def test_fit_keeps_a_large_embedding_whose_sums_stay_finite():
     x = np.array([[0.0, 0.0], [1e150, 0.0], [2e150, 1.0], [3.0, 3.0]])
     msm = fcm_fit(x, k=2)
     assert np.isfinite(msm.memberships).all() and np.isfinite(msm.objective)
+
+
+def test_fit_scratch_grows_with_points_times_dimensions(monkeypatch):
+    """Two n x k x D broadcasts made a 3-iteration fit of 300 points in 100
+    dimensions with k = 100 peak at 25 MB; the 300 x 100 points take 240 KB."""
+    x = np.random.default_rng(0).random((300, 100))
+    monkeypatch.setattr(fcm, "FIT_MAX_ITERATIONS", 3)
+    tracemalloc.start()
+    try:
+        fcm_fit(x, k=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * x.nbytes
 
 
 def test_fit_counts_its_iterations(monkeypatch):

@@ -18,9 +18,9 @@ from seedclust import (
     run_diffusion,
 )
 from seedclust.datasets import ring_of_cliques
-from seedclust.graph import LABEL_BATCH, _code_points, _edge_tokens, _position_type
+from seedclust.graph import _code_points, _edge_tokens, _position_type
 
-from conftest import dense_transition_matrix, random_graphs
+from conftest import dense, dense_transition_matrix, random_graphs
 
 ONE_STEP = DiffusionConfig(alpha=0.0, max_iterations=1, convergence_epsilon=0.0)
 
@@ -28,7 +28,7 @@ ONE_STEP = DiffusionConfig(alpha=0.0, max_iterations=1, convergence_epsilon=0.0)
 def one_step(g, x) -> np.ndarray:
     """Column x of the lazy transition rule, as one untruncated ``run_diffusion`` step from x."""
     mass, _ = run_diffusion(g, x, ONE_STEP)
-    return mass.to_dense(g.vertex_count)
+    return dense(mass, g.vertex_count)
 
 
 def test_load_path_of_three():
@@ -218,8 +218,8 @@ def test_load_peak_memory_is_a_bounded_multiple_of_the_text():
     assert peak < 10 * len(text)
 
 
-# more distinct labels than one batch of label slicing, of lengths 1 to 12
-MANY_LABELS = [f"{i:x}".rjust(1 + i % 12, "v") for i in range(LABEL_BATCH + 300)]
+# 1,324 distinct labels, of lengths 1 to 12
+MANY_LABELS = [f"{i:x}".rjust(1 + i % 12, "v") for i in range(1324)]
 
 # Characters of labels: none is whitespace; "#"/"%" and NUL occur inside labels.
 LABEL_CHARS = "ab01#%\x00\u00e9\u00df\u4e2d\U0001f600"

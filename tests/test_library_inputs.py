@@ -6,7 +6,9 @@ One hypothesis property draws a call to a function or type that
 argument drawn from bools (Python's and numpy's), floats, NaN, infinities,
 negatives and integers beyond the graph or beyond int64; a ``SparseMass``,
 ``EnergyTable``, ``Partition`` or ``MembershipMatrix`` built by hand from
-such values, with arrays of the wrong type, shape, order or length; or an
+such values, with arrays of the wrong type, shape, order or length; a
+``SparseMass`` or ``EnergyTable`` of a 300-vertex path whose vertices are of
+an integer type up to int64, ending where the narrower types wrap; or an
 ``fcm_fit`` embedding with coordinates up to the float range. The call
 either raises a ``ValueError`` or ``TypeError`` whose message names the
 argument before any diffusion push or walk step runs, or returns a result
@@ -38,6 +40,7 @@ from seedclust import (
     extract_cluster,
     extract_cluster_from_energy,
     fcm_fit,
+    from_edges,
     modularity,
     overlap_clusters,
     overlap_report,
@@ -53,6 +56,7 @@ N = KARATE.vertex_count
 SHORT_WALK = WalkConfig(expected_size=4)
 MASS_33 = run_diffusion(KARATE, 33, DiffusionConfig(alpha=1e-3))[0]
 POINTS = np.random.default_rng(0).normal(size=(12, 2))
+PATH = from_edges([(i, i + 1) for i in range(299)])  # more vertices than uint8 counts
 VERTEX = ("vertex index",)  # what Graph.check_vertex calls a vertex argument
 
 # integers and what passes for them
@@ -76,10 +80,10 @@ class Case(NamedTuple):
         return self.what
 
 
-def check_cluster(report, seed, walk=False):
+def check_cluster(report, seed, walk=False, n=N):
     members = report.members
     assert members.ndim == 1 and (members[1:] > members[:-1]).all()
-    assert 0 <= members[0] and members[-1] < N
+    assert 0 <= members[0] and members[-1] < n
     assert int(seed) in members.tolist()
     assert 0.0 <= report.conductance <= 1.0
     belong = report.belongingness
@@ -301,6 +305,41 @@ def table_case(drawn):
 
 
 @st.composite
+def narrow_case(draw):
+    """A ``SparseMass`` or ``EnergyTable`` of 1 to 3 consecutive vertices of
+    ``PATH``, seeded at the last, in an integer type from uint8 to int64:
+    the last vertex is often the largest that the type holds, beyond which
+    ``vertices + 1`` wraps in it."""
+    narrow = [np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.uint64]
+    dtype = draw(st.sampled_from([*narrow, np.int64]))
+    largest = min(int(np.iinfo(dtype).max), PATH.vertex_count - 1)
+    seed = draw(st.one_of(st.just(largest), st.integers(0, largest)))
+    vertices = np.arange(max(0, seed - draw(st.integers(0, 2))), seed + 1).astype(dtype)
+    values = np.full(vertices.size, 0.5)
+    if draw(st.booleans()):
+        built = f"SparseMass({vertices!r}, {values!r}, {seed})"
+        return Case(
+            f"extract_cluster(path, {built}, DiffusionTelemetry())",
+            lambda: extract_cluster(PATH, SparseMass(vertices, values, seed), DiffusionTelemetry()),
+            ("mass",),
+            lambda r: check_cluster(r, seed, n=PATH.vertex_count),
+        )
+    counts = np.ones(vertices.size, dtype=np.int64)
+
+    def extract():
+        table = EnergyTable(log_energies=values, visit_counts=counts, seed=seed, visited=vertices)
+        return extract_cluster_from_energy(PATH, table, WalkTelemetry())
+
+    table = f"EnergyTable({values!r}, {counts!r}, {seed}, {vertices!r})"
+    return Case(
+        f"extract_cluster_from_energy(path, {table}, WalkTelemetry())",
+        extract,
+        ("state",),
+        lambda r: check_cluster(r, seed, walk=True, n=PATH.vertex_count),
+    )
+
+
+@st.composite
 def partition_case(draw):
     """``modularity`` of a hand-built ``Partition``: dense block ids for the
     graph's vertices, with at most one part spoilt: no id at all, an id too
@@ -420,6 +459,7 @@ cases = st.one_of(
     hostile_integers.flatmap(integer_cases),
     hand_built_arrays(st.floats(0.0, 1.0), hostile_floats).flatmap(mass_cases),
     hand_built_arrays(st.floats(-50.0, 50.0), hostile_floats).flatmap(table_case),
+    narrow_case(),
     partition_case(),
     membership_case(),
     embedding_case(),

@@ -137,6 +137,12 @@ def test_partition_rejects_non_integer_block_ids(ids):
         Partition(np.array(ids))
 
 
+def test_partition_refuses_bool_block_ids():
+    # an int64 cast made [True, False] blocks [1, 0]
+    with pytest.raises(ValueError, match="^block ids must be integers$"):
+        Partition(np.array([True, False]))
+
+
 def test_partition_rejects_2d_block_ids():
     with pytest.raises(ValueError, match=r"^block ids must be one per vertex.*got shape \(17, 2\)$"):
         Partition(np.zeros((17, 2), dtype=np.int64))
