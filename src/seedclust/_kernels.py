@@ -29,13 +29,13 @@ from operator import itemgetter
 import numpy as np
 
 
-def gather_rows(indptr, indices, vertices):
-    """Concatenated CSR rows of ``vertices`` (with multiplicity) and their lengths."""
-    starts = indptr[vertices]
-    lens = indptr[vertices + 1] - starts
+def gather_rows(indptr, indices, vertices, lens):
+    """Concatenated CSR rows of ``vertices`` (with multiplicity), whose
+    lengths ``lens`` are the vertices' degrees: the callers gather those
+    anyway, and ``Graph`` holds its degrees to its row lengths."""
     ends = lens.cumsum()
-    pos = np.arange(ends[-1] if ends.size else 0) + (starts - ends + lens).repeat(lens)
-    return indices[pos], lens
+    pos = np.arange(ends[-1] if ends.size else 0) + (indptr[vertices] - ends + lens).repeat(lens)
+    return indices[pos]
 
 
 def sorted_unique(values):
@@ -51,17 +51,19 @@ def sorted_unique(values):
 
 def sorted_unique_inverse(values):
     """Sorted distinct elements of ``values`` and each element's position
-    among them, by one ``argsort``, a neighbour comparison and a ``cumsum``
-    (``np.unique`` with ``return_inverse`` costs tens of microseconds more
-    per call at a few hundred elements)."""
+    among them, by one ``argsort``, a neighbour comparison and a binary
+    search of the sorted elements, which costs less than a ``cumsum`` of the
+    comparison's bool mask (``np.unique`` with ``return_inverse`` costs tens
+    of microseconds more per call at a few hundred elements)."""
     by_value = values.argsort()
     ordered = values[by_value]
     fresh = np.empty(values.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    unique = ordered[fresh]
     inverse = np.empty(values.size, dtype=np.int64)
-    inverse[by_value] = fresh.cumsum() - 1
-    return ordered[fresh], inverse
+    inverse[by_value] = unique.searchsorted(ordered)
+    return unique, inverse
 
 
 def push_plan(indptr, indices, degrees, domain):
@@ -76,13 +78,14 @@ def push_plan(indptr, indices, degrees, domain):
     receives the support's terms in the order a plan over the support alone
     gives them.
     """
-    nbrs, lens = gather_rows(indptr, indices, domain)
+    lens = degrees[domain]
+    nbrs = gather_rows(indptr, indices, domain, lens)
     reached, targets = sorted_unique_inverse(np.concatenate((domain, nbrs)))
     at = targets[: domain.size]
     sources = np.concatenate((at, at.repeat(lens)))
     divisors = np.empty(sources.size, dtype=np.float64)
     divisors[: domain.size] = 2.0
-    divisors[domain.size :] = (2.0 * degrees[domain]).repeat(lens)
+    divisors[domain.size :] = (2.0 * lens).repeat(lens)
     return reached, at, sources, divisors, targets
 
 
@@ -111,12 +114,12 @@ def sweep_cutvol(indptr, indices, degrees, order):
     sorted order, so the work is local to the rows of ``order``.
     """
     deg = degrees[order]
-    nbrs, lens = gather_rows(indptr, indices, order)
+    nbrs = gather_rows(indptr, indices, order, deg)
     by_vertex = order.argsort()
     sorted_order = order[by_vertex]
     k = sorted_order.searchsorted(nbrs)
     in_order = sorted_order.take(k, mode="clip") == nbrs
-    owner = np.arange(order.size, dtype=np.int64).repeat(lens)
+    owner = np.arange(order.size, dtype=np.int64).repeat(deg)
     earlier = in_order & (by_vertex.take(k, mode="clip") < owner)
     internal = np.bincount(owner[earlier], minlength=order.size)
     return (deg - 2 * internal).cumsum(), deg.cumsum()

@@ -15,12 +15,13 @@ import argparse
 import inspect
 import json
 import sys
+from array import array
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, IterationStats, extract_cluster, run_diffusion
+from .diffusion import DiffusionConfig, extract_cluster, run_diffusion
 from .graph import load_edge_list
 from .metrics import Partition, modularity
 from .pipeline import overlap_clusters, partition_graph
@@ -48,14 +49,17 @@ def _report_doc(g, report, schema: str) -> dict:
 
 
 def _telemetry_rows(telemetry, wall_clock: bool) -> list[dict]:
-    """One dict per push: ``iteration`` from 1, then the record's fields in
-    order, ``seconds`` only with ``wall_clock``. Both the cluster JSON's
-    ``telemetry`` list and the bench CSV render these rows."""
-    names = [f.name for f in fields(IterationStats) if wall_clock or f.name != "seconds"]
-    return [
-        {"iteration": i, **{name: getattr(s, name) for name in names}}
-        for i, s in enumerate(telemetry.iterations, 1)
+    """One dict per push: ``iteration`` from 1, then the telemetry's record
+    columns (its array fields) in order, ``seconds`` only with
+    ``wall_clock``. Both the cluster JSON's ``telemetry`` list and the bench
+    CSV render these rows."""
+    names = [
+        f.name
+        for f in fields(telemetry)
+        if isinstance(getattr(telemetry, f.name), array) and (wall_clock or f.name != "seconds")
     ]
+    columns = [getattr(telemetry, name) for name in names]
+    return [{"iteration": i, **dict(zip(names, row))} for i, row in enumerate(zip(*columns), 1)]
 
 
 def _cluster_doc(g, report, telemetry, wall_clock: bool) -> dict:

@@ -19,6 +19,14 @@ and nothing scans all n vertices. Off the support the domain carries mass
 zeros out of its own sum: the masses are bit for bit those of a plan over
 the bare support.
 
+One push is a ``diffuse_push`` and a ``truncate``, and ``truncate`` makes
+every decision of the push: the kept mask, the L1 change and whether the
+support changed, plus the next domain, which it computes only when a kept
+vertex lies off the current one. A push computes nothing that no later
+step reads. Its record is one value in each typed column of
+``DiffusionTelemetry`` (``array`` of doubles or of 64-bit integers), not an
+object per push.
+
 The support stops changing long before the mass does. Once it has stayed the
 same for ``SETTLE_STEPS`` steps, diffuse+truncate is a linear map on it whose
 fixed point solves one linear system, and ``solve_fixed_point`` solves it
@@ -28,10 +36,11 @@ positive definite form above that. The next ordinary step checks the
 result: its truncation keeps the support only if every kept entry is at
 least ``alpha`` times the seed's mass and every frontier entry is below it,
 and its L1 change is the solved distribution's residual. If the support
-changes there, iteration resumes from the solved distribution. ``iterations`` counts pushes: one per
-diffuse+truncate step and one per solve step (a direct solve is one step,
-whose push gives its exact residual), each with its own record, so
-``max_iterations`` bounds a run's work either way. ``converged`` means that
+changes there, iteration resumes from the solved distribution.
+``iterations_used`` counts pushes: one per diffuse+truncate step and one per
+solve step (a direct solve is one step, whose push gives its exact
+residual), each with its own record, so ``max_iterations`` bounds a run's
+work either way. ``converged`` means that
 a diffuse+truncate step moved the distribution by less than
 ``convergence_epsilon``: after a solve, the residual at a fixed point whose
 support that step verified.
@@ -41,7 +50,9 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -135,26 +146,25 @@ class SparseMass:
 
 
 @dataclass
-class IterationStats:
-    l1_change: float
-    support_size: int
-    support_volume: int
-    ops: int
-    seconds: float
-
-
-@dataclass
 class DiffusionTelemetry:
-    """Per-iteration convergence and work record for a diffusion run."""
+    """Per-push convergence and work record of a diffusion run, one typed
+    column per field: push i's L1 change (a solve step's bound on the next
+    one), the size and volume of the support it pushed from, its ops (that
+    size and volume plus the size of the support it left) and the seconds
+    since the previous push or the run's start."""
 
-    iterations: list[IterationStats] = field(default_factory=list)
+    l1_change: array = field(default_factory=partial(array, "d"))
+    support_size: array = field(default_factory=partial(array, "q"))
+    support_volume: array = field(default_factory=partial(array, "q"))
+    ops: array = field(default_factory=partial(array, "q"))
+    seconds: array = field(default_factory=partial(array, "d"))
     converged: bool = False
     # record indices of each fixed-point solve's steps
     solves: list[range] = field(default_factory=list)
 
     @property
     def iterations_used(self) -> int:
-        return len(self.iterations)
+        return len(self.l1_change)
 
 
 @dataclass(eq=False)
@@ -176,29 +186,49 @@ class ClusterReport:
 
 
 def truncate(
-    mass: np.ndarray, prev: np.ndarray, live: np.ndarray, seed_pos: int, alpha: float
-) -> tuple[np.ndarray, float]:
-    """Truncate one step's ``mass`` in place; return (kept mask, L1 change from ``prev``).
+    mass: np.ndarray,
+    prev: np.ndarray,
+    live: np.ndarray,
+    inside: np.ndarray,
+    seed_pos: int,
+    alpha: float,
+) -> tuple[np.ndarray, float, bool, np.ndarray | None]:
+    """Truncate one push's ``mass`` in place and decide what the push changed.
 
-    Positive entries below ``alpha`` times the seed's mass (at ``seed_pos``)
-    are zeroed and their sum, taken in vertex order, is added to the seed.
-    The zeros are left out of that sum: numpy's pairwise sum assigns
-    elements to its lanes by position, so a diffusion's domain, whose zeros
-    lie among the entries, would otherwise change the rounding. The L1
-    change from ``prev``, whose support is ``live``, is summed over the
-    vertices of either support, in vertex order.
+    Returns (keep, l1, changed, near). ``keep`` marks the entries of at
+    least ``alpha`` times the seed's mass (at ``seed_pos``), the seed among
+    them. Every other positive entry is zeroed and their sum, taken in
+    vertex order, is added to the seed. The zeros are left out of that sum:
+    numpy's pairwise sum assigns elements to its lanes by position, so a
+    diffusion's domain, whose zeros lie among the entries, would otherwise
+    change the rounding. ``l1`` is the change from ``prev``, whose support
+    is ``live``, summed over the vertices of either support in vertex
+    order, and ``changed`` says whether ``keep`` differs from ``live``.
+
+    ``near`` is None unless a kept vertex lies off the plan's domain
+    (``inside``), the one case in which the plan is rebuilt. Then it marks
+    the next domain: the kept vertices and those whose mass before
+    truncation was above ``NEAR`` times the threshold.
     """
-    if mass[seed_pos] <= 0.0:
+    s = mass.item(seed_pos)
+    if s <= 0.0:
         raise ValueError("seed has zero mass; truncation threshold undefined")
-    keep = mass >= alpha * mass[seed_pos]
+    keep = mass >= alpha * s
     keep[seed_pos] = True
-    dropped = (mass > 0.0) > keep  # positive and not kept
-    if dropped.nonzero()[0].size:
+    # bool masks of one length are equal exactly when their bytes are: one
+    # C call each, where counting a != mask builds an array first
+    changed = keep.tobytes() != live.tobytes()
+    near = None
+    if changed and (keep > inside).nonzero()[0].size:
+        near = mass > NEAR * alpha * s
+        near |= keep  # the next domain holds the support whatever NEAR is
+    dropped = ((mass > 0.0) > keep).nonzero()[0]  # positive and not kept
+    if dropped.size:
         removed = float(np.add.reduce(mass[dropped]))
         mass[dropped] = 0.0
         mass[seed_pos] += removed
-    l1 = float(np.add.reduce(np.abs((mass - prev)[keep | live])))
-    return keep, l1
+    l1 = float(np.add.reduce(np.abs((mass - prev)[keep | live if changed else keep])))
+    return keep, l1, changed, near
 
 
 SETTLE_STEPS = 3  # steps a support stays the same before its fixed point is solved
@@ -251,9 +281,12 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
     solve before its bound reaches ``tol``.
     """
     reached, _, sources, divisors, targets = plan
-    rank = live.cumsum() - 1
-    on = live[sources] & live[targets]
-    src, dst, div = rank[sources[on]], rank[targets[on]], divisors[on]
+    # each support vertex's position in the support; a bool cumsum costs more
+    rank = np.zeros(reached.size, dtype=np.int64)
+    rank[live] = np.arange(support.size)
+    # the terms on the support, gathered by position: take costs less than a mask
+    on = (live[sources] & live[targets]).nonzero()[0]
+    src, dst, div = rank.take(sources.take(on)), rank.take(targets.take(on)), divisors.take(on)
     seed_at = int(support.searchsorted(seed))
     k = support.size
     if k <= DENSE_MAX:
@@ -263,15 +296,17 @@ def solve_fixed_point(g, support, live, plan, seed, tol, max_steps, record):
         e = np.zeros(k, dtype=np.float64)
         e[seed_at] = 1.0
         y = np.linalg.solve(matrix.reshape(k, k), e)
+        total = np.add.reduce(y)
         walk = (support, None, src, div, dst)
         r = e - y + _kernels.diffuse_push(g.indptr, g.indices, g.degrees, support, y, walk)
-        record(2.0 * float(np.add.reduce(np.abs(r))) / float(np.add.reduce(y)), k)
+        record(2.0 * float(np.add.reduce(np.abs(r))) / float(total), k)
     else:
         y = _conjugate_gradients(g, support, src, div, dst, seed_at, tol, max_steps, record)
         if y is None:
             return None
+        total = np.add.reduce(y)
     out = np.zeros(reached.size, dtype=np.float64)
-    out[live] = y / np.add.reduce(y)
+    out[live] = y / total
     return out
 
 
@@ -325,32 +360,32 @@ def run_diffusion(
     not an error; the telemetry's ``converged`` flag reports it.
     """
     seed = g.check_vertex(seed)
+    alpha, epsilon, budget = cfg.alpha, cfg.convergence_epsilon, cfg.max_iterations
     reached = support = np.array([seed], dtype=np.int64)
     mass = np.array([1.0])
     live = near = np.array([True])
-    plan = None
     support_size, support_volume, settled = 1, int(g.degrees[seed]), 0
     telemetry = DiffusionTelemetry()
-    records = telemetry.iterations
+    l1s, sizes, volumes = telemetry.l1_change, telemetry.support_size, telemetry.support_volume
+    ops, seconds = telemetry.ops, telemetry.seconds
     last = time.perf_counter()
 
     def record(l1, kept):
         nonlocal last
         now = time.perf_counter()
-        records.append(
-            IterationStats(
-                l1_change=l1,
-                support_size=support_size,
-                support_volume=support_volume,
-                ops=support_size + support_volume + kept,
-                seconds=now - last,
-            )
-        )
+        l1s.append(l1)
+        sizes.append(support_size)
+        volumes.append(support_volume)
+        ops.append(support_size + support_volume + kept)
+        seconds.append(now - last)
         last = now
 
-    while len(records) < cfg.max_iterations:
-        if plan is None:
+    while len(l1s) < budget:
+        if near is not None:  # the first push, or truncation kept a vertex off the domain
             domain = reached[near]
+            # keep nothing of the last plan but its reach alive through this
+            # build, whose peak it would raise; at is a view of its targets
+            plan = None
             plan = _kernels.push_plan(g.indptr, g.indices, g.degrees, domain)
             reached, at = plan[0], plan[1]
             moved = np.zeros(reached.size, dtype=np.float64)
@@ -360,8 +395,6 @@ def run_diffusion(
             inside = np.zeros(reached.size, dtype=bool)
             inside[at] = True
             mass, live = moved, on
-            # at is a view of the plan's targets: keep nothing of this plan
-            # alive through the next build, whose peak it would raise
             del moved, on, at
             seed_pos = int(reached.searchsorted(seed))
         elif (
@@ -370,44 +403,41 @@ def run_diffusion(
             # seed's component, so its reach is larger than the support
             # exactly when the support has one
             and reached.size > support_size
-            and cfg.convergence_epsilon > 0.0
-            and cfg.max_iterations - len(records) > 1  # room for the checking step
+            and epsilon > 0.0
+            and budget - len(l1s) > 1  # room for the checking step
         ):
-            first = len(records)
+            first = len(l1s)
             solved = solve_fixed_point(
                 g,
                 support,
                 live,
                 plan,
                 seed,
-                cfg.convergence_epsilon * SOLVE_TOLERANCE,
-                cfg.max_iterations - first - 1,
+                epsilon * SOLVE_TOLERANCE,
+                budget - first - 1,
                 record,
             )
-            telemetry.solves.append(range(first, len(records)))
+            telemetry.solves.append(range(first, len(l1s)))
             if solved is not None:
                 mass = solved
         new = _kernels.diffuse_push(g.indptr, g.indices, g.degrees, domain, mass, plan)
-        near = new > NEAR * cfg.alpha * new[seed_pos]
-        keep, l1 = truncate(new, mass, live, seed_pos, cfg.alpha)
+        keep, l1, changed, near = truncate(new, mass, live, inside, seed_pos, alpha)
         mass = new
-        record(l1, keep.nonzero()[0].size)
-        if l1 < cfg.convergence_epsilon:
+        if changed:
+            support = reached[keep]
+        record(l1, support.size)
+        if l1 < epsilon:
             telemetry.converged = True
             break
-        if not (keep != live).nonzero()[0].size:
+        if not changed:
             settled += 1
             continue
-        if (keep > inside).nonzero()[0].size:  # kept off the domain
-            near |= keep  # the next domain holds the support whatever NEAR is
-            plan = None
         live, settled = keep, 0
-        support = reached[live]
-        support_size = int(support.size)
+        support_size = support.size
         support_volume = int(np.add.reduce(g.degrees[support]))
 
     # the last step's support: a converging step may have changed it
-    return SparseMass(reached[keep], mass[keep], seed), telemetry
+    return SparseMass(support, mass[keep], seed), telemetry
 
 
 def sweep_cut(
@@ -418,8 +448,9 @@ def sweep_cut(
     The one sweep of both local methods. ``vertices`` (of ``g``, strictly
     increasing, the seed among them) are ranked by their aligned ``scores``,
     highest first, the seed first among equal scores, then the lower vertex.
-    The whole vertex set is never a prefix: its conductance is undefined,
-    and its small side, 0, is divided by 1 so that it never evaluates 0/0.
+    The whole vertex set is never a prefix: its small side is 0, and every
+    other set's is positive, since every vertex has an edge. Only the
+    eligible prefixes are scored, one slice of the ranked order.
     Returns (picked, conductance, degenerate): ``picked`` are the members'
     positions in ``vertices``, ascending; degenerate marks the fallback to
     the seed alone when no prefix is eligible.
@@ -431,15 +462,15 @@ def sweep_cut(
     twice_m = g.total_degree
     seed_pos = int((ranked == seed_at).argmax())
 
-    sizes = np.arange(1, vertices.size + 1)
-    eligible = (sizes > seed_pos) & (sizes < g.vertex_count)
-    if not eligible.nonzero()[0].size:
+    # the eligible prefixes hold the seed and leave a vertex out
+    stop = min(vertices.size, g.vertex_count - 1)
+    if stop <= seed_pos:
         return np.array([seed_at]), 1.0, True
 
-    small_side = np.minimum(vols, twice_m - vols)
-    phis = np.where(eligible, cuts / np.maximum(small_side, 1), np.inf)
+    vols = vols[seed_pos:stop]
+    phis = cuts[seed_pos:stop] / np.minimum(vols, twice_m - vols)
     best = int(phis.argmin())
-    picked = ranked[: best + 1]
+    picked = ranked[: seed_pos + best + 1]
     picked.sort()
     return picked, float(phis[best]), False
 

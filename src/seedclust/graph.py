@@ -59,6 +59,10 @@ class Graph:
         if not self.degrees.all():
             u = int(np.flatnonzero(self.degrees == 0)[0])
             raise ValueError(f"vertex {u} ({self.labels[u]!r}) has no edge")
+        # the kernels read a vertex's row length from its degree
+        lengths = np.diff(self.indptr)
+        if not (lengths.shape == self.degrees.shape and (lengths == self.degrees).all()):
+            raise ValueError("degrees must be the row lengths of indptr")
 
     @property
     def vertex_count(self) -> int:

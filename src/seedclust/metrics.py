@@ -14,6 +14,15 @@ from .graph import Graph
 BLOCK_ID = re.compile(r"([+-]?)0*([0-9]+)")
 
 
+def _holds_bool(given, ids: np.ndarray) -> bool:
+    """Whether the block ids ``given`` (``ids`` as an array) hold a bool.
+    ``np.asarray`` turns a bool among a list's ints into an int, so a list's
+    or an object array's items are read one by one."""
+    if isinstance(given, np.ndarray) and ids.dtype.kind != "O":
+        return ids.dtype.kind == "b"
+    return any(isinstance(b, (bool, np.bool_)) for b in given)
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Assignment of every vertex to exactly one block."""
@@ -21,7 +30,8 @@ class Partition:
     assignments: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.assignments)
+        given = self.assignments
+        ids = np.asarray(given)
         if ids.ndim != 1:
             raise ValueError(f"block ids must be one per vertex, a 1-D array; got shape {ids.shape}")
         if ids.size == 0:
@@ -34,7 +44,7 @@ class Partition:
                 a = ids.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError):
             raise ValueError("block ids must be integers") from None
-        if ids.dtype.kind == "b" or not (a == ids).all():
+        if not (a == ids).all() or _holds_bool(given, ids):
             raise ValueError("block ids must be integers")
         object.__setattr__(self, "assignments", a)
         if a.min() < 0:

@@ -11,7 +11,7 @@ distributions after it are measured against.
 import numpy as np
 
 from seedclust import DiffusionConfig, SparseMass
-from seedclust.diffusion import DiffusionTelemetry, IterationStats
+from seedclust.diffusion import DiffusionTelemetry
 
 
 def total_mass(mass: SparseMass) -> float:
@@ -86,7 +86,12 @@ def run_oracle(g, seed: int, cfg: DiffusionConfig = DiffusionConfig()):
         l1 = l1_diff(new, mass)
         ops = support_size + support_volume + new.support_size
         mass = new
-        telemetry.iterations.append(IterationStats(l1, support_size, support_volume, ops, 0.0))
+        t = telemetry
+        for column, value in zip(
+            (t.l1_change, t.support_size, t.support_volume, t.ops, t.seconds),
+            (l1, support_size, support_volume, ops, 0.0),
+        ):
+            column.append(value)
         if l1 < cfg.convergence_epsilon:
             telemetry.converged = True
             break

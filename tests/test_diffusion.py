@@ -101,8 +101,9 @@ def test_truncate_requires_seed_mass():
     with pytest.raises(ValueError, match="^mass vertices must hold its seed 0$"):
         truncate(sparse_from_dict({1: 1.0}, seed=0), 1e-3)
     # the program's in-place truncation: seed at position 0
+    live = np.array([True, False])
     with pytest.raises(ValueError, match="seed has zero mass"):
-        diffusion.truncate(np.array([0.0, 1.0]), np.zeros(2), np.array([True, False]), 0, 1e-3)
+        diffusion.truncate(np.array([0.0, 1.0]), np.zeros(2), live, live, 0, 1e-3)
 
 
 @given(
@@ -205,11 +206,30 @@ def test_run_diffusion_state_stays_on_the_supports_reach(monkeypatch):
         for i, (support, size, pushed_from) in enumerate(pushes):
             closed = np.union1d(support, np.concatenate([g.neighbors(int(u)) for u in support]))
             assert size == (support.size if i in solving else closed.size)
-            assert pushed_from.size == telemetry.iterations[i].support_size
+            assert pushed_from.size == telemetry.support_size[i]
             reach = np.concatenate([pushed_from] + [g.neighbors(int(u)) for u in pushed_from])
             assert np.isin(pushed_from, support).all() and np.isin(support, reach).all()
             wider += support.size > pushed_from.size
     assert wider
+
+
+def test_records_of_a_thousand_pushes_fit_in_typed_columns():
+    """A run keeps one typed column per record field, 8 bytes a push each:
+    1,000 unconverged pushes on a 100k-vertex ring of cliques peak below
+    128 KB (84 KB measured, records and state together)."""
+    import tracemalloc
+
+    g = ring_of_cliques(12500, 8)
+    cfg = steps(1e-3, 1000)
+    run_diffusion(g, 0, cfg)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        _, telemetry = run_diffusion(g, 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert telemetry.iterations_used == 1000 and not telemetry.converged
+    assert peak < 128 * 1024
 
 
 @pytest.mark.parametrize("alpha", [0.04, 3e-3])
@@ -236,7 +256,7 @@ def test_plans_outlive_support_changes(alpha, monkeypatch):
             pushed_from = plan[0][mass > 0.0]
             supports.append(pushed_from.tolist())
             # the domain lies inside the support's closed neighbourhood
-            nbrs = kernels.gather_rows(indptr, indices, pushed_from)[0]
+            nbrs = kernels.gather_rows(indptr, indices, pushed_from, degrees[pushed_from])
             assert np.isin(support, np.concatenate((pushed_from, nbrs))).all()
         return diffuse_push(indptr, indices, degrees, support, mass, plan)
 
@@ -293,9 +313,9 @@ def test_solve_cut_short_by_the_budget_is_discarded():
     last = telemetry.solves[-1]
     assert telemetry.iterations_used == cfg.max_iterations == last.stop + 1
     tol = cfg.convergence_epsilon * SOLVE_TOLERANCE
-    assert telemetry.iterations[last.stop - 1].l1_change > tol
+    assert telemetry.l1_change[last.stop - 1] > tol
     assert not telemetry.converged
-    assert mass.support_size >= telemetry.iterations[last.start].support_size
+    assert mass.support_size >= telemetry.support_size[last.start]
 
 
 @pytest.mark.parametrize(
@@ -322,8 +342,9 @@ def test_records_time_the_run_with_one_clock_read_each(cfg, monkeypatch):
     wall = real_clock() - t0
     assert bool(telemetry.solves) == (cfg.convergence_epsilon > 0)
     assert len(reads) == telemetry.iterations_used + 1
-    assert all(s.seconds >= 0.0 for s in telemetry.iterations)
-    assert sum(s.seconds for s in telemetry.iterations) <= wall
+    assert len(telemetry.seconds) == telemetry.iterations_used
+    assert all(s >= 0.0 for s in telemetry.seconds)
+    assert sum(telemetry.seconds) <= wall
 
 
 @pytest.mark.parametrize(
@@ -399,8 +420,9 @@ def assert_same_run(g, seed, cfg):
 
 
 def iteration_fields(telemetry):
-    """Every ``IterationStats`` field but the wall-clock ``seconds``."""
-    return [(s.l1_change, s.support_size, s.support_volume, s.ops) for s in telemetry.iterations]
+    """Every record column but the wall-clock ``seconds``, one tuple per push."""
+    t = telemetry
+    return list(zip(t.l1_change, t.support_size, t.support_volume, t.ops))
 
 
 # (config, whether some run of the suite solves a fixed point)
@@ -439,9 +461,9 @@ def test_run_diffusion_matches_oracle_when_the_converging_step_changes_support()
                     mass, telemetry = assert_same_run(
                         g, seed, DiffusionConfig(alpha=alpha, convergence_epsilon=eps)
                     )
-                    last = telemetry.iterations[-1]
-                    kept = last.ops - last.support_size - last.support_volume
-                    changed += not telemetry.solves and kept != last.support_size
+                    size = telemetry.support_size[-1]
+                    kept = telemetry.ops[-1] - size - telemetry.support_volume[-1]
+                    changed += not telemetry.solves and kept != size
                     assert (mass.masses > 0.0).all()
                     assert abs(total_mass(mass) - 1.0) < 1e-12
     assert changed
@@ -466,7 +488,7 @@ def test_solved_result_is_a_verified_fixed_point():
                 continue
             solved += 1
             for steps_of in telemetry.solves:
-                direct = telemetry.iterations[steps_of.start].support_size <= DENSE_MAX
+                direct = telemetry.support_size[steps_of.start] <= DENSE_MAX
                 assert (len(steps_of) == 1) == direct
                 records.add(len(steps_of) == 1)
             assert telemetry.converged
@@ -666,3 +688,34 @@ def test_whole_component_cluster_degenerate_flag(two_triangles):
     assert report.members.tolist() == [0, 1, 2]
     assert report.conductance == 0.0
     assert not report.degenerate
+
+
+@pytest.mark.parametrize("alpha, builds, pushes, solves", [(0.04, 188, 5567, 39), (3e-3, 187, 8793, 0)])
+def test_karate_work_counts_are_pinned(alpha, builds, pushes, solves, monkeypatch):
+    """Plans built, pushes and fixed-point solves of the diffusions from
+    every karate vertex: a change that only makes a push cheaper leaves
+    them as they are. At alpha 3e-3 every support grows to the whole graph,
+    whose fixed point is never solved."""
+    import seedclust._kernels as kernels
+
+    push_plan, diffuse_push = kernels.push_plan, kernels.diffuse_push
+    work = {"builds": 0, "pushes": 0}
+
+    def counted_plan(*args):
+        work["builds"] += 1
+        return push_plan(*args)
+
+    def counted_push(*args):
+        work["pushes"] += 1
+        return diffuse_push(*args)
+
+    monkeypatch.setattr(kernels, "push_plan", counted_plan)
+    monkeypatch.setattr(kernels, "diffuse_push", counted_push)
+    g = karate_club()
+    iterations = solved = 0
+    for seed in range(g.vertex_count):
+        _, telemetry = run_diffusion(g, seed, DiffusionConfig(alpha=alpha))
+        iterations += telemetry.iterations_used
+        solved += len(telemetry.solves)
+    assert (work["builds"], work["pushes"], solved) == (builds, pushes, solves)
+    assert iterations == pushes

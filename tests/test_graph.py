@@ -118,6 +118,20 @@ def test_transition_prob_errors():
         )
 
 
+def test_graph_refuses_degrees_that_are_not_its_row_lengths(karate):
+    # the kernels take a row's length from its degree: a degree one too high
+    # reads past the end of indices or loses mass
+    from seedclust.graph import Graph
+
+    high = karate.degrees.copy()
+    high[-1] += 1
+    for degrees, labels in [(high, karate.labels), (karate.degrees[:-1], karate.labels[:-1])]:
+        with pytest.raises(ValueError, match="^degrees must be the row lengths of indptr$"):
+            Graph(indptr=karate.indptr, indices=karate.indices, degrees=degrees, labels=labels)
+    same = Graph(karate.indptr, karate.indices, karate.degrees, karate.labels)
+    assert same.degrees is karate.degrees
+
+
 def test_transition_rows_sum_to_one():
     for g in random_graphs(6, n_max=40):
         dense = dense_transition_matrix(g)

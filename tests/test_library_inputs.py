@@ -342,8 +342,9 @@ def narrow_case(draw):
 @st.composite
 def partition_case(draw):
     """``modularity`` of a hand-built ``Partition``: dense block ids for the
-    graph's vertices, with at most one part spoilt: no id at all, an id too
-    many or too few, a 2-D array, a gap, or one hostile id."""
+    graph's vertices, as an array, a list or an object array, with at most
+    one part spoilt: no id at all, an id too many or too few, a 2-D array, a
+    gap, or one hostile id. A bool is no block id in any of them."""
     ids = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
     ids = np.unique(ids, return_inverse=True)[1].tolist()  # dense
     spoil = draw(st.sampled_from(("none", "empty", "length", "shape", "gap", "value")))
@@ -356,16 +357,26 @@ def partition_case(draw):
         ids = [b + (b > 0) for b in ids]
     elif spoil == "value":
         ids[at] = draw(st.one_of(hostile_floats, hostile_integers, st.just(2**62)))
-    array = np.array(ids)
+    holds_bool = any(isinstance(b, (bool, np.bool_)) for b in ids)
+    container = draw(st.sampled_from(("array", "list", "object array")))
+    if container == "array":
+        given = np.array(ids)  # a bool among ints becomes an int here
+        holds_bool = given.dtype == bool
+    elif container == "object array":
+        given = np.empty(len(ids), dtype=object)
+        given[:] = ids
+    else:
+        given = ids
     if spoil == "shape":
-        array = array[:, None]
+        given = [[b] for b in ids] if container == "list" else given[:, None]
 
     def check(q):
+        assert not holds_bool, "a bool was taken as a block id"
         assert -0.5 <= q <= 1.0
 
     return Case(
-        f"modularity(g, Partition({array!r}))",
-        lambda: modularity(KARATE, Partition(array)),
+        f"modularity(g, Partition({given!r}))",
+        lambda: modularity(KARATE, Partition(given)),
         ("block id", "partition"),
         check,
     )

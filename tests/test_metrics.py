@@ -143,6 +143,19 @@ def test_partition_refuses_bool_block_ids():
         Partition(np.array([True, False]))
 
 
+@pytest.mark.parametrize(
+    "ids",
+    [[0, True], [np.True_, 0], (0, False, 1), np.array([0, True], dtype=object)],
+    ids=["list", "numpy bool in a list", "tuple", "object array"],
+)
+def test_partition_refuses_a_bool_among_integer_block_ids(ids):
+    # np.asarray makes a list's True the int 1: [0, True] would be blocks [0, 1]
+    with pytest.raises(ValueError, match="^block ids must be integers$"):
+        Partition(ids)
+    assert Partition([0, 1, 1]).assignments.tolist() == [0, 1, 1]
+    assert Partition(np.array([1, 0], dtype=object)).assignments.tolist() == [1, 0]
+
+
 def test_partition_rejects_2d_block_ids():
     with pytest.raises(ValueError, match=r"^block ids must be one per vertex.*got shape \(17, 2\)$"):
         Partition(np.zeros((17, 2), dtype=np.int64))

@@ -274,8 +274,9 @@ def test_ops_bounded_by_support_volume():
     from seedclust import run_diffusion
 
     _, telemetry = run_diffusion(g, 0, DiffusionConfig(alpha=1e-4, max_iterations=300))
-    for stats in telemetry.iterations:
-        assert stats.ops <= 4 * stats.support_volume
+    assert telemetry.iterations_used == len(telemetry.ops) == len(telemetry.support_volume)
+    for ops, volume in zip(telemetry.ops, telemetry.support_volume):
+        assert ops <= 4 * volume
 
 
 @pytest.mark.parametrize(

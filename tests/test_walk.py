@@ -628,3 +628,29 @@ def test_benchmark_tracer_reads_a_karate_walk(karate):
     assert metrics["walk.touched_vertices"] == state.visited.size == 28
     assert metrics["kernels.walk_phase.steps"] == telemetry.total_steps == 240
     assert not hasattr(kernels.walk_phase, "__wrapped__")
+
+
+def test_benchmark_tracer_reads_a_karate_diffusion(karate):
+    """The benchmark's tracer finds every target it wraps and reads a
+    diffusion query: one ``diffuse_push`` per iteration, solve steps
+    included; one ``truncate`` per push outside the solves; and a sweep over
+    the whole support, read from ``sweep_cutvol``'s ``args[3]``."""
+    import seedclust.diffusion
+
+    tracer = load_tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        cfg = seedclust.diffusion.DiffusionConfig(alpha=1e-3)
+        mass, telemetry = seedclust.diffusion.run_diffusion(karate, 33, cfg)
+        seedclust.diffusion.extract_cluster(karate, mass, telemetry)
+    finally:
+        trace.uninstall()
+    assert trace.missing == []
+    metrics = tracer.round_metrics(trace.rounds[0])
+    pushes = metrics["kernels.diffuse_push.calls"]
+    assert pushes == metrics["diffusion.iterations"] == telemetry.iterations_used > 0
+    solve_steps = sum(len(steps) for steps in telemetry.solves)
+    assert trace.rounds[0].layers["diffusion.truncate"].calls == pushes - solve_steps
+    assert metrics["kernels.sweep_cutvol.vertices"] == mass.support_size
+    assert not hasattr(seedclust.diffusion.truncate, "__wrapped__")
