@@ -42,9 +42,12 @@ def sorted_unique(values):
     """Sorted distinct elements of ``values``: ``np.unique`` by a sort and a
     neighbour comparison. From numpy 2.3 on, ``np.unique`` without
     ``return_*`` flags hashes, which is several times slower than sorting
-    from a thousand integers up."""
-    values = np.sort(values)
-    fresh = np.ones(values.size, dtype=bool)
+    from a thousand integers up. Array methods, not ``np.sort`` and
+    ``np.ones``, as a diffusion's first domain calls it per query."""
+    values = values.copy()
+    values.sort()
+    fresh = np.empty(values.size, dtype=bool)
+    fresh[:1] = True
     np.not_equal(values[1:], values[:-1], out=fresh[1:])
     return values[fresh]
 

@@ -19,6 +19,18 @@ and nothing scans all n vertices. Off the support the domain carries mass
 zeros out of its own sum: the masses are bit for bit those of a plan over
 the bare support.
 
+The first plan is built over the domain the first push would rebuild it
+to. That push leaves 0.5 on the seed and 1 / (2 d) on each neighbour of a
+degree-d seed, and keeps a neighbour if its share is at least alpha * 0.5,
+so it keeps all of them or none. When it keeps them all and alpha * 0.5 is
+positive, the run starts over the seed's closed neighbourhood, with mass
+1.0 and the support on the seed alone; that is the plan the first push's
+rebuild gives, so every later plan, push, solve and record is the same, and
+the first push's masses are those of a plan over the seed alone. A zero
+threshold (alpha 0, or 5e-324, whose half rounds to 0.0) would keep that
+domain's zero-mass reach, so such a run, like one whose first push keeps no
+neighbour, starts from the seed alone.
+
 One push is a ``diffuse_push`` and a ``truncate``, and ``truncate`` makes
 every decision of the push: the kept mask, the L1 change and whether the
 support changed, plus the next domain, which it computes only when a kept
@@ -117,8 +129,10 @@ class SparseMass:
     nonnegative mass per vertex, positive at the seed and with every ratio
     to the seed's a finite float. The constructor checks these rules, so
     every function that takes a ``SparseMass`` can rely on them; a
-    ``ValueError`` that names ``mass`` refuses the rest. A mass may be 0.0:
-    a long run without truncation can underflow an entry.
+    ``ValueError`` that names ``mass`` refuses the rest. ``run_diffusion``
+    builds its result without the checks, which the run's own arrays pass
+    by construction. A mass may be 0.0: a long run without truncation can
+    underflow an entry.
     """
 
     vertices: np.ndarray
@@ -253,7 +267,11 @@ DENSE_MAX = 160
 # in-process sweeps (medians of 15 and 21 alternating rounds; one OpenBLAS
 # thread, x86-64, 2 vCPUs) 0.5 ran the queries 18-19% and the partition 17-28%
 # faster than NEAR 1; 0.25 and 0.75 were within the noise of 0.5, and 0 gained
-# less (4-15% and 6-10%).
+# less (4-15% and 6-10%). With the first plan over the seed's closed
+# neighbourhood when the first push keeps it (run_diffusion), 0.5 builds 571,
+# 262 and 573 plans. Re-swept on the queries: 0.35 builds 505, 0.25 478 and
+# 0.75 739, and 0.5 stayed fastest, at 355.5 us per query against 358.9,
+# 378.5 and 378.5.
 NEAR = 0.5
 
 
@@ -349,22 +367,32 @@ def run_diffusion(
     The state lies over the vertices a push plan's domain reaches in one
     step (see the module docstring); the plan is rebuilt only when
     truncation keeps a vertex off its domain, so each iteration costs the
-    domain's volume. Once the support has stayed the same for
-    ``SETTLE_STEPS`` steps and has a frontier, its fixed point is solved
-    (``solve_fixed_point``) and the next step checks it. Every push is one
-    iteration, a solve's steps included, and its record describes the
-    support it pushed from. A solve that ``max_iterations`` cuts short leaves
-    the distribution it started from: its early iterate can lie further
-    from the fixed point. Each record's ``seconds`` is the time since the
-    previous record, or since the run started. Hitting ``max_iterations`` is
-    not an error; the telemetry's ``converged`` flag reports it.
+    domain's volume. The first domain is the seed's closed neighbourhood
+    when the threshold alpha * 0.5 is positive and at most a neighbour's
+    share 1 / (2 d) of the first push, which then keeps every neighbour,
+    else the seed alone: the first push's rebuild would give that wider
+    domain, so starting from it saves one plan build and changes no mass or
+    record. Once the support has stayed the same for ``SETTLE_STEPS`` steps
+    and has a frontier, its fixed point is solved (``solve_fixed_point``)
+    and the next step checks it. Every push is one iteration, a solve's
+    steps included, and its record describes the support it pushed from. A
+    solve that ``max_iterations`` cuts short leaves the distribution it
+    started from: its early iterate can lie further from the fixed point.
+    Each record's ``seconds`` is the time since the previous record, or
+    since the run started. Hitting ``max_iterations`` is not an error; the
+    telemetry's ``converged`` flag reports it.
     """
     seed = g.check_vertex(seed)
     alpha, epsilon, budget = cfg.alpha, cfg.convergence_epsilon, cfg.max_iterations
     reached = support = np.array([seed], dtype=np.int64)
-    mass = np.array([1.0])
-    live = near = np.array([True])
     support_size, support_volume, settled = 1, int(g.degrees[seed]), 0
+    # the first plan lies where the first push would rebuild it (module
+    # docstring); a zero threshold would keep that domain's zero-mass reach
+    if 0.0 < alpha * 0.5 <= 1.0 / (2.0 * support_volume):
+        reached = _kernels.sorted_unique(np.concatenate((support, g.neighbors(seed))))
+    live = reached == seed
+    mass = live.astype(np.float64)  # 1.0 on the seed
+    near = np.ones(reached.size, dtype=bool)
     telemetry = DiffusionTelemetry()
     l1s, sizes, volumes = telemetry.l1_change, telemetry.support_size, telemetry.support_volume
     ops, seconds = telemetry.ops, telemetry.seconds
@@ -436,8 +464,17 @@ def run_diffusion(
         support_size = support.size
         support_volume = int(np.add.reduce(g.degrees[support]))
 
-    # the last step's support: a converging step may have changed it
-    return SparseMass(support, mass[keep], seed), telemetry
+    # the last step's support: a converging step may have changed it. The
+    # result skips SparseMass's checks, which its arrays pass by
+    # construction: the support is increasing vertices of g that keep the
+    # seed, and each kept mass is at least alpha times the seed's positive
+    # mass and at most the total, 1. Re-checking them took about 6 us of a
+    # 360 us local-diffusion query (x86-64, numpy 2.4).
+    result = object.__new__(SparseMass)
+    object.__setattr__(result, "vertices", support)
+    object.__setattr__(result, "masses", mass[keep])
+    object.__setattr__(result, "seed", seed)
+    return result, telemetry
 
 
 def sweep_cut(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -580,6 +582,17 @@ def test_sparse_mass_keeps_an_entry_that_underflowed_to_zero():
     assert 0.0 in mass.masses.tolist()
     assert mass.seed_mass() > 0.0
     assert extract_cluster(g, mass, telemetry).members[0] == 0
+    SparseMass(mass.vertices, mass.masses, mass.seed)
+
+
+@pytest.mark.parametrize("alpha", [0.04, 3e-3, 1e-5, 0.0])
+def test_run_diffusion_results_pass_the_sparse_mass_checks(karate, alpha):
+    """``run_diffusion`` builds its result without ``SparseMass``'s checks,
+    which the run's arrays pass by construction: rebuilding each result
+    through the constructor checks them, from every karate seed."""
+    for seed in range(karate.vertex_count):
+        mass, _ = run_diffusion(karate, seed, DiffusionConfig(alpha=alpha))
+        SparseMass(mass.vertices, mass.masses, mass.seed)
 
 
 def test_extract_refuses_a_mass_beyond_the_graph(karate):
@@ -690,12 +703,19 @@ def test_whole_component_cluster_degenerate_flag(two_triangles):
     assert not report.degenerate
 
 
-@pytest.mark.parametrize("alpha, builds, pushes, solves", [(0.04, 188, 5567, 39), (3e-3, 187, 8793, 0)])
+@pytest.mark.parametrize(
+    "alpha, builds, pushes, solves",
+    [
+        pytest.param(0.04, 154, 5567, 39, id="alpha0.04"),
+        pytest.param(3e-3, 153, 8793, 0, id="alpha3e-3"),
+        pytest.param(1e-5, 137, 8792, 0, id="alpha1e-5"),
+    ],
+)
 def test_karate_work_counts_are_pinned(alpha, builds, pushes, solves, monkeypatch):
     """Plans built, pushes and fixed-point solves of the diffusions from
     every karate vertex: a change that only makes a push cheaper leaves
-    them as they are. At alpha 3e-3 every support grows to the whole graph,
-    whose fixed point is never solved."""
+    them as they are. At alpha 3e-3 and 1e-5 every support grows to the
+    whole graph, whose fixed point is never solved."""
     import seedclust._kernels as kernels
 
     push_plan, diffuse_push = kernels.push_plan, kernels.diffuse_push
@@ -719,3 +739,58 @@ def test_karate_work_counts_are_pinned(alpha, builds, pushes, solves, monkeypatc
         solved += len(telemetry.solves)
     assert (work["builds"], work["pushes"], solved) == (builds, pushes, solves)
     assert iterations == pushes
+
+
+@pytest.mark.parametrize(
+    "seed, alpha, wide",
+    [
+        pytest.param(0, 1 / 16, True, id="share-equals-threshold"),
+        pytest.param(0, math.nextafter(1 / 16, 1), False, id="share-below-threshold"),
+        pytest.param(23, 0.1, False, id="highest-degree"),
+        pytest.param(0, 0.0, False, id="alpha0"),
+        pytest.param(0, 5e-324, False, id="threshold-rounds-to-zero"),
+        pytest.param(0, 1e-323, True, id="least-positive-threshold"),
+    ],
+)
+def test_first_plan_covers_the_closed_neighbourhood_its_first_push_keeps(
+    karate, seed, alpha, wide, monkeypatch
+):
+    """The first push leaves 1 / (2 d) on each of the seed's d neighbours
+    and compares it with half of alpha, so it keeps all of them or none.
+    The first plan is built over the seed's closed neighbourhood exactly
+    when it keeps all of them and that threshold is positive: at a zero
+    threshold (alpha 0, or 5e-324, whose half rounds to 0.0) the wider
+    domain's zero-mass reach would be kept. Vertex 0 has degree 16, so
+    alpha 1/16 puts its share on the threshold; vertex 23 has karate's
+    highest degree, 17. Masses and records match the oracle bit for bit
+    either way."""
+    import seedclust._kernels as kernels
+
+    push_plan = kernels.push_plan
+    domains = []
+
+    def recorded_plan(indptr, indices, degrees, domain):
+        domains.append(domain.copy())
+        return push_plan(indptr, indices, degrees, domain)
+
+    monkeypatch.setattr(kernels, "push_plan", recorded_plan)
+    cfg = DiffusionConfig(alpha=alpha, max_iterations=40, convergence_epsilon=0.0)
+    _, telemetry = assert_same_run(karate, seed, cfg)
+    assert telemetry.iterations_used == 40 and not telemetry.solves
+    closed = np.union1d([seed], karate.neighbors(seed))
+    assert domains[0].tolist() == (closed.tolist() if wide else [seed])
+
+
+def test_first_plan_holds_each_vertex_once_when_the_seed_row_holds_the_seed():
+    """``Graph`` does not check that it is simple: on a hand-built graph
+    whose seed row holds the seed too, the first domain still lists each
+    vertex once (a seed listed twice would push its mass twice), and the
+    runs match the oracle bit for bit."""
+    from seedclust.graph import Graph
+
+    indptr = np.array([0, 3, 5, 8, 9])
+    indices = np.array([0, 1, 2, 0, 2, 0, 1, 3, 2])
+    g = Graph(indptr, indices, np.diff(indptr), ("a", "b", "c", "d"))
+    for alpha in (0.1, 0.5, 1e-5):
+        mass, _ = assert_same_run(g, 0, steps(alpha, 30))
+        assert abs(total_mass(mass) - 1.0) < 1e-12

@@ -1,8 +1,9 @@
 """Library entry points on hostile arguments: a named refusal before any work,
 or a finite and valid result.
 
-One hypothesis property draws a call to a function or type that
-``seedclust.__all__`` exports, with one hostile argument: a vertex or integer
+One hypothesis property, run once per kind of case with that kind's own
+examples, draws a call to a function or type that ``seedclust.__all__``
+exports, with one hostile argument: a vertex or integer
 argument drawn from bools (Python's and numpy's), floats, NaN, infinities,
 negatives and integers beyond the graph or beyond int64; a ``SparseMass``,
 ``EnergyTable``, ``Partition`` or ``MembershipMatrix`` built by hand from
@@ -344,10 +345,11 @@ def partition_case(draw):
     """``modularity`` of a hand-built ``Partition``: dense block ids for the
     graph's vertices, as an array, a list or an object array, with at most
     one part spoilt: no id at all, an id too many or too few, a 2-D array, a
-    gap, or one hostile id. A bool is no block id in any of them."""
+    gap, one hostile id, or one bool. A bool is no block id in any of them."""
     ids = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
     ids = np.unique(ids, return_inverse=True)[1].tolist()  # dense
-    spoil = draw(st.sampled_from(("none", "empty", "length", "shape", "gap", "value")))
+    spoil = draw(st.sampled_from(("none", "empty", "length", "shape", "gap", "value", "bool")))
+    container = draw(st.sampled_from(("array", "list", "object array")))
     at = draw(st.integers(0, N - 1))
     if spoil == "empty":
         ids = []
@@ -357,8 +359,9 @@ def partition_case(draw):
         ids = [b + (b > 0) for b in ids]
     elif spoil == "value":
         ids[at] = draw(st.one_of(hostile_floats, hostile_integers, st.just(2**62)))
+    elif spoil == "bool":
+        ids[at] = draw(st.sampled_from([True, False, np.True_, np.False_]))
     holds_bool = any(isinstance(b, (bool, np.bool_)) for b in ids)
-    container = draw(st.sampled_from(("array", "list", "object array")))
     if container == "array":
         given = np.array(ids)  # a bool among ints becomes an int here
         holds_bool = given.dtype == bool
@@ -465,21 +468,23 @@ def counting_work():
         kernels.diffuse_push, kernels.walk_phase = push, phase
 
 
-cases = st.one_of(
-    hostile_integers.flatmap(vertex_cases),
-    hostile_integers.flatmap(integer_cases),
-    hand_built_arrays(st.floats(0.0, 1.0), hostile_floats).flatmap(mass_cases),
-    hand_built_arrays(st.floats(-50.0, 50.0), hostile_floats).flatmap(table_case),
-    narrow_case(),
-    partition_case(),
-    membership_case(),
-    embedding_case(),
-)
+# each kind of case and its examples. One kind's draws are far from
+# independent: with a bool among a list's or an object array's ids taken as a
+# block id, the partition kind caught it in 34 of 40 seeded runs of 100
+# examples and in all 40 of 200
+CASE_KINDS = [
+    (hostile_integers.flatmap(vertex_cases), 100),
+    (hostile_integers.flatmap(integer_cases), 100),
+    (hand_built_arrays(st.floats(0.0, 1.0), hostile_floats).flatmap(mass_cases), 100),
+    (hand_built_arrays(st.floats(-50.0, 50.0), hostile_floats).flatmap(table_case), 100),
+    (narrow_case(), 100),
+    (partition_case(), 200),
+    (membership_case(), 100),
+    (embedding_case(), 100),
+]
 
 
-@given(case=cases)
-@settings(max_examples=500, deadline=None)
-def test_library_refuses_hostile_arguments_by_name_or_gives_valid_results(case):
+def refused_by_name_or_valid(case):
     with counting_work() as work:
         try:
             result = case.call()
@@ -489,3 +494,12 @@ def test_library_refuses_hostile_arguments_by_name_or_gives_valid_results(case):
             assert not isinstance(exc, IndexError) or str(exc).startswith("vertex index")
             return
     case.check(result)
+
+
+def test_library_refuses_hostile_arguments_by_name_or_gives_valid_results():
+    """One property run per kind of case, each with its own examples: drawn
+    from one strategy of all kinds, a kind's rarer spoils, such as a bool
+    among a list's block ids, came up less than once a run."""
+    for cases, examples in CASE_KINDS:
+        run = given(case=cases)(refused_by_name_or_valid)
+        settings(max_examples=examples, deadline=None)(run)()
