@@ -32,7 +32,7 @@ import numpy as np
 def gather_rows(indptr, indices, vertices, lens):
     """Concatenated CSR rows of ``vertices`` (with multiplicity), whose
     lengths ``lens`` are the vertices' degrees: the callers gather those
-    anyway, and ``Graph`` holds its degrees to its row lengths."""
+    anyway, and ``Graph`` derives its degrees from its row lengths."""
     ends = lens.cumsum()
     pos = np.arange(ends[-1] if ends.size else 0) + (indptr[vertices] - ends + lens).repeat(lens)
     return indices[pos]

@@ -146,7 +146,7 @@ def cmd_walk(g, args) -> int:
         {
             "f": p.f,
             "steps": p.steps,
-            "visits": {g.label_of(u): c for u, c in sorted(p.visits.items())},
+            "visits": {g.label_of(u): c for u, c in p.visits.items()},
         }
         for p in telemetry.phases
     ]

@@ -36,8 +36,8 @@ def ring_of_cliques(clique_count: int, clique_size: int) -> Graph:
     # bridge: last vertex of clique c to first vertex of clique c+1
     a = np.concatenate([(firsts[:, None] + local_a).ravel(), firsts + (q - 1)])
     b = np.concatenate([(firsts[:, None] + local_b).ravel(), np.roll(firsts, -1)])
-    indptr, indices, degrees, _ = csr_from_pairs(a, b, n)
-    return Graph(indptr, indices, degrees, tuple(str(i) for i in range(n)))
+    indptr, indices, _ = csr_from_pairs(a, b, n)
+    return Graph(indptr, indices, tuple(str(i) for i in range(n)))
 
 
 def random_connected_graph(n: int, extra_edges: int, rng_seed: int) -> Graph:

@@ -194,9 +194,9 @@ class ClusterReport:
     members: np.ndarray
     conductance: float
     belongingness: np.ndarray
-    iterations_used: int = 0
-    converged: bool = True
-    degenerate: bool = False
+    iterations_used: int
+    converged: bool
+    degenerate: bool
 
 
 def truncate(

@@ -41,28 +41,29 @@ class LoadReport:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph: CSR adjacency, degree array, label table.
+    """Undirected simple graph: CSR adjacency and label table.
 
     Vertices are dense integer indices; ``labels[i]`` is the external label of
-    vertex ``i``. Neighbor lists are sorted. Every vertex has at least one
+    vertex ``i``, one per row of ``indptr``. Neighbor lists are sorted, and
+    ``degrees`` are the row lengths, ``np.diff(indptr)``. Every vertex has an
     edge, so degrees, volumes and conductances never divide by zero. The graph
     is immutable and safe to share across threads.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    degrees: np.ndarray
     labels: tuple[str, ...]
     load_report: LoadReport = field(default=LoadReport(), compare=False)
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        rows = len(self.indptr) - 1
+        if len(self.labels) != rows:
+            raise ValueError(f"labels must be one per row of indptr: {len(self.labels)} for {rows}")
+        object.__setattr__(self, "degrees", np.diff(self.indptr))
         if not self.degrees.all():
             u = int(np.flatnonzero(self.degrees == 0)[0])
             raise ValueError(f"vertex {u} ({self.labels[u]!r}) has no edge")
-        # the kernels read a vertex's row length from its degree
-        lengths = np.diff(self.indptr)
-        if not (lengths.shape == self.degrees.shape and (lengths == self.degrees).all()):
-            raise ValueError("degrees must be the row lengths of indptr")
 
     @property
     def vertex_count(self) -> int:
@@ -125,12 +126,12 @@ def check_integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """CSR arrays of the simple undirected graph on ``n`` vertices with edges ``(a[i], b[i])``.
 
     Pairs must not be self-loops. Repeated pairs, in either orientation,
-    collapse. Returns (indptr, indices, degrees, duplicates) with every
-    neighbour list sorted.
+    collapse. Returns (indptr, indices, duplicates) with every neighbour
+    list sorted; ``Graph`` takes the degrees from ``indptr``.
 
     Repeated pairs are dropped with ``sorted_unique``, a sort and a
     neighbour comparison, not with ``np.unique``: from numpy 2.3 on,
@@ -152,9 +153,8 @@ def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
     del keys, hi
     arcs.sort()
     indptr = np.searchsorted(arcs, np.arange(n + 1) * n)
-    degrees = np.diff(indptr)
     indices = np.remainder(arcs, n, out=arcs)
-    return indptr, indices, degrees, duplicates
+    return indptr, indices, duplicates
 
 
 def _position_type(size: int) -> np.dtype:
@@ -293,11 +293,10 @@ def _graph_from_ids(ids: np.ndarray, labels: tuple[str, ...]) -> Graph:
         rank = np.cumsum(linked) - 1
         u, v = rank[u], rank[v]
         labels = tuple(compress(labels, linked.tolist()))
-    indptr, indices, degrees, duplicates = csr_from_pairs(u, v, len(labels))
+    indptr, indices, duplicates = csr_from_pairs(u, v, len(labels))
     return Graph(
         indptr=indptr,
         indices=indices,
-        degrees=degrees,
         labels=labels,
         load_report=LoadReport(
             duplicate_edges=duplicates, self_loops=self_loops, isolated_labels=isolated

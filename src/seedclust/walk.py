@@ -20,6 +20,7 @@ the vertices the walk visited, never over the rest of the graph.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -51,7 +52,9 @@ class WalkConfig:
     ``alpha`` scales the background energy (alpha / degree), ``beta`` the
     seed's initial energy (beta / seed degree). ``f_schedule`` is a sequence
     of (factor, steps) phases; when omitted it is built from ``expected_size``
-    (a rough guess of the cluster size).
+    (a rough guess of the cluster size). A phase that is not such a pair, or
+    whose factor ``float()`` refuses, is refused with a ``ValueError`` that
+    names ``f_schedule``.
     """
 
     alpha: float = 1.0
@@ -80,11 +83,16 @@ class WalkConfig:
                 raise ValueError(f"phase step counts must be at most {sys.maxsize // 8}")
 
     def phases(self) -> tuple[tuple[float, int], ...]:
-        if self.f_schedule is not None:
-            return tuple(
-                (float(f), check_integer("phase step count", s)) for f, s in self.f_schedule
-            )
-        return default_schedule(self.expected_size)
+        if self.f_schedule is None:
+            return default_schedule(self.expected_size)
+        try:
+            phases = [(float(f), steps) for f, steps in self.f_schedule]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                "f_schedule must be a sequence of (f, steps) pairs with a real f, "
+                f"got {reprlib.repr(self.f_schedule)}"
+            ) from None
+        return tuple((f, check_integer("phase step count", s)) for f, s in phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +122,7 @@ class EnergyTable:
 class PhaseStats:
     f: float
     steps: int
-    visits: dict[int, int]
+    visits: dict[int, int]  # arrivals per vertex, in ascending vertex order
 
 
 @dataclass

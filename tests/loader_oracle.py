@@ -24,10 +24,9 @@ def csr_from_pairs(a, b, n: int):
     keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
     lo, hi = np.divmod(keys, n)
     heads, indices = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
-    degrees = np.bincount(heads, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return indptr, indices, degrees, int(a.size - keys.size)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    return indptr, indices, int(a.size - keys.size)
 
 
 def graph_from_label_pairs(pairs) -> Graph:
@@ -49,13 +48,12 @@ def graph_from_label_pairs(pairs) -> Graph:
     kept = [i for i in range(len(index)) if i in linked]
     new_id = {i: k for k, i in enumerate(kept)}
     labels = tuple(index)
-    indptr, indices, degrees, duplicates = csr_from_pairs(
+    indptr, indices, duplicates = csr_from_pairs(
         [new_id[u] for u in us], [new_id[v] for v in vs], len(kept)
     )
     return Graph(
         indptr=indptr,
         indices=indices,
-        degrees=degrees,
         labels=tuple(labels[i] for i in kept),
         load_report=LoadReport(
             duplicate_edges=duplicates,

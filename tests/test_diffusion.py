@@ -382,7 +382,6 @@ def test_bad_seeds_rejected():
         Graph(
             indptr=np.array([0, 1, 2, 2], dtype=np.int64),
             indices=np.array([1, 0], dtype=np.int64),
-            degrees=np.array([1, 1, 0], dtype=np.int64),
             labels=("a", "b", "c"),
         )
 
@@ -790,7 +789,7 @@ def test_first_plan_holds_each_vertex_once_when_the_seed_row_holds_the_seed():
 
     indptr = np.array([0, 3, 5, 8, 9])
     indices = np.array([0, 1, 2, 0, 2, 0, 1, 3, 2])
-    g = Graph(indptr, indices, np.diff(indptr), ("a", "b", "c", "d"))
+    g = Graph(indptr, indices, ("a", "b", "c", "d"))
     for alpha in (0.1, 0.5, 1e-5):
         mass, _ = assert_same_run(g, 0, steps(alpha, 30))
         assert abs(total_mass(mass) - 1.0) < 1e-12

@@ -113,23 +113,25 @@ def test_transition_prob_errors():
         Graph(
             indptr=np.array([0, 0], dtype=np.int64),
             indices=np.array([], dtype=np.int64),
-            degrees=np.array([0], dtype=np.int64),
             labels=("x",),
         )
 
 
-def test_graph_refuses_degrees_that_are_not_its_row_lengths(karate):
-    # the kernels take a row's length from its degree: a degree one too high
-    # reads past the end of indices or loses mass
+def test_graph_refuses_labels_that_are_not_one_per_row(karate):
+    # unrefused, a label short leaves vertex 33 outside a 33-vertex graph
+    # that diffusions still reach, and a label too many lets seed 34 index
+    # past indptr
     from seedclust.graph import Graph
 
-    high = karate.degrees.copy()
-    high[-1] += 1
-    for degrees, labels in [(high, karate.labels), (karate.degrees[:-1], karate.labels[:-1])]:
-        with pytest.raises(ValueError, match="^degrees must be the row lengths of indptr$"):
-            Graph(indptr=karate.indptr, indices=karate.indices, degrees=degrees, labels=labels)
-    same = Graph(karate.indptr, karate.indices, karate.degrees, karate.labels)
-    assert same.degrees is karate.degrees
+    for labels, count in [(karate.labels[:-1], 33), (karate.labels + ("extra",), 35), ((), 0)]:
+        refused = f"^labels must be one per row of indptr: {count} for 34$"
+        with pytest.raises(ValueError, match=refused):
+            Graph(indptr=karate.indptr, indices=karate.indices, labels=labels)
+    same = Graph(karate.indptr, karate.indices, karate.labels)
+    # degrees are the row lengths, whether the graph is loaded, generated or built by hand
+    for g in (karate, same, ring_of_cliques(4, 3), from_edges([(0, 1), (1, 2)])):
+        assert g.degrees.dtype == np.int64
+        np.testing.assert_array_equal(g.degrees, np.diff(g.indptr))
 
 
 def test_transition_rows_sum_to_one():

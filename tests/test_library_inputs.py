@@ -9,15 +9,17 @@ negatives and integers beyond the graph or beyond int64; a ``SparseMass``,
 ``EnergyTable``, ``Partition`` or ``MembershipMatrix`` built by hand from
 such values, with arrays of the wrong type, shape, order or length; a
 ``SparseMass`` or ``EnergyTable`` of a 300-vertex path whose vertices are of
-an integer type up to int64, ending where the narrower types wrap; or an
-``fcm_fit`` embedding with coordinates up to the float range. The call
-either raises a ``ValueError`` or ``TypeError`` whose message names the
-argument before any diffusion push or walk step runs, or returns a result
-that is finite and valid: the seed in its cluster, belongingness finite and
-nonnegative (at most 1 for a walk), membership rows stochastic, every vertex
-in a cluster, a modularity in [-1/2, 1]. A vertex index out of range raises
-the ``IndexError`` that ``Graph.check_vertex`` documents, also before any
-work.
+an integer type up to int64, ending where the narrower types wrap; an
+``fcm_fit`` embedding with coordinates up to the float range; a
+``WalkConfig.f_schedule`` of another shape than (f, steps) pairs; or a
+``Graph`` built by hand from karate's CSR arrays with a label too few or
+too many. The call either raises a ``ValueError`` or ``TypeError`` whose
+message names the argument before any diffusion push or walk step runs, or
+returns a result that is finite and valid: the seed in its cluster,
+belongingness finite and nonnegative (at most 1 for a walk), membership
+rows stochastic, every vertex in a cluster, a modularity in [-1/2, 1]. A
+vertex index out of range raises the ``IndexError`` that
+``Graph.check_vertex`` documents, also before any work.
 """
 
 import math
@@ -50,6 +52,7 @@ from seedclust import (
 )
 from seedclust.datasets import karate_club
 from seedclust.diffusion import DiffusionTelemetry
+from seedclust.graph import Graph
 from seedclust.walk import WalkTelemetry
 
 KARATE = karate_club()
@@ -447,6 +450,69 @@ def embedding_case(draw):
     return Case(f"fcm_fit({x!r}, k=2)", lambda: fcm_fit(x, k=2), ("embedding",), check)
 
 
+# f_schedule values that are not a sequence of (f, steps) pairs, or whose f
+# float() refuses: Python's own unpacking and conversion errors for them name
+# no argument, so WalkConfig must refuse them by name
+BAD_SCHEDULES = [
+    [(1.1,)],
+    [(1.1, 5, 3)],
+    [("x", 5)],
+    5,
+    [None],
+    [(1.1, 5), (10**400, 5)],
+    [(1j, 5)],
+    "1.1:5",
+]
+
+
+@st.composite
+def schedule_case(draw):
+    """``run_walk`` with an ``f_schedule`` of another shape than (f, steps)
+    pairs, or a good schedule whose one f is hostile."""
+    f = draw(st.one_of(hostile_floats, st.floats(1.0, 3.0)))
+    schedule = draw(st.sampled_from([*BAD_SCHEDULES, [(1.3, 4), (f, 4)]]))
+    return Case(
+        f"WalkConfig(f_schedule={schedule!r})",
+        lambda: run_walk(KARATE, 0, WalkConfig(f_schedule=schedule)),
+        ("f_schedule", "every f"),
+        lambda r: check_walk(r, 0),
+    )
+
+
+@st.composite
+def hand_built_graph_case(draw):
+    """``run_diffusion`` and ``extract_cluster`` on a ``Graph`` built by hand
+    from karate's CSR arrays with its labels one short, one too many or
+    exact, from a seed that is often the last row (33) or one past it (34).
+    Unless the graph is refused, a label short gives a 33-vertex graph whose
+    diffusions reach vertex 33, and a label too many lets seed 34 read past
+    ``indptr`` and seed 33 at alpha 0.04 divide 0 by 0 in the sweep."""
+    labels = draw(
+        st.sampled_from([KARATE.labels[:-1], KARATE.labels + ("extra",), KARATE.labels])
+    )
+    seed = draw(st.one_of(st.sampled_from([N - 1, N]), st.integers(0, N)))
+    alpha = draw(st.sampled_from([0.04, 1e-3, 1e-5]))
+
+    def call():
+        g = Graph(indptr=KARATE.indptr, indices=KARATE.indices, labels=labels)
+        mass, telemetry = run_diffusion(g, seed, DiffusionConfig(alpha=alpha))
+        return mass, extract_cluster(g, mass, telemetry)
+
+    def check(result):
+        mass, report = result
+        assert len(labels) == N, "a graph whose labels miscount its rows was built"
+        assert mass.seed == seed and abs(float(mass.masses.sum()) - 1.0) < 1e-9
+        check_cluster(report, seed)
+
+    return Case(
+        f"Graph(karate.indptr, karate.indices, {len(labels)} labels), "
+        f"run_diffusion(g, {seed}, DiffusionConfig(alpha={alpha}))",
+        call,
+        ("labels", *VERTEX),
+        check,
+    )
+
+
 @contextmanager
 def counting_work():
     """The diffusion pushes and walk steps taken while the block runs."""
@@ -481,6 +547,8 @@ CASE_KINDS = [
     (partition_case(), 200),
     (membership_case(), 100),
     (embedding_case(), 100),
+    (schedule_case(), 50),
+    (hand_built_graph_case(), 100),
 ]
 
 
