@@ -69,7 +69,7 @@ from functools import partial
 import numpy as np
 
 from . import _kernels
-from .graph import Graph, check_integer
+from .graph import Graph, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,9 @@ class DiffusionConfig:
     post-truncation distributions drops below ``convergence_epsilon``; a
     fixed-point solve aims at ``SOLVE_TOLERANCE`` times it. With
     ``convergence_epsilon=0`` nothing converges and nothing is solved: the
-    run is ``max_iterations`` plain diffuse+truncate steps.
+    run is ``max_iterations`` plain diffuse+truncate steps. Each value is
+    read through ``graph.check_real`` or ``graph.check_integer`` and kept
+    as the float or int it returned.
     """
 
     alpha: float = 1e-5
@@ -90,12 +92,18 @@ class DiffusionConfig:
     convergence_epsilon: float = 1e-9
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if check_integer("max_iterations", self.max_iterations) < 1:
+        alpha = check_real("alpha", self.alpha)
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+        max_iterations = check_integer("max_iterations", self.max_iterations)
+        if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 <= self.convergence_epsilon < math.inf:
+        epsilon = check_real("convergence_epsilon", self.convergence_epsilon)
+        if not 0.0 <= epsilon < math.inf:
             raise ValueError("convergence_epsilon must be finite and nonnegative")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "max_iterations", max_iterations)
+        object.__setattr__(self, "convergence_epsilon", epsilon)
 
 
 def check_vertices(owner: str, field: str, vertices, seed, **aligned) -> int:

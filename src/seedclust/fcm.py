@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .diffusion import DiffusionConfig, SparseMass, run_diffusion
-from .graph import Graph, check_integer
+from .graph import Graph, check_integer, check_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,20 +116,25 @@ def _memberships_from_distances(d2: np.ndarray, m: float) -> np.ndarray:
     return u
 
 
-def check_fit(k: int, m: float, rng_seed: int, points: int) -> None:
-    """Raise ``ValueError`` naming ``k``, ``m`` or ``rng_seed`` unless k is an
-    integer from 2 to ``points``, m is finite and > 1 and rng_seed is a
-    nonnegative integer."""
-    if not 2 <= check_integer("cluster count k", k) <= points:
+def check_fit(k: int, m: float, rng_seed: int, points: int) -> tuple[int, float, int]:
+    """``(k, m, rng_seed)`` as the int, float and int that ``check_integer``
+    and ``check_real`` return; raises ``ValueError`` naming ``k``, ``m`` or
+    ``rng_seed`` unless k is an integer from 2 to ``points``, m is finite
+    and > 1 and rng_seed is a nonnegative integer."""
+    k = check_integer("cluster count k", k)
+    if not 2 <= k <= points:
         raise ValueError(
             f"cluster count k must be from 2 to {points}, the number of data points; got {k}"
         )
+    m = check_real("fuzzifier m", m)
     if not 1.0 < m < math.inf:
         raise ValueError(
             f"fuzzifier m must be finite and > 1 (m=1 is the hard-assignment limit), got {m}"
         )
-    if check_integer("rng_seed", rng_seed) < 0:
+    rng_seed = check_integer("rng_seed", rng_seed)
+    if rng_seed < 0:
         raise ValueError(f"rng_seed must be a nonnegative integer, got {rng_seed}")
+    return k, m, rng_seed
 
 
 def _sums_overflow(points: np.ndarray, n: int) -> bool:
@@ -170,7 +175,7 @@ def fcm_fit(
     if not np.isfinite(x).all():
         raise ValueError("embedding must hold finite values only")
     n = x.shape[0]
-    check_fit(k, m, rng_seed, n)
+    k, m, rng_seed = check_fit(k, m, rng_seed, n)
     if _sums_overflow(x, n):
         raise ValueError("embedding is too large: its squared distances overflow when summed")
 
@@ -216,17 +221,20 @@ class OverlapReport:
     threshold: float
 
 
-def check_threshold(threshold: float) -> None:
-    """Raise ``ValueError`` naming ``threshold`` unless it is in (0, 0.5]."""
+def check_threshold(threshold: float) -> float:
+    """``threshold`` as the float ``check_real`` returns; raises
+    ``ValueError`` naming ``threshold`` unless it is in (0, 0.5]."""
+    threshold = check_real("threshold", threshold)
     if not 0.0 < threshold <= 0.5:
         raise ValueError(f"threshold must be in (0, 0.5], got {threshold}")
+    return threshold
 
 
 def overlap_report(msm: MembershipMatrix, threshold: float = 0.3) -> OverlapReport:
     """Vertex u joins every cluster with membership >= threshold; its argmax
     cluster is always included so no vertex is left unassigned.
     ``MembershipMatrix`` checked its rows when it was built."""
-    check_threshold(threshold)
+    threshold = check_threshold(threshold)
     u = msm.memberships
     chosen = u >= threshold
     chosen[np.arange(u.shape[0]), u.argmax(axis=1)] = True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -48,6 +49,15 @@ class Graph:
     ``degrees`` are the row lengths, ``np.diff(indptr)``. Every vertex has an
     edge, so degrees, volumes and conductances never divide by zero. The graph
     is immutable and safe to share across threads.
+
+    The constructor checks the CSR shape in O(n + m), with a ``ValueError``
+    naming ``indptr``, ``indices`` or ``labels``: both arrays 1-D of signed
+    integers (``np.diff`` of an unsigned ``indptr`` wraps), ``indptr``
+    starting at 0, strictly increasing (every vertex has an edge) and ending
+    at ``indices.size``, every index in ``[0, n)``, and one label per row.
+    Symmetry and sorted, repeat-free rows would cost a sort of the 2m arcs,
+    so they stay the caller's contract; every builder in this package
+    keeps it.
     """
 
     indptr: np.ndarray
@@ -57,13 +67,27 @@ class Graph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rows = len(self.indptr) - 1
+        indptr, indices = self.indptr, self.indices
+        for name, array in (("indptr", indptr), ("indices", indices)):
+            if not (isinstance(array, np.ndarray) and array.ndim == 1 and array.dtype.kind == "i"):
+                raise ValueError(f"{name} must be a 1-D array of signed integers, got {array!r}")
+        if indptr.size == 0 or indptr[0] != 0:
+            raise ValueError(f"indptr must start at 0, got {indptr!r}")
+        rows = indptr.size - 1
         if len(self.labels) != rows:
             raise ValueError(f"labels must be one per row of indptr: {len(self.labels)} for {rows}")
-        object.__setattr__(self, "degrees", np.diff(self.indptr))
-        if not self.degrees.all():
-            u = int(np.flatnonzero(self.degrees == 0)[0])
-            raise ValueError(f"vertex {u} ({self.labels[u]!r}) has no edge")
+        object.__setattr__(self, "degrees", np.diff(indptr))
+        if not (self.degrees > 0).all():
+            u = int(np.flatnonzero(self.degrees <= 0)[0])
+            raise ValueError(
+                f"indptr must be strictly increasing: vertex {u} ({self.labels[u]!r}) "
+                f"has no edge (row length {self.degrees[u]})"
+            )
+        if indptr[-1] != indices.size:
+            raise ValueError(f"indptr must end at indices.size {indices.size}, got {indptr[-1]}")
+        if indices.size and not (0 <= indices.min() and indices.max() < rows):
+            low, high = indices.min(), indices.max()
+            raise ValueError(f"indices must lie in [0, {rows}), got {low}..{high}")
 
     @property
     def vertex_count(self) -> int:
@@ -119,11 +143,26 @@ def _as_int(value) -> int:
 
 def check_integer(name: str, value) -> int:
     """``value`` as a Python int, if it is an integer (``_as_int``); raises
-    ``ValueError`` naming ``name`` otherwise."""
+    ``ValueError`` naming ``name`` otherwise. The one rule for an integer
+    argument; ``check_real`` is its twin for a real one."""
     try:
         return _as_int(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a Python float, if it is a real number: an int, a float
+    or a numpy integer or floating scalar, not a ``bool`` (Python's or
+    numpy's), and within the float range; raises ``ValueError`` naming
+    ``name`` otherwise. The one rule for a real argument; ranges, NaN and
+    infinities are for its caller to refuse."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a real number in the float range, got {reprlib.repr(value)}")
 
 
 def csr_from_pairs(a, b, n: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -186,8 +186,8 @@ def overlap_clusters(
     signal, and small thresholds mix to stationarity on small graphs.
     """
     centers = _check_centers(g, centers)
-    check_fit(k, fuzzifier, rng_seed, g.vertex_count)
-    check_threshold(threshold)
+    k, fuzzifier, rng_seed = check_fit(k, fuzzifier, rng_seed, g.vertex_count)
+    threshold = check_threshold(threshold)
     cfg = DiffusionConfig(alpha=alpha)
     if isinstance(centers, int):
         masses = auto_centers(g, centers, cfg)

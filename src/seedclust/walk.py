@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .diffusion import ClusterReport, check_vertices, sweep_cut
-from .graph import Graph, check_integer
+from .graph import Graph, check_integer, check_real
 from .graph import component_of  # noqa: F401 -- perfbench/tracer.py times walk.component_of
 
 DEFAULT_F_LADDER = (1.1, 1.3, 2.0)
@@ -41,8 +41,23 @@ def default_schedule(expected_size: int) -> tuple[tuple[float, int], ...]:
     steps at each of f = 1.1, 1.3, 2.0. Restarting from the seed at every phase
     boundary keeps early cross-boundary excursions from accumulating energy."""
     return tuple(
-        (f, int(expected_size)) for f in DEFAULT_F_LADDER for _ in range(DEFAULT_RESTARTS_PER_F)
+        (f, expected_size) for f in DEFAULT_F_LADDER for _ in range(DEFAULT_RESTARTS_PER_F)
     )
+
+
+def _check_phase(f, steps) -> tuple[float, int]:
+    """One phase as a (float, int) pair: f finite and >= 1, steps from 0 to
+    ``sys.maxsize // 8``."""
+    f = check_real("every f", f)
+    if not 1.0 <= f < math.inf:
+        raise ValueError(f"every f must be finite and >= 1, got {f}")
+    steps = check_integer("phase step count", steps)
+    if steps < 0:
+        raise ValueError("phase step counts must be nonnegative")
+    # numpy refuses more float64 uniforms than this, naming no argument
+    if steps > sys.maxsize // 8:
+        raise ValueError(f"phase step counts must be at most {sys.maxsize // 8}")
+    return f, steps
 
 
 @dataclass(frozen=True)
@@ -50,11 +65,15 @@ class WalkConfig:
     """Adaptive-walk parameters.
 
     ``alpha`` scales the background energy (alpha / degree), ``beta`` the
-    seed's initial energy (beta / seed degree). ``f_schedule`` is a sequence
-    of (factor, steps) phases; when omitted it is built from ``expected_size``
-    (a rough guess of the cluster size). A phase that is not such a pair, or
-    whose factor ``float()`` refuses, is refused with a ``ValueError`` that
-    names ``f_schedule``.
+    seed's initial energy (beta / seed degree). ``f_schedule`` is an
+    iterable of (factor, steps) phases; when omitted it is built from
+    ``expected_size`` (a rough guess of the cluster size). Each value is
+    read once, through ``graph.check_real`` or ``graph.check_integer``, and
+    kept as the float or int it returned: a given schedule is copied into a
+    tuple of (float, int) pairs, so an iterator is read once and a list
+    changed later changes nothing. A phase that is not such a pair is
+    refused with a ``ValueError`` that names ``f_schedule``. ``phases()``
+    returns the checked phases, the same tuple on every call.
     """
 
     alpha: float = 1.0
@@ -62,37 +81,40 @@ class WalkConfig:
     f_schedule: tuple[tuple[float, int], ...] | None = None
     expected_size: int = 5
     rng_seed: int = 0
+    _phases: tuple[tuple[float, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        alpha = check_real("alpha", self.alpha)
+        beta = check_real("beta", self.beta)
         # below the least normal float, alpha / degree can underflow to 0
-        if not sys.float_info.min <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= {sys.float_info.min}, got {self.alpha}")
-        if not self.alpha <= self.beta < math.inf:
-            raise ValueError(f"beta must be finite and at least alpha, got {self.beta}")
-        if check_integer("expected_size", self.expected_size) < 1:
+        if not sys.float_info.min <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= {sys.float_info.min}, got {alpha}")
+        if not alpha <= beta < math.inf:
+            raise ValueError(f"beta must be finite and at least alpha, got {beta}")
+        expected_size = check_integer("expected_size", self.expected_size)
+        if expected_size < 1:
             raise ValueError("expected_size must be >= 1")
-        if check_integer("rng_seed", self.rng_seed) < 0:
-            raise ValueError(f"rng_seed must be a nonnegative integer, got {self.rng_seed}")
-        for f, steps in self.phases():
-            if not 1.0 <= f < math.inf:
-                raise ValueError(f"every f must be finite and >= 1, got {f}")
-            if steps < 0:
-                raise ValueError("phase step counts must be nonnegative")
-            # numpy refuses more float64 uniforms than this, naming no argument
-            if steps > sys.maxsize // 8:
-                raise ValueError(f"phase step counts must be at most {sys.maxsize // 8}")
+        rng_seed = check_integer("rng_seed", self.rng_seed)
+        if rng_seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, got {rng_seed}")
+        given = self.f_schedule
+        schedule = default_schedule(expected_size) if given is None else given
+        try:
+            pairs = [(f, steps) for f, steps in schedule]
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"f_schedule must be a sequence of (f, steps) pairs, got {reprlib.repr(given)}"
+            ) from None
+        phases = tuple(_check_phase(f, steps) for f, steps in pairs)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "expected_size", expected_size)
+        object.__setattr__(self, "rng_seed", rng_seed)
+        object.__setattr__(self, "f_schedule", None if given is None else phases)
+        object.__setattr__(self, "_phases", phases)
 
     def phases(self) -> tuple[tuple[float, int], ...]:
-        if self.f_schedule is None:
-            return default_schedule(self.expected_size)
-        try:
-            phases = [(float(f), steps) for f, steps in self.f_schedule]
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(
-                "f_schedule must be a sequence of (f, steps) pairs with a real f, "
-                f"got {reprlib.repr(self.f_schedule)}"
-            ) from None
-        return tuple((f, check_integer("phase step count", s)) for f, s in phases)
+        return self._phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +195,7 @@ def run_walk(
             memo,
         )
         counts.update(visits)
-        telemetry.phases.append(PhaseStats(f=float(f), steps=int(steps), visits=visits))
+        telemetry.phases.append(PhaseStats(f=f, steps=steps, visits=visits))
     visited = sorted(counts)
     state = EnergyTable(
         log_energies=np.array([energies[v] for v in visited]),

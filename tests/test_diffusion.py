@@ -397,6 +397,35 @@ def test_config_refuses_a_bool_max_iterations():
         DiffusionConfig(max_iterations=True)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"alpha": "0.1"}, "alpha"),
+        ({"alpha": True}, "alpha"),
+        ({"alpha": np.False_}, "alpha"),
+        ({"alpha": 1j}, "alpha"),
+        ({"convergence_epsilon": None}, "convergence_epsilon"),
+        ({"convergence_epsilon": 10**400}, "convergence_epsilon"),
+    ],
+)
+def test_config_refuses_what_is_no_real_number(kwargs, field):
+    # a string, None or a complex raised a bare TypeError from a comparison;
+    # a bool was taken as 0 or 1, and 10**400 as an epsilon no L1 change reaches
+    refused = f"^{field} must be a real number in the float range, got "
+    with pytest.raises(ValueError, match=refused):
+        DiffusionConfig(**kwargs)
+
+
+def test_config_keeps_the_values_it_checked():
+    cfg = DiffusionConfig(alpha=0, max_iterations=np.int64(5), convergence_epsilon=np.float32(0.5))
+    assert [type(cfg.alpha), type(cfg.max_iterations), type(cfg.convergence_epsilon)] == [
+        float,
+        int,
+        float,
+    ]
+    assert cfg == DiffusionConfig(0.0, 5, 0.5)
+
+
 # --- run_diffusion against the oracle loop -----------------------------------
 
 def assert_same_run(g, seed, cfg):

@@ -223,6 +223,17 @@ def test_fit_parameter_validation():
     for rng_seed in (-1, 1.5):
         with pytest.raises(ValueError, match="^rng_seed must be"):
             fcm_fit(x, k=2, rng_seed=rng_seed)
+    # a string raised a bare TypeError from a comparison, and True was m = 1
+    for m in ("2", True, None):
+        with pytest.raises(ValueError, match="^fuzzifier m must be a real number"):
+            fcm_fit(x, k=2, m=m)
+    # the fit keeps the values it checked
+    msm = fcm_fit(x, k=np.int64(2), m=np.float32(2.0))
+    assert type(msm.fuzzifier) is float and len(msm.centers) == 2
+    for threshold in (None, "0.3", np.True_):
+        with pytest.raises(ValueError, match="^threshold must be a real number"):
+            overlap_report(msm, threshold=threshold)
+    assert type(overlap_report(msm, threshold=np.float64(0.3)).threshold) is float
     with pytest.raises(ValueError, match="^cluster count k must be an integer"):
         fcm_fit(x, k=2.5)
     with pytest.raises(ValueError, match="initial_centers must have shape"):

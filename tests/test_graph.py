@@ -134,6 +134,47 @@ def test_graph_refuses_labels_that_are_not_one_per_row(karate):
         np.testing.assert_array_equal(g.degrees, np.diff(g.indptr))
 
 
+@pytest.mark.parametrize(
+    "indptr, indices, refused",
+    [
+        # numpy's unnamed "repeats may not contain negative values" in a diffusion
+        ([0, 2, 1, 3], [1, 2, 0], r"^indptr must be strictly increasing: vertex 1 \('b'\) has no"),
+        # an unsigned indptr wraps where it falls, so its degrees read positive
+        (np.array([0, 2, 1, 3], dtype=np.uint64), [1, 2, 0], "^indptr must be a 1-D array"),
+        # a cluster of conductance 0.0 on a graph whose last row reads past indices
+        ([0, 1, 2, 4], [1, 0, 1], r"^indptr must end at indices.size 3, got 4$"),
+        ([0, 1, 2, 2], [1, 0, 1], r"^indptr must be strictly increasing: vertex 2 \('c'\) has no"),
+        # ran silently, row 0 empty
+        ([1, 2, 3, 4], [1, 0, 1], "^indptr must start at 0"),
+        (np.array([], dtype=np.int64), np.array([], dtype=np.int64), "^indptr must start at 0"),
+        # bare IndexErrors, or a silent wrap to the last vertex
+        ([0, 1, 2, 3], [1, 5, 1], r"^indices must lie in \[0, 3\), got 1..5$"),
+        ([0, 1, 2, 3], [1, -1, 1], r"^indices must lie in \[0, 3\), got -1..1$"),
+        ([0.0, 1.0, 2.0, 3.0], [1, 0, 1], "^indptr must be a 1-D array of signed integers"),
+        ([0, 1, 2, 3], [[1], [0], [1]], "^indices must be a 1-D array of signed integers"),
+        ([0, 1, 2, 3], [1.0, 0.0, 1.0], "^indices must be a 1-D array of signed integers"),
+    ],
+)
+def test_graph_refuses_a_spoilt_csr_shape(indptr, indices, refused):
+    from seedclust.graph import Graph
+
+    labels = ("a", "b", "c")[: max(len(indptr) - 1, 0)]
+    with pytest.raises(ValueError, match=refused):
+        Graph(np.asarray(indptr), np.asarray(indices), labels)
+
+
+def test_graph_refuses_csr_arrays_that_are_not_arrays(karate):
+    from seedclust.graph import Graph
+
+    with pytest.raises(ValueError, match="^indptr must be a 1-D array of signed integers"):
+        Graph(karate.indptr.tolist(), karate.indices, karate.labels)
+    with pytest.raises(ValueError, match="^indices must be a 1-D array of signed integers"):
+        Graph(karate.indptr, None, karate.labels)
+    # int32 arrays are integers too
+    g = Graph(karate.indptr.astype(np.int32), karate.indices.astype(np.int32), karate.labels)
+    assert g.degrees.tolist() == karate.degrees.tolist()
+
+
 def test_transition_rows_sum_to_one():
     for g in random_graphs(6, n_max=40):
         dense = dense_transition_matrix(g)

@@ -10,11 +10,15 @@ negatives and integers beyond the graph or beyond int64; a ``SparseMass``,
 such values, with arrays of the wrong type, shape, order or length; a
 ``SparseMass`` or ``EnergyTable`` of a 300-vertex path whose vertices are of
 an integer type up to int64, ending where the narrower types wrap; an
-``fcm_fit`` embedding with coordinates up to the float range; a
-``WalkConfig.f_schedule`` of another shape than (f, steps) pairs; or a
+``fcm_fit`` embedding with coordinates up to the float range; a real
+argument drawn from floats and from what is no real number (a bool, a
+numeral string, None, a complex, an int beyond the float range); a
+``WalkConfig.f_schedule`` of another shape than (f, steps) pairs, given as
+an iterator or as a list changed after the config was built; or a
 ``Graph`` built by hand from karate's CSR arrays with a label too few or
-too many. The call either raises a ``ValueError`` or ``TypeError`` whose
-message names the argument before any diffusion push or walk step runs, or
+too many or a spoilt CSR shape. The call either raises a ``ValueError`` or
+``TypeError`` whose message names the argument before any diffusion push or
+walk step runs, or
 returns a result that is finite and valid: the seed in its cluster,
 belongingness finite and nonnegative (at most 1 for a walk), membership
 rows stochastic, every vertex in a cluster, a modularity in [-1/2, 1]. A
@@ -72,6 +76,20 @@ hostile_integers = st.one_of(
     st.integers(-2, N + 2),
     st.integers(-2, N + 2).map(np.int64),
 )
+
+hostile_floats = st.sampled_from([-1.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308])
+
+# values that are no real argument: a real argument is an int, a float or a
+# numpy integer or floating scalar in the float range, and not a bool
+NOT_REALS = [True, np.True_, "0.5", "1.5", None, 1j, 10**400]
+
+# real numbers and what passes for them
+hostile_reals = st.one_of(hostile_floats, st.floats(0.0, 3.0), st.sampled_from(NOT_REALS))
+
+
+def taken_as_real(x):
+    """Raise unless ``x``, which a call took as a real argument, is one."""
+    assert not any(x is v for v in NOT_REALS), f"{x!r} was taken as a real number"
 
 
 class Case(NamedTuple):
@@ -217,6 +235,92 @@ def integer_cases(i):
     )
 
 
+FIT = fcm_fit(POINTS, k=2)
+
+
+def real_cases(x):
+    def case(what, call, names, check):
+        def checked(result):
+            taken_as_real(x)
+            check(result)
+
+        return Case(what, call, names, checked)
+
+    overlap = dict(centers=[0, 33])
+    return st.sampled_from(
+        [
+            case(
+                f"DiffusionConfig(alpha={x!r})",
+                lambda: run_diffusion(KARATE, 0, DiffusionConfig(alpha=x)),
+                ("alpha",),
+                lambda r: check_diffusion(r, 0),
+            ),
+            case(
+                f"DiffusionConfig(convergence_epsilon={x!r})",
+                lambda: run_diffusion(KARATE, 0, DiffusionConfig(convergence_epsilon=x)),
+                ("convergence_epsilon",),
+                lambda r: check_diffusion(r, 0),
+            ),
+            case(
+                f"WalkConfig(alpha={x!r})",
+                lambda: run_walk(KARATE, 0, WalkConfig(alpha=x, expected_size=4)),
+                ("alpha", "beta"),
+                lambda r: check_walk(r, 0),
+            ),
+            case(
+                f"WalkConfig(beta={x!r})",
+                lambda: run_walk(KARATE, 0, WalkConfig(beta=x, expected_size=4)),
+                ("beta",),
+                lambda r: check_walk(r, 0),
+            ),
+            case(
+                f"WalkConfig(alpha={x!r}, beta={x!r})",
+                lambda: run_walk(KARATE, 0, WalkConfig(alpha=x, beta=x, expected_size=4)),
+                ("alpha", "beta"),
+                lambda r: check_walk(r, 0),
+            ),
+            case(
+                f"WalkConfig(f_schedule=(({x!r}, 4),))",
+                lambda: run_walk(KARATE, 0, WalkConfig(f_schedule=((x, 4),))),
+                ("every f", "f_schedule"),
+                lambda r: check_walk(r, 0),
+            ),
+            case(
+                f"fcm_fit(x, k=2, m={x!r})",
+                lambda: fcm_fit(POINTS, k=2, m=x),
+                ("fuzzifier m",),
+                lambda r: check_memberships(r.memberships, 2),
+            ),
+            case(
+                f"overlap_clusters(g, centers=[0, 33], fuzzifier={x!r})",
+                lambda: overlap_clusters(KARATE, fuzzifier=x, **overlap),
+                ("fuzzifier m",),
+                check_overlap,
+            ),
+            case(
+                f"overlap_clusters(g, centers=[0, 33], threshold={x!r})",
+                lambda: overlap_clusters(KARATE, threshold=x, **overlap),
+                ("threshold",),
+                check_overlap,
+            ),
+            case(
+                f"overlap_clusters(g, centers=[0, 33], alpha={x!r})",
+                lambda: overlap_clusters(KARATE, alpha=x, **overlap),
+                ("alpha",),
+                check_overlap,
+            ),
+            case(
+                f"overlap_report(fcm_fit(x, k=2), threshold={x!r})",
+                lambda: overlap_report(FIT, threshold=x),
+                ("threshold",),
+                lambda r: np.testing.assert_array_equal(
+                    np.unique(np.concatenate(r.clusters)), np.arange(len(POINTS))
+                ),
+            ),
+        ]
+    )
+
+
 SPOILS = ("none", "empty", "order", "range", "type", "shape", "length", "value", "seed")
 
 
@@ -252,9 +356,6 @@ def hand_built_arrays(draw, good, hostile):
     elif spoil == "shape":
         array = array[:, None]
     return array, np.array(values, dtype=np.float64), seed
-
-
-hostile_floats = st.sampled_from([-1.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308])
 
 
 def mass_cases(drawn):
@@ -451,8 +552,8 @@ def embedding_case(draw):
 
 
 # f_schedule values that are not a sequence of (f, steps) pairs, or whose f
-# float() refuses: Python's own unpacking and conversion errors for them name
-# no argument, so WalkConfig must refuse them by name
+# is no real number: Python's own unpacking and conversion errors for them
+# name no argument, so WalkConfig must refuse them by name
 BAD_SCHEDULES = [
     [(1.1,)],
     [(1.1, 5, 3)],
@@ -468,22 +569,50 @@ BAD_SCHEDULES = [
 @st.composite
 def schedule_case(draw):
     """``run_walk`` with an ``f_schedule`` of another shape than (f, steps)
-    pairs, or a good schedule whose one f is hostile."""
-    f = draw(st.one_of(hostile_floats, st.floats(1.0, 3.0)))
-    schedule = draw(st.sampled_from([*BAD_SCHEDULES, [(1.3, 4), (f, 4)]]))
-    return Case(
-        f"WalkConfig(f_schedule={schedule!r})",
-        lambda: run_walk(KARATE, 0, WalkConfig(f_schedule=schedule)),
-        ("f_schedule", "every f"),
-        lambda r: check_walk(r, 0),
-    )
+    pairs, or a good schedule whose one f is hostile (a bool or a numeral
+    string among them); a list schedule is given as it is, as an iterator
+    or as a list that a phase of f = 0.5 is appended to once the config is
+    built. A walk must run the phases given, each once."""
+    f = draw(st.one_of(hostile_floats, st.floats(1.0, 3.0), st.sampled_from(NOT_REALS)))
+    good = [(1.3, 4), (f, 4)]
+    schedule = draw(st.one_of(st.just(good), st.sampled_from(BAD_SCHEDULES)))
+    form = draw(st.sampled_from(["as is", "iterator", "changed later"]))
+    if not isinstance(schedule, list):
+        form = "as is"
+
+    def call():
+        given = schedule
+        if form == "iterator":
+            given = iter(schedule)
+        elif form == "changed later":
+            given = list(schedule)
+        cfg = WalkConfig(f_schedule=given)
+        if form == "changed later":
+            given.append((0.5, 4))
+        return run_walk(KARATE, 0, cfg)
+
+    def check(result):
+        assert schedule is good, "a schedule that is not (f, steps) pairs ran"
+        taken_as_real(f)
+        check_walk(result, 0)
+        assert [(p.f, p.steps) for p in result[1].phases] == good
+
+    shown = f"iter({schedule!r})" if form == "iterator" else repr(schedule)
+    changed = ", then f_schedule.append((0.5, 4))" if form == "changed later" else ""
+    return Case(f"WalkConfig(f_schedule={shown}){changed}", call, ("f_schedule", "every f"), check)
+
+
+CSR_SPOILS = ("none", "start", "falls", "end", "index", "float", "list", "shape")
 
 
 @st.composite
 def hand_built_graph_case(draw):
     """``run_diffusion`` and ``extract_cluster`` on a ``Graph`` built by hand
     from karate's CSR arrays with its labels one short, one too many or
-    exact, from a seed that is often the last row (33) or one past it (34).
+    exact, from a seed that is often the last row (33) or one past it (34),
+    or with exact labels and a spoilt CSR shape: ``indptr`` not starting at
+    0, falling once or ending short of ``indices.size``, an index out of
+    range, a float ``indptr``, a list of indices or a 2-D ``indices``.
     Unless the graph is refused, a label short gives a 33-vertex graph whose
     diffusions reach vertex 33, and a label too many lets seed 34 read past
     ``indptr`` and seed 33 at alpha 0.04 divide 0 by 0 in the sweep."""
@@ -492,23 +621,43 @@ def hand_built_graph_case(draw):
     )
     seed = draw(st.one_of(st.sampled_from([N - 1, N]), st.integers(0, N)))
     alpha = draw(st.sampled_from([0.04, 1e-3, 1e-5]))
+    indptr, indices = KARATE.indptr.copy(), KARATE.indices.copy()
+    spoil = draw(st.sampled_from(CSR_SPOILS)) if len(labels) == N else "none"
+    row = draw(st.integers(1, N - 1))
+    if spoil == "start":
+        indptr[0] = draw(st.sampled_from([1, -1]))
+    elif spoil == "falls":
+        indptr[row] = indptr[row + 1] + 1
+    elif spoil == "end":
+        indptr[-1] -= 1
+    elif spoil == "index":
+        indices[draw(st.integers(0, indices.size - 1))] = draw(st.sampled_from([-1, N, N + 5]))
+    elif spoil == "float":
+        indptr = indptr.astype(np.float64)
+    elif spoil == "list":
+        indices = indices.tolist()
+    elif spoil == "shape":
+        indices = indices[:, None]
 
     def call():
-        g = Graph(indptr=KARATE.indptr, indices=KARATE.indices, labels=labels)
+        g = Graph(indptr=indptr, indices=indices, labels=labels)
         mass, telemetry = run_diffusion(g, seed, DiffusionConfig(alpha=alpha))
         return mass, extract_cluster(g, mass, telemetry)
 
     def check(result):
         mass, report = result
         assert len(labels) == N, "a graph whose labels miscount its rows was built"
+        assert spoil == "none", f"a graph with a spoilt CSR shape ({spoil}) was built"
         assert mass.seed == seed and abs(float(mass.masses.sum()) - 1.0) < 1e-9
         check_cluster(report, seed)
 
+    arrays = "karate.indptr, karate.indices" if spoil == "none" else f"{indptr!r}, {indices!r}"
     return Case(
-        f"Graph(karate.indptr, karate.indices, {len(labels)} labels), "
+        f"Graph({arrays}, {len(labels)} labels), "
         f"run_diffusion(g, {seed}, DiffusionConfig(alpha={alpha}))",
         call,
-        ("labels", *VERTEX),
+        # numpy's own "slice indices must be integers" names no argument
+        ("labels must", "indptr must", "indices must be a 1-D", "indices must lie", *VERTEX),
         check,
     )
 
@@ -547,6 +696,7 @@ CASE_KINDS = [
     (partition_case(), 200),
     (membership_case(), 100),
     (embedding_case(), 100),
+    (hostile_reals.flatmap(real_cases), 100),
     (schedule_case(), 50),
     (hand_built_graph_case(), 100),
 ]

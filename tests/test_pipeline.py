@@ -316,13 +316,18 @@ def test_auto_centers_runs_each_block_diffusion_once(name, centers, karate, monk
         ({"rng_seed": -1}, "rng_seed"),
         ({"k": 2.5}, "k"),
         ({"rng_seed": 1.5}, "rng_seed"),
+        ({"threshold": None}, "threshold"),
+        ({"alpha": "0.04"}, "alpha"),
+        ({"fuzzifier": "2"}, "m"),
+        ({"fuzzifier": True}, "m"),
     ],
 )
 def test_overlap_rejects_numbers_before_any_work(karate, monkeypatch, kwargs, name):
     """``k`` outside 2..n, a fuzzifier that is not finite and > 1, a threshold
     outside (0, 0.5], an alpha outside [0, 1), a centre out of range, a
-    centre count, ``k`` or rng seed that is not a whole number and a
-    negative rng seed each raise, naming the argument, before
+    centre count, ``k`` or rng seed that is not a whole number, a negative
+    rng seed and a threshold, alpha or fuzzifier that is no real number
+    (None, a string, a bool) each raise, naming the argument, before
     ``partition_graph`` or any diffusion runs."""
     import seedclust.fcm as fcm_module
     import seedclust.pipeline as pipeline_module

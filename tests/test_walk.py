@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seedclust._kernels as kernels
 import seedclust.graph
@@ -320,6 +322,59 @@ def test_walk_config_refuses_a_bool_rng_seed():
         WalkConfig(rng_seed=True)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"alpha": True, "beta": True}, "alpha"),
+        ({"beta": np.True_}, "beta"),
+        ({"alpha": "1.0"}, "alpha"),
+        ({"beta": 10**400}, "beta"),
+        ({"f_schedule": [(True, 5)]}, "every f"),
+        ({"f_schedule": [(1.1, 5), ("1.5", 3)]}, "every f"),
+        ({"f_schedule": [(10**400, 5)]}, "every f"),
+    ],
+)
+def test_walk_config_refuses_what_is_no_real_number(kwargs, name):
+    """A bool alpha, beta or f ran as 1.0, and a numeral string f as its
+    number; ``beta=10**400`` overflowed in the first energy, naming nothing."""
+    refused = f"^{name} must be a real number in the float range, got "
+    with pytest.raises(ValueError, match=refused):
+        WalkConfig(**kwargs)
+
+
+def test_walk_config_keeps_the_schedule_it_checked(karate):
+    """An iterator schedule was used up by the check, so the walk took no
+    step; a phase appended to a list schedule after the config was built
+    ran unchecked; a list schedule made the config unhashable. The config
+    keeps a tuple of (float, int) pairs, and each walks as that tuple."""
+    schedule = [(1.5, 10), (np.float64(2.0), np.int64(10))]
+    want = WalkConfig(f_schedule=((1.5, 10), (2.0, 10)), rng_seed=3)
+    listed = list(schedule)
+    changed = WalkConfig(f_schedule=listed, rng_seed=3)
+    listed.append((0.5, 10))
+    want_state, want_telemetry = run_walk(karate, 0, want)
+    for cfg in (WalkConfig(f_schedule=iter(schedule), rng_seed=3), changed):
+        assert cfg.phases() is cfg.phases() is cfg.f_schedule
+        assert [tuple(map(type, p)) for p in cfg.phases()] == [(float, int)] * 2
+        assert cfg == want and hash(cfg) == hash(want)
+        state, telemetry = run_walk(karate, 0, cfg)
+        assert state.visited.tobytes() == want_state.visited.tobytes()
+        assert state.log_energies.tobytes() == want_state.log_energies.tobytes()
+        assert [(p.f, p.steps, p.visits) for p in telemetry.phases] == [
+            (p.f, p.steps, p.visits) for p in want_telemetry.phases
+        ]
+    # the default schedule is resolved once too, and the other values are kept as checked
+    cfg = WalkConfig(1, np.float32(4.0), None, np.int64(3), np.int64(2))
+    assert cfg.phases() is cfg.phases() == default_schedule(3)
+    assert cfg.f_schedule is None and hash(cfg) == hash(WalkConfig(1.0, 4.0, None, 3, 2))
+    assert [type(v) for v in (cfg.alpha, cfg.beta, cfg.expected_size, cfg.rng_seed)] == [
+        float,
+        float,
+        int,
+        int,
+    ]
+
+
 def karate_table(karate, **changes):
     """The table of a karate walk from vertex 0, with ``changes`` to its fields."""
     state, _ = run_walk(karate, 0, WalkConfig(rng_seed=7, expected_size=8))
@@ -391,43 +446,90 @@ def test_visited_lists_visited_vertices_in_order_and_report_counts_steps(karate)
     assert report.iterations_used == telemetry.total_steps == 30 * 8
 
 
+def oracle_graphs():
+    """(graph, seed, alpha, beta) of the walk against the reference loop:
+    random graphs, karate and a ring of cliques at the default alpha and
+    beta, and a regular graph with alpha = beta, where every weight ties at
+    first."""
+    graphs = [(g, 0) for g in random_graphs(12)]
+    graphs += [(karate_club(), 33), (ring_of_cliques(12, 5), 7)]
+    cases = [(g, seed, 1.0, 100.0) for g, seed in graphs]
+    regular = from_edges([(i, (i + d) % 7) for i in range(7) for d in (1, 2)])
+    return [*cases, (regular, 3, 1.0, 1.0)]
+
+
+ORACLE_GRAPHS = oracle_graphs()
+
+
 def oracle_cases():
-    """(graph, seed, config) triples for the walk against the reference loop:
-    random graphs, karate, a ring of cliques, f = 1 and zero-step phases, and
-    a regular graph with alpha = beta, where every weight ties at first."""
+    """(graph, seed, config) triples for the walk against the reference
+    loop: each of ``ORACLE_GRAPHS`` with the default schedule, one with f = 1
+    and zero-step phases, and one of a single zero-step phase."""
     schedules = [
         None,
         ((1.0, 40), (1.3, 0), (2.0, 25), (1.0, 0), (1.1, 15)),
         ((3.0, 0),),
     ]
-    graphs = [(g, 0) for g in random_graphs(12)]
-    graphs += [(karate_club(), 33), (ring_of_cliques(12, 5), 7)]
-    regular = from_edges([(i, (i + d) % 7) for i in range(7) for d in (1, 2)])
     for rng_seed in (0, 1, 2):
-        for g, seed in graphs:
+        for g, seed, alpha, beta in ORACLE_GRAPHS:
             for schedule in schedules:
-                yield g, seed, WalkConfig(f_schedule=schedule, expected_size=6, rng_seed=rng_seed)
-        yield regular, 3, WalkConfig(alpha=1.0, beta=1.0, expected_size=6, rng_seed=rng_seed)
+                cfg = WalkConfig(alpha, beta, schedule, expected_size=6, rng_seed=rng_seed)
+                yield g, seed, cfg
+
+
+def assert_matches_oracle(g, seed, cfg, want_cfg=None):
+    """``run_walk(g, seed, cfg)`` gives the reference loop's energies, visits
+    and per-phase records under ``want_cfg`` (``cfg`` by default), bit for bit."""
+    state, telemetry = run_walk(g, seed, cfg)
+    log_e, counts, want_telemetry = walk_oracle.run_oracle(g, seed, want_cfg or cfg)
+    visited = state.visited
+    assert state.log_energies.tobytes() == log_e[visited].tobytes()
+    assert state.visit_counts.tobytes() == counts[visited].tobytes()
+    assert sorted(visited.tolist()) == np.flatnonzero(counts).tolist()
+    # the walk never departed from the rest, so they keep the background
+    background = np.log(cfg.alpha / g.degrees.astype(np.float64))
+    rest = np.ones(g.vertex_count, dtype=bool)
+    rest[visited] = False
+    assert log_e[rest].tobytes() == background[rest].tobytes()
+    got = [(p.f, p.steps, list(p.visits.items())) for p in telemetry.phases]
+    assert got == [(p.f, p.steps, list(p.visits.items())) for p in want_telemetry.phases]
 
 
 def test_run_walk_matches_oracle_loop():
     cases = 0
     for g, seed, cfg in oracle_cases():
-        state, telemetry = run_walk(g, seed, cfg)
-        log_e, counts, want_telemetry = walk_oracle.run_oracle(g, seed, cfg)
-        visited = state.visited
-        assert state.log_energies.tobytes() == log_e[visited].tobytes()
-        assert state.visit_counts.tobytes() == counts[visited].tobytes()
-        assert sorted(visited.tolist()) == np.flatnonzero(counts).tolist()
-        # the walk never departed from the rest, so they keep the background
-        background = np.log(cfg.alpha / g.degrees.astype(np.float64))
-        rest = np.ones(g.vertex_count, dtype=bool)
-        rest[visited] = False
-        assert log_e[rest].tobytes() == background[rest].tobytes()
-        got = [(p.f, p.steps, list(p.visits.items())) for p in telemetry.phases]
-        assert got == [(p.f, p.steps, list(p.visits.items())) for p in want_telemetry.phases]
+        assert_matches_oracle(g, seed, cfg)
         cases += 1
-    assert cases == 3 * (14 * 3 + 1)
+    assert cases == 3 * 15 * 3
+
+
+phase_f = st.one_of(st.sampled_from([1.0, 1.1, 1.3, 2.0, 3.0]), st.floats(1.0, 3.0))
+
+
+@given(
+    case=st.sampled_from(ORACLE_GRAPHS),
+    phases=st.lists(st.tuples(phase_f, st.integers(0, 60)), max_size=6),
+    form=st.sampled_from(["list", "tuple", "iterator", "numpy scalars"]),
+    rng_seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_run_walk_matches_oracle_loop_over_drawn_schedules(case, phases, form, rng_seed):
+    """0 to 6 drawn phases, given as a list, a tuple, an iterator or a list
+    of numpy scalars: the walk runs them as the reference loop runs their
+    tuple. alpha and beta stay at the fixed cases' values: ``math.log`` and
+    ``np.log`` of alpha / d differ in the last place for about 1 in 2,900
+    pairs."""
+    g, seed, alpha, beta = case
+    schedule = {
+        "list": list(phases),
+        "tuple": tuple(phases),
+        "iterator": iter(phases),
+        "numpy scalars": [(np.float64(f), np.int64(steps)) for f, steps in phases],
+    }[form]
+    cfg = WalkConfig(alpha, beta, schedule, rng_seed=rng_seed)
+    want = WalkConfig(alpha, beta, tuple(phases), rng_seed=rng_seed)
+    assert cfg.phases() is cfg.phases() and hash(cfg) == hash(want)
+    assert_matches_oracle(g, seed, cfg, want)
 
 
 def test_walk_phase_matches_oracle_step_bit_for_bit():

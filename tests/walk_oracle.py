@@ -92,10 +92,6 @@ def run_oracle(g, seed: int, cfg: WalkConfig = WalkConfig()):
         delta = visit_counts - before
         visited = np.flatnonzero(delta)
         telemetry.phases.append(
-            PhaseStats(
-                f=float(f),
-                steps=int(steps),
-                visits={int(u): int(delta[u]) for u in visited},
-            )
+            PhaseStats(f=f, steps=steps, visits={int(u): int(delta[u]) for u in visited})
         )
     return log_energies, visit_counts, telemetry
